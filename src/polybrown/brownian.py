@@ -5,7 +5,7 @@ All samplers take an explicit numpy Generator and share no mutable state; one
 stream per worker keeps results reproducible.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,15 +45,16 @@ class IncrementPair:
 
 @dataclass(frozen=True)
 class BrownianPolynomial:
-    """Degree-n polynomial path on [0, 1]: w1 * t plus expansion terms I_k e_k."""
+    """Degree-n polynomial path on [0, 1]: w1 * t plus expansion terms I_k e_k.
+
+    A batch of paths has w1 of shape (paths,) and coeffs (paths, n-1)."""
 
     w1: float
-    coeffs: np.ndarray  # I_1 .. I_{n-1}
-    basis: orthopoly.PolyBasis = field(repr=False)
+    coeffs: np.ndarray  # I_1 .. I_{n-1} along the last axis
 
     @property
     def degree(self):
-        return len(self.coeffs) + 1
+        return np.shape(self.coeffs)[-1] + 1
 
 
 @dataclass(frozen=True)
@@ -105,34 +106,28 @@ def sample_kl_batch(degree, count, rng):
     return w1, coeffs
 
 
-def sample_kl_coefficients(degree, rng, basis=None):
+def sample_kl_coefficients(degree, rng):
     """Draw the expansion coefficients of a degree-n polynomial path."""
-    if basis is None:
-        basis = _default_basis()
-    if not 1 <= degree <= basis.max_degree:
-        raise ValueError(f"degree out of range: need 1 <= degree <= {basis.max_degree}")
+    if not 1 <= degree <= orthopoly.MAX_DEGREE:
+        raise ValueError(f"degree out of range: need 1 <= degree <= {orthopoly.MAX_DEGREE}")
     w1, coeffs = sample_kl_batch(degree, 1, rng)
-    return BrownianPolynomial(w1=float(w1[0]), coeffs=coeffs[0], basis=basis)
-
-
-_BASIS_CACHE = {}
-
-
-def _default_basis():
-    if "default" not in _BASIS_CACHE:
-        _BASIS_CACHE["default"] = orthopoly.PolyBasis(orthopoly.MAX_DEGREE)
-    return _BASIS_CACHE["default"]
+    return BrownianPolynomial(w1=float(w1[0]), coeffs=coeffs[0])
 
 
 def eval_polynomial_path(poly, t):
-    """Evaluate W^n(t) = w1 * t + sum_k I_k e_k(t) for t in [0, 1]."""
+    """Evaluate W^n(t) = w1 * t + sum_k I_k e_k(t) for t in [0, 1].
+
+    For a batch of paths the result has shape (paths,) + shape(t); each e_k
+    is evaluated once for the whole batch.
+    """
     ta = np.asarray(t, dtype=float)
     if np.any(ta < 0.0) or np.any(ta > 1.0):
         raise ValueError("t out of domain [0, 1]")
-    out = poly.w1 * ta
-    for k, ik in enumerate(poly.coeffs, start=1):
-        out = out + ik * orthopoly.basis_e_eval(k, ta)
-    return out if np.ndim(t) else float(out)
+    coeffs = np.asarray(poly.coeffs, dtype=float)
+    out = np.multiply.outer(poly.w1, ta)
+    for k in range(1, coeffs.shape[-1] + 1):
+        out = out + np.multiply.outer(coeffs[..., k - 1], orthopoly.basis_e_eval(k, ta))
+    return out if np.ndim(out) else float(out)
 
 
 def extract_Ik(path, k):

@@ -7,12 +7,14 @@ All randomness flows from the single --seed flag.
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 
 import numpy as np
 
 from . import __version__, brownian, harness, igbm, levy, orthopoly
+from .harness import _fmt, _write_csv
 
 _DOMAIN_PATHS = 2
 _DOMAIN_IGBM = 3
@@ -50,7 +52,7 @@ def _str(text):
 
 
 # per-subcommand defaults (as strings; converted after merging)
-_IGBM_DEFAULTS = {"a": "0.1", "b": "0.04", "sigma": "0.6", "y0": "0.06", "horizon": "5.0"}
+_IGBM_DEFAULTS = {f.name: str(getattr(igbm.REFERENCE, f.name)) for f in dataclasses.fields(igbm.IgbmParams)}
 
 _DEFAULTS = {
     "basis": {"seed": "0", "out": "out", "max_k": "8", "grid": "201"},
@@ -153,19 +155,8 @@ def _prepare_out(strings, command):
     return out
 
 
-def _fmt(x):
-    return format(float(x), ".17g")
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-
-
 def _igbm_params(cfg):
-    return igbm.IgbmParams(a=cfg["a"], b=cfg["b"], sigma=cfg["sigma"], y0=cfg["y0"], horizon=cfg["horizon"])
+    return igbm.IgbmParams(**{key: cfg[key] for key in _IGBM_DEFAULTS})
 
 
 # ---------------------------------------------------------------------------
@@ -175,51 +166,47 @@ def _igbm_params(cfg):
 def cmd_basis(strings, cfg):
     out = _prepare_out(strings, "basis")
     ts = np.linspace(0.0, 1.0, cfg["grid"])
-    rows = []
-    for k in range(1, cfg["max_k"] + 1):
-        vals = orthopoly.basis_e_eval(k, ts)
-        rows.extend((str(k), _fmt(t), _fmt(v)) for t, v in zip(ts, vals))
+    table = [orthopoly.basis_e_eval(k, ts) for k in range(1, cfg["max_k"] + 1)]
+    rows = ((str(k), _fmt(t), _fmt(v)) for k, vals in enumerate(table, start=1) for t, v in zip(ts, vals))
     _write_csv(os.path.join(out, "basis.csv"), "k,t,e_k(t)", rows)
     return 0
 
 
 def cmd_paths(strings, cfg):
+    degree = cfg["degree"]
+    polys = [
+        brownian.sample_kl_coefficients(degree, harness.path_generator(cfg["seed"], _DOMAIN_PATHS, degree, path_id))
+        for path_id in range(cfg["paths"])
+    ]
     out = _prepare_out(strings, "paths")
+    batch = brownian.BrownianPolynomial(w1=np.array([p.w1 for p in polys]), coeffs=np.stack([p.coeffs for p in polys]))
     ts = np.linspace(0.0, 1.0, cfg["grid"])
-    value_rows = []
-    coeff_rows = []
-    for path_id in range(cfg["paths"]):
-        rng = harness.path_generator(cfg["seed"], _DOMAIN_PATHS, cfg["degree"], path_id)
-        poly = brownian.sample_kl_coefficients(cfg["degree"], rng)
-        vals = brownian.eval_polynomial_path(poly, ts)
-        value_rows.extend((str(path_id), _fmt(t), _fmt(v)) for t, v in zip(ts, vals))
-        coeff_rows.append((str(path_id), "0", _fmt(poly.w1)))  # k = 0 row carries the increment
-        coeff_rows.extend((str(path_id), str(k), _fmt(ik)) for k, ik in enumerate(poly.coeffs, start=1))
-    _write_csv(os.path.join(out, "paths.csv"), "path_id,t,kl_value", value_rows)
-    _write_csv(os.path.join(out, "path_coeffs.csv"), "path_id,k,I_k", coeff_rows)
+    values = brownian.eval_polynomial_path(batch, ts)
+    rows = ((str(i), _fmt(t), _fmt(v)) for i, row in enumerate(values) for t, v in zip(ts, row))
+    _write_csv(os.path.join(out, "paths.csv"), "path_id,t,kl_value", rows)
+    table = np.column_stack((batch.w1, batch.coeffs))  # the k = 0 column carries the increment
+    rows = ((str(i), str(k), _fmt(ik)) for i, row in enumerate(table) for k, ik in enumerate(row))
+    _write_csv(os.path.join(out, "path_coeffs.csv"), "path_id,k,I_k", rows)
     return 0
 
 
 def cmd_igbm_paths(strings, cfg):
-    out = _prepare_out(strings, "igbm-paths")
     if len(cfg["steps"]) != 1:
         raise UsageError("igbm-paths expects a single --steps value")
     n_steps = cfg["steps"][0]
     params = _igbm_params(cfg)
-    h = params.horizon / n_steps
+    w, h_area = harness.path_increments(
+        cfg["seed"], _DOMAIN_IGBM, n_steps, range(cfg["paths"]), n_steps, params.horizon / n_steps
+    )
+    traj = igbm.simulate(cfg["scheme"], params, w, h_area, record=True)
+    out = _prepare_out(strings, "igbm-paths")
     ts = np.linspace(0.0, params.horizon, n_steps + 1)
-    rows = []
-    for path_id in range(cfg["paths"]):
-        rng = harness.path_generator(cfg["seed"], _DOMAIN_IGBM, n_steps, path_id)
-        pairs = [brownian.sample_pair(h, rng) for _ in range(n_steps)]
-        traj = igbm.simulate(cfg["scheme"], params, pairs, record=True)
-        rows.extend((str(path_id), _fmt(t), _fmt(v)) for t, v in zip(ts, traj))
+    rows = ((str(i), _fmt(t), _fmt(v)) for i, row in enumerate(traj) for t, v in zip(ts, row))
     _write_csv(os.path.join(out, "igbm_paths.csv"), "path_id,t,value", rows)
     return 0
 
 
 def _run_benchmark(strings, cfg, metric):
-    out = _prepare_out(strings, metric)
     config = harness.ExperimentConfig(
         params=_igbm_params(cfg),
         schemes=cfg["schemes"],
@@ -227,6 +214,7 @@ def _run_benchmark(strings, cfg, metric):
         num_paths=cfg["paths"],
         seed=cfg["seed"],
     )
+    out = _prepare_out(strings, metric)
     report = harness.run_experiment(config, metrics=(metric,), workers=cfg["workers"])
     harness.write_error_csv(report.rows(metric), os.path.join(out, f"{metric}.csv"))
     harness.write_slopes_csv(report.slopes, os.path.join(out, "slopes.csv"))
@@ -331,13 +319,12 @@ def _check_coarsen(seed):
 
 
 def _check_schemes(seed):
-    p = igbm.IgbmParams(a=0.1, b=0.04, sigma=0.0, y0=0.06, horizon=1.0)
+    p = igbm.IgbmParams(a=0.1, b=0.04, sigma=0.0, y0=0.06, horizon=0.1)  # one step of h = 0.1
     analytic = 0.04 + 0.02 * np.exp(-0.01)
-    q = brownian.IncrementPair(0.3, -0.1, 0.1)
-    for step in (igbm.step_log_ode, igbm.step_parabola, igbm.step_linear):
-        if abs(step(0.06, p, q) - analytic) > 1e-10:
-            return f"{step.__name__} misses the deterministic flow"
-    bench = igbm.IgbmParams(a=0.1, b=0.04, sigma=0.6, y0=0.06, horizon=5.0)
+    for kind in (igbm.SchemeKind.LOG_ODE, igbm.SchemeKind.PARABOLA_ODE, igbm.SchemeKind.PIECEWISE_LINEAR):
+        if abs(igbm.simulate(kind, p, [[0.3]], [[-0.1]])[0] - analytic) > 1e-10:
+            return f"{kind.value} misses the deterministic flow"
+    bench = igbm.REFERENCE
     g = np.random.default_rng(seed)
     for y in g.uniform(-2.0, 2.0, size=20):
         bracket = -bench.a_strat * (bench.sigma * y) - bench.sigma * (bench.a_strat * (bench.b_strat - y))
@@ -424,10 +411,7 @@ def main(argv=None):
     try:
         strings, typed = _effective_config(args.command, args)
         return _HANDLERS[args.command](strings, typed)
-    except UsageError as exc:
-        print(f"polybrown: error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"polybrown: error: {exc}", file=sys.stderr)
         return 2
 

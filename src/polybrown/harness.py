@@ -13,8 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import igbm
 from .brownian import coarsen_arrays
-from .igbm import IgbmParams, SchemeKind, kernel_fn
 
 __all__ = [
     "ConvergenceReport",
@@ -22,12 +22,12 @@ __all__ = [
     "ExperimentConfig",
     "SlopeFit",
     "SlopeRow",
+    "default_config",
     "fine_substeps",
     "fit_slope",
     "path_generator",
+    "path_increments",
     "run_experiment",
-    "strong_error",
-    "weak_error",
     "write_error_csv",
     "write_slopes_csv",
 ]
@@ -35,16 +35,13 @@ __all__ = [
 _BLOCK = 512  # paths per work item; fixed so work decomposition never affects values
 _DOMAIN_HARNESS = 1
 
-_U64 = np.uint64
-_MASK64 = (1 << 64) - 1
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Benchmark configuration; defaults follow the reference experiment
-    (a=0.1, b=0.04, sigma=0.6, y0=0.06, T=5)."""
+    """Benchmark configuration.  Step counts and path indices must fit the
+    stream key (see `path_generator`), so a bad grid fails before any work."""
 
-    params: IgbmParams
+    params: igbm.IgbmParams
     schemes: tuple
     step_counts: tuple
     num_paths: int
@@ -53,18 +50,22 @@ class ExperimentConfig:
     def __post_init__(self):
         if list(self.step_counts) != sorted(set(self.step_counts)):
             raise ValueError("step_counts must be strictly ascending")
-        if any(n < 1 for n in self.step_counts):
-            raise ValueError("step counts must be positive")
+        if any(not 1 <= n < 1 << 16 for n in self.step_counts):
+            raise ValueError("step counts must be in [1, 2^16)")
         if self.num_paths < 100:
             raise ValueError("too few paths: need num_paths >= 100")
+        if self.num_paths > 1 << 32:
+            raise ValueError("too many paths: need num_paths <= 2^32")
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError("seed must be in [0, 2^64)")
         if not self.schemes:
             raise ValueError("need at least one scheme")
 
 
-def default_config(num_paths=10_000, step_counts=(25, 50, 100, 200, 400), seed=0, schemes=tuple(SchemeKind)):
-    params = IgbmParams(a=0.1, b=0.04, sigma=0.6, y0=0.06, horizon=5.0)
+def default_config(num_paths, step_counts, seed=0, schemes=tuple(igbm.SchemeKind)):
+    """A configuration of the reference experiment (`igbm.REFERENCE`)."""
     return ExperimentConfig(
-        params=params, schemes=tuple(schemes), step_counts=tuple(step_counts), num_paths=num_paths, seed=seed
+        params=igbm.REFERENCE, schemes=tuple(schemes), step_counts=tuple(step_counts), num_paths=num_paths, seed=seed
     )
 
 
@@ -77,46 +78,36 @@ def path_generator(seed, domain, level, index):
     """Counter-based stream for one path: the 128-bit Philox key packs the
     master seed with (domain, level, path index), so streams are independent
     and reproducible for any work decomposition."""
-    if not (0 <= domain < 1 << 16 and 0 <= level < 1 << 16 and 0 <= index < 1 << 32):
+    if not (0 <= seed < 1 << 64 and 0 <= domain < 1 << 16 and 0 <= level < 1 << 16 and 0 <= index < 1 << 32):
         raise ValueError("stream key component out of range")
-    key = np.array([seed & _MASK64, (domain << 48) | (level << 32) | index], dtype=_U64)
+    key = np.array([seed, (domain << 48) | (level << 32) | index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def path_increments(seed, domain, level, indices, n_intervals, length):
+    """(W, H) arrays of shape (len(indices), n_intervals) for intervals of
+    the given length: each path's stream draws its standard normals in one
+    call, W ~ N(0, length) and H ~ N(0, length/12)."""
+    w = np.empty((len(indices), n_intervals))
+    h_area = np.empty((len(indices), n_intervals))
+    for row, index in enumerate(indices):
+        z = path_generator(seed, domain, level, index).standard_normal((n_intervals, 2))
+        w[row] = z[:, 0]
+        h_area[row] = z[:, 1]
+    w *= np.sqrt(length)
+    h_area *= np.sqrt(length / 12.0)
+    return w, h_area
 
 
 def _simulate_block(params, schemes, n_steps, substeps, seed, lo, hi):
     """Terminal values for paths [lo, hi): fine log-ODE reference plus every
     scheme on the coarsened data of the same increments."""
     n_fine = n_steps * substeps
-    block = hi - lo
-    delta = params.horizon / n_fine
-    h = params.horizon / n_steps
-    w_fine = np.empty((block, n_fine))
-    h_fine = np.empty((block, n_fine))
-    for b, index in enumerate(range(lo, hi)):
-        z = path_generator(seed, _DOMAIN_HARNESS, n_steps, index).standard_normal((n_fine, 2))
-        w_fine[b] = z[:, 0]
-        h_fine[b] = z[:, 1]
-    w_fine *= np.sqrt(delta)
-    h_fine *= np.sqrt(delta / 12.0)
-
-    par = (params.a, params.b, params.sigma, params.a_strat, params.b_strat)
-    log_kernel = kernel_fn(SchemeKind.LOG_ODE)
-    y = np.full(block, params.y0)
-    for k in range(n_fine):
-        y = log_kernel(y, w_fine[:, k], h_fine[:, k], delta, *par)
-    fine = y
-
-    w_coarse, h_coarse = coarsen_arrays(
-        w_fine.reshape(block, n_steps, substeps), h_fine.reshape(block, n_steps, substeps)
-    )
-    out = {}
-    for scheme in schemes:
-        kern = kernel_fn(scheme)
-        y = np.full(block, params.y0)
-        for k in range(n_steps):
-            y = kern(y, w_coarse[:, k], h_coarse[:, k], h, *par)
-        out[scheme] = y
-    return fine, out
+    w_fine, h_fine = path_increments(seed, _DOMAIN_HARNESS, n_steps, range(lo, hi), n_fine, params.horizon / n_fine)
+    fine = igbm.simulate(igbm.SchemeKind.LOG_ODE, params, w_fine, h_fine)
+    shape = (hi - lo, n_steps, substeps)
+    w_coarse, h_coarse = coarsen_arrays(w_fine.reshape(shape), h_fine.reshape(shape))
+    return fine, {scheme: igbm.simulate(scheme, params, w_coarse, h_coarse) for scheme in schemes}
 
 
 def _block_task(args):
@@ -125,17 +116,16 @@ def _block_task(args):
     return lo, fine, coarse
 
 
-def _level_terminals(config, schemes, n_steps, substeps=None, workers=1):
+def _level_terminals(config, n_steps, workers):
     """Assemble per-path terminal arrays for one step count."""
-    if substeps is None:
-        substeps = fine_substeps(n_steps)
+    substeps = fine_substeps(n_steps)
     n_paths = config.num_paths
     tasks = [
-        (config.params, tuple(schemes), n_steps, substeps, config.seed, lo, min(lo + _BLOCK, n_paths))
+        (config.params, config.schemes, n_steps, substeps, config.seed, lo, min(lo + _BLOCK, n_paths))
         for lo in range(0, n_paths, _BLOCK)
     ]
     fine = np.empty(n_paths)
-    coarse = {scheme: np.empty(n_paths) for scheme in schemes}
+    coarse = {scheme: np.empty(n_paths) for scheme in config.schemes}
     if workers > 1:
         with multiprocessing.Pool(processes=workers) as pool:
             results = pool.map(_block_task, tasks)
@@ -150,6 +140,8 @@ def _level_terminals(config, schemes, n_steps, substeps=None, workers=1):
 
 
 def _strong_stats(fine, approx):
+    """Root-mean-square terminal gap to the coupled fine reference, with a
+    delta-method standard error."""
     d = (approx - fine) ** 2
     m2 = float(np.mean(d))
     err = float(np.sqrt(m2))
@@ -160,31 +152,12 @@ def _strong_stats(fine, approx):
 
 
 def _weak_stats(fine, approx, strike):
+    """Absolute gap of mean call payoffs (strike = mean-reversion level b),
+    estimated with common-random-numbers differencing."""
     diff = np.maximum(approx - strike, 0.0) - np.maximum(fine - strike, 0.0)
     err = float(abs(np.mean(diff)))
     se = float(np.std(diff, ddof=1) / np.sqrt(diff.size))
     return err, se
-
-
-def _check_level(config, n_steps):
-    if n_steps not in config.step_counts:
-        raise ValueError(f"invalid N: {n_steps} not in configured step counts")
-
-
-def strong_error(config, scheme, n_steps, substeps=None, workers=1):
-    """Root-mean-square terminal gap to the coupled fine reference, with a
-    delta-method standard error."""
-    _check_level(config, n_steps)
-    fine, coarse = _level_terminals(config, [scheme], n_steps, substeps, workers)
-    return _strong_stats(fine, coarse[scheme])
-
-
-def weak_error(config, scheme, n_steps, substeps=None, workers=1):
-    """Absolute gap of mean call payoffs (strike = mean-reversion level b),
-    estimated with common-random-numbers differencing."""
-    _check_level(config, n_steps)
-    fine, coarse = _level_terminals(config, [scheme], n_steps, substeps, workers)
-    return _weak_stats(fine, coarse[scheme], config.params.b)
 
 
 class SlopeFit(NamedTuple):
@@ -217,7 +190,7 @@ def fit_slope(points):
 
 @dataclass(frozen=True)
 class ErrorRow:
-    scheme: SchemeKind
+    scheme: igbm.SchemeKind
     n_steps: int
     h: float
     error: float
@@ -226,7 +199,7 @@ class ErrorRow:
 
 @dataclass(frozen=True)
 class SlopeRow:
-    scheme: SchemeKind
+    scheme: igbm.SchemeKind
     metric: str
     slope: float
     stderr: float
@@ -254,7 +227,7 @@ def run_experiment(config, metrics=("strong", "weak"), workers=1):
         raise ValueError(f"unknown metrics: {bad}")
     per_level = {}
     for n_steps in config.step_counts:
-        fine, coarse = _level_terminals(config, config.schemes, n_steps, workers=workers)
+        fine, coarse = _level_terminals(config, n_steps, workers)
         per_level[n_steps] = (fine, coarse)
 
     strong_rows, weak_rows, slope_rows = [], [], []
@@ -283,19 +256,26 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
+def _write_csv(path, header, rows):
+    """Write a header line and one line per row (an iterable of fields)."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
+
+
 def write_error_csv(rows, path):
     """Write `scheme,N,h,error,std_err` rows with 17-significant-digit floats."""
-    lines = ["scheme,N,h,error,std_err"]
-    for r in rows:
-        lines.append(f"{r.scheme.value},{r.n_steps},{_fmt(r.h)},{_fmt(r.error)},{_fmt(r.std_err)}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(
+        path,
+        "scheme,N,h,error,std_err",
+        ((r.scheme.value, str(r.n_steps), _fmt(r.h), _fmt(r.error), _fmt(r.std_err)) for r in rows),
+    )
 
 
 def write_slopes_csv(rows, path):
     """Write `scheme,metric,slope,slope_stderr` rows."""
-    lines = ["scheme,metric,slope,slope_stderr"]
-    for r in rows:
-        lines.append(f"{r.scheme.value},{r.metric},{_fmt(r.slope)},{_fmt(r.stderr)}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(
+        path,
+        "scheme,metric,slope,slope_stderr",
+        ((r.scheme.value, r.metric, _fmt(r.slope), _fmt(r.stderr)) for r in rows),
+    )

@@ -2,29 +2,27 @@
 
     dy = a (b - y) dt + sigma y dW,
 
-sharing one step interface that consumes per-interval (W, H) increment data.
-The high-order scheme uses the closed form that the constant Lie brackets of
-this equation admit; no generic ODE solver is involved.
+as array kernels over per-interval (W, H) increment data, and `simulate`,
+which folds a kernel over a (paths, steps) batch.  The high-order scheme uses
+the closed form that the constant Lie brackets of this equation admit; no
+generic ODE solver is involved.
 """
 
 import enum
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .orthopoly import gauss_legendre_01
 
 __all__ = [
+    "REFERENCE",
     "IgbmParams",
     "SchemeKind",
+    "kernel_fn",
     "phi",
     "simulate",
-    "step_euler",
-    "step_fn",
-    "step_linear",
-    "step_log_ode",
-    "step_milstein",
-    "step_parabola",
 ]
 
 
@@ -40,6 +38,9 @@ class IgbmParams:
     horizon: float
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.a < 0:
             raise ValueError("a must be >= 0")
         if self.sigma < 0:
@@ -60,6 +61,10 @@ class IgbmParams:
         if denom == 0.0:
             return self.b
         return 2.0 * self.a * self.b / denom
+
+
+# The reference experiment's parameters, the defaults of the CLI and harness.
+REFERENCE = IgbmParams(a=0.1, b=0.04, sigma=0.6, y0=0.06, horizon=5.0)
 
 
 class SchemeKind(enum.Enum):
@@ -96,19 +101,26 @@ def phi(x):
     return out if np.ndim(x) else float(out)
 
 
-# Array kernels shared by the scalar step functions and the Monte Carlo
-# harness.  All accept ndarray or scalar y / w / h_area.
+# Array kernels: one step of each scheme, for ndarray or scalar y / w / h_area.
 
 _GL3_NODES, _GL3_WEIGHTS = gauss_legendre_01(3)
 
 
 def _kernel_log_ode(y, w, h_area, h, a, b, sigma, a_strat, b_strat):
+    """One high-order step:  y e^{-a~h + sigma W}
+    + abh (1 - sigma H + sigma^2 (3H^2/5 + h/30)) phi(-a~h + sigma W).
+
+    The correction bracket carries the conditional-mean estimate of the
+    third-order area through the constant Lie brackets -ab*sigma, ab*sigma^2.
+    """
     x = -a_strat * h + sigma * w
     bracket = 1.0 - sigma * h_area + sigma * sigma * (0.6 * h_area * h_area + h / 30.0)
     return y * np.exp(x) + a * b * h * bracket * phi(x)
 
 
 def _kernel_parabola(y, w, h_area, h, a, b, sigma, a_strat, b_strat):
+    """One parabola-driven step; the drift integral along the parabola is
+    computed by 3-point Gauss-Legendre quadrature."""
     growth = np.exp(-a_strat * h + sigma * w)
     acc = 0.0
     for u, v in zip(_GL3_NODES, _GL3_WEIGHTS):
@@ -118,16 +130,19 @@ def _kernel_parabola(y, w, h_area, h, a, b, sigma, a_strat, b_strat):
 
 
 def _kernel_linear(y, w, h_area, h, a, b, sigma, a_strat, b_strat):
+    """One piecewise-linear (chord-driven) step; ignores the area term."""
     x = -a_strat * h + sigma * w
     return y * np.exp(x) + a * b * h * phi(x)
 
 
 def _kernel_milstein(y, w, h_area, h, a, b, sigma, a_strat, b_strat):
+    """One Milstein step, clamped at zero to preserve non-negativity."""
     step = y + a_strat * (b_strat - y) * h + sigma * y * w + 0.5 * sigma * sigma * y * w * w
     return np.maximum(step, 0.0)
 
 
 def _kernel_euler(y, w, h_area, h, a, b, sigma, a_strat, b_strat):
+    """One Euler-Maruyama step in Ito form, clamped at zero."""
     step = y + a * (b - y) * h + sigma * y * w
     return np.maximum(step, 0.0)
 
@@ -141,89 +156,37 @@ _KERNELS = {
 }
 
 
-def _param_tuple(p):
-    return (p.a, p.b, p.sigma, p.a_strat, p.b_strat)
-
-
-def _apply(kernel, y, p, pair):
-    if not pair.length > 0:
-        raise ValueError("nonpositive length")
-    a, b, sigma, a_strat, b_strat = _param_tuple(p)
-    out = kernel(y, pair.w, pair.h_area, pair.length, a, b, sigma, a_strat, b_strat)
-    return out if np.ndim(y) else float(out)
-
-
-def step_log_ode(y, p, pair):
-    """One high-order step:  y e^{-a~h + sigma W}
-    + abh (1 - sigma H + sigma^2 (3H^2/5 + h/30)) phi(-a~h + sigma W).
-
-    The correction bracket carries the conditional-mean estimate of the
-    third-order area through the constant Lie brackets -ab*sigma, ab*sigma^2.
-    """
-    return _apply(_kernel_log_ode, y, p, pair)
-
-
-def step_parabola(y, p, pair):
-    """One parabola-driven step; the drift integral along the parabola is
-    computed by 3-point Gauss-Legendre quadrature."""
-    return _apply(_kernel_parabola, y, p, pair)
-
-
-def step_linear(y, p, pair):
-    """One piecewise-linear (chord-driven) step; ignores the area term."""
-    return _apply(_kernel_linear, y, p, pair)
-
-
-def step_milstein(y, p, pair):
-    """One Milstein step, clamped at zero to preserve non-negativity."""
-    return _apply(_kernel_milstein, y, p, pair)
-
-
-def step_euler(y, p, pair):
-    """One Euler-Maruyama step in Ito form, clamped at zero."""
-    return _apply(_kernel_euler, y, p, pair)
-
-
-_STEP_FUNCS = {
-    SchemeKind.LOG_ODE: step_log_ode,
-    SchemeKind.PARABOLA_ODE: step_parabola,
-    SchemeKind.PIECEWISE_LINEAR: step_linear,
-    SchemeKind.MILSTEIN: step_milstein,
-    SchemeKind.EULER_MARUYAMA: step_euler,
-}
-
-
-def step_fn(kind):
-    """The step function implementing a SchemeKind."""
-    return _STEP_FUNCS[kind]
-
-
 def kernel_fn(kind):
-    """The array kernel implementing a SchemeKind (harness fast path)."""
+    """The array kernel implementing a SchemeKind:
+    kernel(y, w, h_area, h, a, b, sigma, a_strat, b_strat) -> next y."""
     return _KERNELS[kind]
 
 
-def simulate(kind, p, pairs, record=False):
-    """Fold the chosen scheme over consecutive increment pairs from y0.
+def simulate(kind, p, w, h_area, record=False):
+    """Fold the chosen scheme over the columns of (paths, steps) arrays of
+    per-interval increments W and space-time areas H, from y0 with step
+    length horizon / steps.
 
-    Returns the terminal value, or the full trajectory array (including y0)
-    when `record` is set.  The pairs must cover [0, horizon] contiguously.
+    Returns the terminal values (paths,), or with `record` the trajectories
+    (paths, steps + 1) including y0.  Each row depends on its own row of
+    data only, so a path's values do not depend on the batch it is in.
     """
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("empty pair list")
-    total = sum(q.length for q in pairs)
-    if abs(total - p.horizon) > 1e-9 * max(1.0, p.horizon):
-        raise ValueError(f"pairs cover {total}, expected horizon {p.horizon}")
-    step = step_fn(kind)
-    y = p.y0
+    w = np.asarray(w, dtype=float)
+    h_area = np.asarray(h_area, dtype=float)
+    if w.ndim != 2 or w.shape != h_area.shape:
+        raise ValueError("w and h_area must be (paths, steps) arrays of one shape")
+    paths, steps = w.shape
+    if steps == 0:
+        raise ValueError("need at least one step")
+    kernel = _KERNELS[kind]
+    h = p.horizon / steps
+    par = (p.a, p.b, p.sigma, p.a_strat, p.b_strat)
+    y = np.full(paths, p.y0)
     if record:
-        traj = np.empty(len(pairs) + 1)
-        traj[0] = y
-        for i, q in enumerate(pairs):
-            y = step(y, p, q)
-            traj[i + 1] = y
-        return traj
-    for q in pairs:
-        y = step(y, p, q)
-    return y
+        traj = np.empty((paths, steps + 1))
+        traj[:, 0] = y
+    for k in range(steps):
+        y = kernel(y, w[:, k], h_area[:, k], h, *par)
+        if record:
+            traj[:, k + 1] = y
+    return traj if record else y

@@ -7,9 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "CondLevyEstimate",
     "TripleIntegrals",
-    "cond_estimate",
     "cond_mean_L",
     "cond_mean_sq_integral",
     "cond_var_L",
@@ -32,14 +30,6 @@ class TripleIntegrals:
     i_tww: float
     i_wt: float
     i_tw: float
-
-
-@dataclass(frozen=True)
-class CondLevyEstimate:
-    """Conditional mean and variance of L given (W, H)."""
-
-    mean: float
-    variance: float
 
 
 def _check_positive_length(length):
@@ -66,11 +56,6 @@ def cond_var_L(pair):
     _check_positive_length(pair.length)
     w, hh, h = pair.w, pair.h_area, pair.length
     return 11.0 / 25200.0 * h**4 + h**3 * (w * w / 720.0 + hh * hh / 700.0)
-
-
-def cond_estimate(pair):
-    """Bundle the two conditional moments of L."""
-    return CondLevyEstimate(mean=cond_mean_L(pair), variance=cond_var_L(pair))
 
 
 def triple_integrals_from_whl(w, h_area, l_area, length):

@@ -80,10 +80,23 @@ def test_eval_polynomial_path_pins():
     p = bm.sample_kl_coefficients(5, rng(3))
     assert bm.eval_polynomial_path(p, 0.0) == 0.0
     assert bm.eval_polynomial_path(p, 1.0) == pytest.approx(p.w1, abs=1e-14)
-    bump = bm.BrownianPolynomial(w1=0.0, coeffs=np.array([1.0]), basis=p.basis)
+    bump = bm.BrownianPolynomial(w1=0.0, coeffs=np.array([1.0]))
     assert bm.eval_polynomial_path(bump, 0.5) == pytest.approx(-SQRT6 / 4.0, rel=1e-14)
     with pytest.raises(ValueError):
         bm.eval_polynomial_path(p, 1.5)
+
+
+def test_eval_polynomial_path_batch_matches_single_paths():
+    g = rng(4)
+    polys = [bm.sample_kl_coefficients(6, g) for _ in range(3)]
+    batch = bm.BrownianPolynomial(w1=np.array([p.w1 for p in polys]), coeffs=np.stack([p.coeffs for p in polys]))
+    assert batch.degree == 6
+    t = np.linspace(0.0, 1.0, 17)
+    values = bm.eval_polynomial_path(batch, t)
+    assert values.shape == (3, 17)
+    for row, p in zip(values, polys):
+        np.testing.assert_array_equal(row, bm.eval_polynomial_path(p, t))
+    np.testing.assert_array_equal(bm.eval_polynomial_path(batch, 0.25), values[:, 4])
 
 
 def test_kl_degree_validation():
@@ -312,12 +325,11 @@ def test_polynomial_matches_time_integrals_of_dense_path():
     # W^n built from the first coefficients of a higher-degree expansion path
     # shares its integrals of u^k dW for k <= n - 1.
     g = rng(55)
-    basis = op.PolyBasis(16)
-    full = bm.sample_kl_coefficients(12, g, basis)
+    full = bm.sample_kl_coefficients(12, g)
     t = np.linspace(0.0, 1.0, 4001)
     dense_vals = bm.eval_polynomial_path(full, t)
     for n in range(1, 7):
-        trunc = bm.BrownianPolynomial(w1=full.w1, coeffs=full.coeffs[: n - 1], basis=basis)
+        trunc = bm.BrownianPolynomial(w1=full.w1, coeffs=full.coeffs[: n - 1])
         trunc_vals = bm.eval_polynomial_path(trunc, t)
         for k in range(0, n):
             # integral u^k dW = W(1) - k * integral u^{k-1} W du  (by parts)

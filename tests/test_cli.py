@@ -130,6 +130,34 @@ def test_invalid_flags_give_usage_errors(tmp_path, capsys):
     assert run(["strong", "--seed", str(1 << 64), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("command", ["strong", "weak", "igbm-paths"])
+@pytest.mark.parametrize("flag", ["--a", "--b", "--sigma", "--y0", "--horizon"])
+def test_non_finite_parameters_refused_before_output(tmp_path, capsys, command, flag):
+    out = tmp_path / "o"
+    argv = [command, flag, "nan", "--paths", "100", "--steps", "5" if command == "igbm-paths" else "5,10,20"]
+    assert run(argv + ["--out", str(out)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()  # neither the manifest nor a CSV
+
+
+def test_bad_grid_refused_before_output(tmp_path):
+    out = tmp_path / "o"
+    assert run(["strong", "--steps", f"10,20,{1 << 16}", "--out", str(out)]) == 2
+    assert run(["igbm-paths", "--steps", "10,20", "--out", str(out)]) == 2
+    assert run(["igbm-paths", "--steps", str(1 << 16), "--out", str(out)]) == 2
+    assert run(["paths", "--degree", "65", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_igbm_paths_do_not_depend_on_path_count(tmp_path):
+    base = ["igbm-paths", "--scheme", "parabola", "--steps", "30", "--seed", "3"]
+    assert run(base + ["--paths", "2", "--out", str(tmp_path / "a")]) == 0
+    assert run(base + ["--paths", "5", "--out", str(tmp_path / "b")]) == 0
+    few = (tmp_path / "a" / "igbm_paths.csv").read_text().splitlines()
+    many = (tmp_path / "b" / "igbm_paths.csv").read_text().splitlines()
+    assert many[: len(few)] == few
+
+
 def test_check_command():
     assert run(["check"]) == 0
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from polybrown import harness
-from polybrown.igbm import IgbmParams, SchemeKind
+from polybrown.igbm import REFERENCE, IgbmParams, SchemeKind
 
 
 def small_config(**kw):
@@ -28,6 +28,20 @@ def test_config_validation():
         small_config(schemes=())
 
 
+def test_config_rejects_stream_key_overflow():
+    # step counts key the stream's level (16 bits), path indices its low 32 bits
+    small_config(step_counts=(10, (1 << 16) - 1))
+    with pytest.raises(ValueError):
+        small_config(step_counts=(10, 1 << 16))
+    with pytest.raises(ValueError):
+        small_config(num_paths=(1 << 32) + 1)
+    small_config(seed=(1 << 64) - 1)
+    with pytest.raises(ValueError):
+        small_config(seed=1 << 64)
+    with pytest.raises(ValueError):
+        small_config(seed=-1)
+
+
 def test_fine_substeps_rule():
     # fine mesh = min(h/10, T/1000): 1000/N substeps, floored at 10
     assert harness.fine_substeps(25) == 40
@@ -43,6 +57,21 @@ def test_path_streams_are_reproducible_and_distinct():
     g3 = harness.path_generator(7, 1, 25, 4).standard_normal(4)
     np.testing.assert_array_equal(g1, g2)
     assert not np.array_equal(g1, g3)
+
+
+def test_path_generator_rejects_out_of_range_keys():
+    harness.path_generator((1 << 64) - 1, (1 << 16) - 1, (1 << 16) - 1, (1 << 32) - 1)
+    for key in ((-1, 1, 25, 3), (1 << 64, 1, 25, 3), (7, 1 << 16, 25, 3), (7, 1, 1 << 16, 3), (7, 1, 25, 1 << 32)):
+        with pytest.raises(ValueError):
+            harness.path_generator(*key)
+
+
+def test_path_increments_scale_one_stream_per_path():
+    w, hh = harness.path_increments(7, 1, 25, range(2, 5), 6, 0.2)
+    assert w.shape == hh.shape == (3, 6)
+    z = harness.path_generator(7, 1, 25, 3).standard_normal((6, 2))
+    np.testing.assert_array_equal(w[1], z[:, 0] * np.sqrt(0.2))
+    np.testing.assert_array_equal(hh[1], z[:, 1] * np.sqrt(0.2 / 12.0))
 
 
 # ---------------------------------------------------------------------------
@@ -77,20 +106,19 @@ def test_fit_slope_validation():
 
 
 # ---------------------------------------------------------------------------
-# Error estimators
+# Error statistics on coupled blocks
 
 
-def test_strong_error_coupling_identity():
+def test_strong_coupling_identity():
     # fine resolution == coarse resolution for the reference scheme: S = 0
-    cfg = small_config()
-    err, se = harness.strong_error(cfg, SchemeKind.LOG_ODE, 20, substeps=1)
-    assert err == 0.0
-    assert se == 0.0
+    fine, coarse = harness._simulate_block(REFERENCE, (SchemeKind.LOG_ODE,), 20, 1, 99, 0, 400)
+    np.testing.assert_array_equal(fine, coarse[SchemeKind.LOG_ODE])
+    assert harness._strong_stats(fine, coarse[SchemeKind.LOG_ODE]) == (0.0, 0.0)
 
 
-def test_weak_error_coupling_identity():
-    cfg = small_config()
-    err, se = harness.weak_error(cfg, SchemeKind.LOG_ODE, 20, substeps=1)
+def test_weak_coupling_identity():
+    fine, coarse = harness._simulate_block(REFERENCE, (SchemeKind.LOG_ODE,), 20, 1, 99, 0, 400)
+    err, se = harness._weak_stats(fine, coarse[SchemeKind.LOG_ODE], REFERENCE.b)
     assert err == 0.0
 
 
@@ -99,22 +127,16 @@ def test_sigma_zero_is_deterministic():
     cfg = harness.ExperimentConfig(
         params=params, schemes=(SchemeKind.EULER_MARUYAMA,), step_counts=(10, 20, 40), num_paths=200, seed=1
     )
-    err, se = harness.strong_error(cfg, SchemeKind.EULER_MARUYAMA, 20)
-    assert err > 0.0  # Euler discretizes the ODE inexactly
-    assert se < 1e-12 * err  # identical across paths, up to summation residue
+    row = harness.run_experiment(cfg, metrics=("strong",)).strong[1]
+    assert row.n_steps == 20
+    assert row.error > 0.0  # Euler discretizes the ODE inexactly
+    assert row.std_err < 1e-12 * row.error  # identical across paths, up to summation residue
 
 
-def test_invalid_level_rejected():
-    cfg = small_config()
-    with pytest.raises(ValueError):
-        harness.strong_error(cfg, SchemeKind.EULER_MARUYAMA, 15)
-
-
-def test_strong_error_order_of_magnitude():
+def test_strong_order_of_magnitude():
     # order-1.5 scheme: halving h scales the error by ~2^1.5
     cfg = harness.default_config(num_paths=10_000, step_counts=(50, 100), seed=5, schemes=(SchemeKind.LOG_ODE,))
-    e50, _ = harness.strong_error(cfg, SchemeKind.LOG_ODE, 50)
-    e100, _ = harness.strong_error(cfg, SchemeKind.LOG_ODE, 100)
+    e50, e100 = (row.error for row in harness.run_experiment(cfg, metrics=("strong",)).strong)
     assert 2.2 <= e50 / e100 <= 3.5
 
 

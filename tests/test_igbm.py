@@ -1,4 +1,4 @@
-"""Tests for the IGBM step rules and simulation driver."""
+"""Tests for the IGBM step kernels and the array simulation driver."""
 
 import numpy as np
 import pytest
@@ -13,8 +13,16 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
-def pair(w, hh, h):
-    return bm.IncrementPair(w=w, h_area=hh, length=h)
+def step(kind, y, p, w, hh, h):
+    """One step of a scheme's kernel over an interval of length h."""
+    return igbm.kernel_fn(kind)(y, w, hh, h, p.a, p.b, p.sigma, p.a_strat, p.b_strat)
+
+
+LOG_ODE = igbm.SchemeKind.LOG_ODE
+PARABOLA = igbm.SchemeKind.PARABOLA_ODE
+LINEAR = igbm.SchemeKind.PIECEWISE_LINEAR
+MILSTEIN = igbm.SchemeKind.MILSTEIN
+EULER = igbm.SchemeKind.EULER_MARUYAMA
 
 
 # ---------------------------------------------------------------------------
@@ -37,6 +45,19 @@ def test_param_validation():
         igbm.IgbmParams(a=0.1, b=0.0, sigma=-0.1, y0=0.0, horizon=1.0)
     with pytest.raises(ValueError):
         igbm.IgbmParams(a=0.1, b=0.0, sigma=0.1, y0=0.0, horizon=0.0)
+
+
+@pytest.mark.parametrize("name", ["a", "b", "sigma", "y0", "horizon"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_param_validation_rejects_non_finite(name, value):
+    values = dict(a=0.1, b=0.04, sigma=0.6, y0=0.06, horizon=5.0)
+    values[name] = value
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        igbm.IgbmParams(**values)
+
+
+def test_reference_parameters():
+    assert igbm.REFERENCE == BENCH
 
 
 def test_scheme_names():
@@ -78,7 +99,7 @@ def test_phi_monotone_and_vectorized():
 def test_log_ode_deterministic_limit():
     # sigma = 0 reduces to the exact linear-ODE flow regardless of (W, H).
     p = igbm.IgbmParams(a=0.1, b=0.04, sigma=0.0, y0=0.06, horizon=1.0)
-    got = igbm.step_log_ode(0.06, p, pair(0.33, -0.1, 0.1))
+    got = step(LOG_ODE, 0.06, p, 0.33, -0.1, 0.1)
     analytic = 0.04 + (0.06 - 0.04) * np.exp(-0.01)
     assert got == pytest.approx(analytic, abs=1e-12)
     assert got == pytest.approx(0.06 * np.exp(-0.01) + 0.004 * 0.1 * igbm.phi(-0.01), abs=1e-16)
@@ -86,11 +107,9 @@ def test_log_ode_deterministic_limit():
 
 def test_log_ode_pure_geometric_when_ab_zero():
     p = igbm.IgbmParams(a=0.0, b=0.04, sigma=0.6, y0=0.06, horizon=1.0)
-    q = pair(0.2, 0.05, 0.1)
     expected = 0.06 * np.exp(-p.a_strat * 0.1 + 0.6 * 0.2)
-    assert igbm.step_log_ode(0.06, p, q) == pytest.approx(expected, rel=1e-15)
-    assert igbm.step_parabola(0.06, p, q) == pytest.approx(expected, rel=1e-15)
-    assert igbm.step_linear(0.06, p, q) == pytest.approx(expected, rel=1e-15)
+    for kind in (LOG_ODE, PARABOLA, LINEAR):
+        assert step(kind, 0.06, p, 0.2, 0.05, 0.1) == pytest.approx(expected, rel=1e-15), kind
 
 
 def test_log_ode_one_step_self_consistency():
@@ -117,12 +136,12 @@ def test_log_ode_one_step_self_consistency():
 
 def test_linear_step_examples():
     p = BENCH
-    q = pair(0.0, 0.123, 0.1)  # H ignored
     x = -p.a_strat * 0.1
-    assert igbm.step_linear(0.06, p, q) == pytest.approx(0.06 * np.exp(x) + 0.004 * 0.1 * igbm.phi(x), abs=1e-16)
+    got = step(LINEAR, 0.06, p, 0.0, 0.123, 0.1)  # H ignored
+    assert got == pytest.approx(0.06 * np.exp(x) + 0.004 * 0.1 * igbm.phi(x), abs=1e-16)
     # W chosen so the exponent vanishes: second term is exactly abh
     w0 = p.a_strat * 0.1 / p.sigma
-    got = igbm.step_linear(0.06, p, pair(w0, 0.0, 0.1))
+    got = step(LINEAR, 0.06, p, w0, 0.0, 0.1)
     assert got == pytest.approx(0.06 + 0.004 * 0.1, rel=1e-14)
 
 
@@ -134,13 +153,13 @@ def test_parabola_step_degenerates_to_linear_when_flat():
     for _ in range(200):
         w = g.normal(0.0, np.sqrt(0.01))
         y = g.uniform(0.01, 0.2)
-        q = pair(w, 0.0, 0.01)
-        assert igbm.step_parabola(y, BENCH, q) == pytest.approx(igbm.step_linear(y, BENCH, q), abs=1e-14)
+        linear = step(LINEAR, y, BENCH, w, 0.0, 0.01)
+        assert step(PARABOLA, y, BENCH, w, 0.0, 0.01) == pytest.approx(linear, abs=1e-14)
 
 
 def test_parabola_step_sigma_zero_matches_exact_flow():
     p = igbm.IgbmParams(a=0.1, b=0.04, sigma=0.0, y0=0.06, horizon=1.0)
-    got = igbm.step_parabola(0.06, p, pair(0.5, 0.2, 0.1))
+    got = step(PARABOLA, 0.06, p, 0.5, 0.2, 0.1)
     analytic = 0.04 + (0.06 - 0.04) * np.exp(-0.01)
     assert got == pytest.approx(analytic, abs=1e-10)
 
@@ -165,18 +184,18 @@ def test_parabola_quadrature_adequacy():
             parab = u * q.w + 6.0 * u * (1.0 - u) * q.h_area
             acc += np.sum(weights / panels * np.exp(BENCH.a_strat * u * h - BENCH.sigma * parab))
         composite = growth * (y + BENCH.a * BENCH.b * h * acc)
-        worst = max(worst, abs(igbm.step_parabola(y, BENCH, q) - composite))
+        worst = max(worst, abs(step(PARABOLA, y, BENCH, q.w, q.h_area, h) - composite))
     assert worst < 1e-6
 
 
 def test_milstein_step_arithmetic():
     # direct arithmetic with the adjusted parameters (a~ = 0.28, b~ = 1/70)
-    got = igbm.step_milstein(0.06, BENCH, pair(0.0, 0.0, 0.05))
+    got = step(MILSTEIN, 0.06, BENCH, 0.0, 0.0, 0.05)
     assert got == pytest.approx(0.05936, rel=1e-12)
     # large negative W forces the clamp
-    assert igbm.step_milstein(0.06, BENCH, pair(-10.0, 0.0, 0.05)) >= 0.0
+    assert step(MILSTEIN, 0.06, BENCH, -10.0, 0.0, 0.05) >= 0.0
     p0 = igbm.IgbmParams(a=0.1, b=0.04, sigma=0.0, y0=0.06, horizon=1.0)
-    assert igbm.step_milstein(0.06, p0, pair(0.7, 0.0, 0.05)) == pytest.approx(
+    assert step(MILSTEIN, 0.06, p0, 0.7, 0.0, 0.05) == pytest.approx(
         0.06 + 0.1 * (0.04 - 0.06) * 0.05, rel=1e-14
     )
 
@@ -185,16 +204,16 @@ def test_milstein_clamp_hits_zero_exactly():
     # a = 0, b = 0, sigma = 1: a~ = 1/2, b~ = 0, so W = -1, h = 1 lands the
     # unclamped step exactly on zero; Euler clamps for any larger kick.
     p = igbm.IgbmParams(a=0.0, b=0.0, sigma=1.0, y0=1.0, horizon=1.0)
-    assert igbm.step_milstein(1.0, p, pair(-1.0, 0.0, 1.0)) == 0.0
-    assert igbm.step_milstein(1.0, p, pair(-2.0, 0.0, 1.0)) >= 0.0
-    assert igbm.step_euler(1.0, p, pair(-2.0, 0.0, 1.0)) == 0.0
+    assert step(MILSTEIN, 1.0, p, -1.0, 0.0, 1.0) == 0.0
+    assert step(MILSTEIN, 1.0, p, -2.0, 0.0, 1.0) >= 0.0
+    assert step(EULER, 1.0, p, -2.0, 0.0, 1.0) == 0.0
 
 
 def test_euler_step_arithmetic():
-    got = igbm.step_euler(0.06, BENCH, pair(0.0, 0.0, 0.05))
+    got = step(EULER, 0.06, BENCH, 0.0, 0.0, 0.05)
     assert got == pytest.approx(0.0599, rel=1e-14)
     p = igbm.IgbmParams(a=0.1, b=0.06, sigma=0.0, y0=0.06, horizon=1.0)
-    assert igbm.step_euler(0.06, p, pair(1.0, 0.5, 0.25)) == 0.06  # fixed point of the drift
+    assert step(EULER, 0.06, p, 1.0, 0.5, 0.25) == 0.06  # fixed point of the drift
 
 
 def test_lie_bracket_constants():
@@ -217,44 +236,59 @@ def test_lie_bracket_constants():
 # Simulation driver
 
 
-def make_pairs(n, horizon, g):
-    h = horizon / n
-    return [bm.sample_pair(h, g) for _ in range(n)]
+def make_increments(paths, steps, horizon, g):
+    h = horizon / steps
+    z = g.standard_normal((paths, steps, 2))
+    return z[..., 0] * np.sqrt(h), z[..., 1] * np.sqrt(h / 12.0)
 
 
 def test_simulate_requires_pairs():
     with pytest.raises(ValueError):
-        igbm.simulate(igbm.SchemeKind.LOG_ODE, BENCH, [])
+        igbm.simulate(LOG_ODE, BENCH, np.empty((3, 0)), np.empty((3, 0)))
 
 
 def test_simulate_checks_coverage():
+    # W and H must cover the same (paths, steps) intervals
     with pytest.raises(ValueError):
-        igbm.simulate(igbm.SchemeKind.LOG_ODE, BENCH, [pair(0.0, 0.0, 1.0)])  # covers 1, not 5
+        igbm.simulate(LOG_ODE, BENCH, np.zeros((3, 4)), np.zeros((3, 5)))
+    with pytest.raises(ValueError):
+        igbm.simulate(LOG_ODE, BENCH, np.zeros((3, 4)), np.zeros((2, 4)))
+    with pytest.raises(ValueError):
+        igbm.simulate(LOG_ODE, BENCH, np.zeros(4), np.zeros(4))
+
+
+def test_simulate_folds_kernel_with_step_length_horizon_over_steps():
+    w, hh = make_increments(4, 25, BENCH.horizon, rng(11))
+    for kind in igbm.SchemeKind:
+        y = np.full(4, BENCH.y0)
+        for k in range(25):
+            y = step(kind, y, BENCH, w[:, k], hh[:, k], BENCH.horizon / 25)
+        np.testing.assert_array_equal(igbm.simulate(kind, BENCH, w, hh), y)
 
 
 def test_simulate_deterministic_limit_all_schemes():
     p = igbm.IgbmParams(a=0.3, b=0.05, sigma=0.0, y0=0.11, horizon=2.0)
-    pairs = make_pairs(200, 2.0, rng(6))
+    w, hh = make_increments(3, 200, 2.0, rng(6))
     analytic = p.b + (p.y0 - p.b) * np.exp(-p.a * p.horizon)
-    for kind in (igbm.SchemeKind.LOG_ODE, igbm.SchemeKind.PARABOLA_ODE, igbm.SchemeKind.PIECEWISE_LINEAR):
-        assert igbm.simulate(kind, p, pairs) == pytest.approx(analytic, rel=1e-9), kind
-    for kind in (igbm.SchemeKind.MILSTEIN, igbm.SchemeKind.EULER_MARUYAMA):
-        assert igbm.simulate(kind, p, pairs) == pytest.approx(analytic, rel=5e-3), kind
+    for kind in (LOG_ODE, PARABOLA, LINEAR):
+        np.testing.assert_allclose(igbm.simulate(kind, p, w, hh), analytic, rtol=1e-9, err_msg=str(kind))
+    for kind in (MILSTEIN, EULER):
+        np.testing.assert_allclose(igbm.simulate(kind, p, w, hh), analytic, rtol=5e-3, err_msg=str(kind))
 
 
 def test_simulate_determinism():
-    pairs = make_pairs(50, 5.0, rng(7))
-    a = igbm.simulate(igbm.SchemeKind.LOG_ODE, BENCH, pairs)
-    b = igbm.simulate(igbm.SchemeKind.LOG_ODE, BENCH, pairs)
-    assert a == b
+    w, hh = make_increments(5, 50, 5.0, rng(7))
+    a = igbm.simulate(LOG_ODE, BENCH, w, hh)
+    b = igbm.simulate(LOG_ODE, BENCH, w, hh)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_simulate_record_shape():
-    pairs = make_pairs(50, 5.0, rng(8))
-    traj = igbm.simulate(igbm.SchemeKind.MILSTEIN, BENCH, pairs, record=True)
-    assert traj.shape == (51,)
-    assert traj[0] == BENCH.y0
-    assert traj[-1] == igbm.simulate(igbm.SchemeKind.MILSTEIN, BENCH, pairs)
+    w, hh = make_increments(2, 50, 5.0, rng(8))
+    traj = igbm.simulate(MILSTEIN, BENCH, w, hh, record=True)
+    assert traj.shape == (2, 51)
+    assert np.all(traj[:, 0] == BENCH.y0)
+    np.testing.assert_array_equal(traj[:, -1], igbm.simulate(MILSTEIN, BENCH, w, hh))
 
 
 def test_non_negativity_all_schemes():
@@ -264,17 +298,10 @@ def test_non_negativity_all_schemes():
     n_paths, n_steps = 10_000, 50
     h = BENCH.horizon / n_steps
     z = g.standard_normal((n_steps, n_paths, 2))
-    w = z[..., 0] * np.sqrt(h)
-    hh = z[..., 1] * np.sqrt(h / 12.0)
-    par = (BENCH.a, BENCH.b, BENCH.sigma, BENCH.a_strat, BENCH.b_strat)
+    w = z[..., 0].T * np.sqrt(h)
+    hh = z[..., 1].T * np.sqrt(h / 12.0)
     for kind in igbm.SchemeKind:
-        kernel = igbm.kernel_fn(kind)
-        y = np.full(n_paths, BENCH.y0)
-        ymin = np.inf
-        for k in range(n_steps):
-            y = kernel(y, w[k], hh[k], h, *par)
-            ymin = min(ymin, float(y.min()))
-        assert ymin >= 0.0, kind
+        assert igbm.simulate(kind, BENCH, w, hh, record=True).min() >= 0.0, kind
 
 
 def test_one_step_weak_defect_ordering():

@@ -43,10 +43,9 @@ def test_cond_var_L_scaling():
     assert scaled == pytest.approx(expected, rel=1e-14)
 
 
-def test_cond_estimate_bundle_and_floor():
-    est = levy.cond_estimate(pair(0.0, 0.0))
-    assert est.mean == pytest.approx(1.0 / 30.0)
-    assert est.variance >= 11.0 / 25200.0
+def test_cond_moments_floor():
+    assert levy.cond_mean_L(pair(0.0, 0.0)) == pytest.approx(1.0 / 30.0)
+    assert levy.cond_var_L(pair(0.0, 0.0)) >= 11.0 / 25200.0
 
 
 def test_mean_sq_consistent_with_mean_L():

@@ -1,0 +1,80 @@
+"""Property-based tests of the simulation and coarsening algebra."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from polybrown import brownian as bm
+from polybrown import igbm
+
+# Derandomized, so that a run of the suite is reproducible.
+PROPERTY = settings(deadline=None, derandomize=True, max_examples=200)
+
+bounded = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
+
+
+@st.composite
+def params(draw):
+    """Parameters with ab >= 0, so the exact flow keeps y >= 0."""
+    return igbm.IgbmParams(
+        a=draw(st.floats(0.0, 2.0)),
+        b=draw(st.floats(0.0, 1.0)),
+        sigma=draw(st.floats(0.0, 2.0)),
+        y0=draw(st.floats(0.0, 10.0)),
+        horizon=draw(st.floats(1e-6, 10.0)),
+    )
+
+
+@st.composite
+def increments(draw, max_paths=4, max_steps=12):
+    paths = draw(st.integers(1, max_paths))
+    steps = draw(st.integers(1, max_steps))
+    data = st.lists(bounded, min_size=paths * steps, max_size=paths * steps)
+    w = np.array(draw(data)).reshape(paths, steps)
+    h_area = np.array(draw(data)).reshape(paths, steps)
+    return w, h_area
+
+
+@PROPERTY
+@given(params(), increments())
+def test_multiplicative_schemes_preserve_non_negativity(p, data):
+    # log-ODE: the bracket 1 - sigma H + sigma^2 (3H^2/5 + h/30) has a
+    # negative discriminant in H; parabola and linear add abh times a positive
+    # integral to a non-negative multiple of y.
+    w, h_area = data
+    for kind in (igbm.SchemeKind.LOG_ODE, igbm.SchemeKind.PARABOLA_ODE, igbm.SchemeKind.PIECEWISE_LINEAR):
+        traj = igbm.simulate(kind, p, w, h_area, record=True)
+        assert np.all(traj >= 0.0), kind
+
+
+@PROPERTY
+@given(params(), increments(max_paths=6), st.sampled_from(list(igbm.SchemeKind)))
+def test_simulate_rows_do_not_depend_on_the_batch(p, data, kind):
+    w, h_area = data
+    batch = igbm.simulate(kind, p, w, h_area, record=True)
+    for row in range(w.shape[0]):
+        alone = igbm.simulate(kind, p, w[row : row + 1], h_area[row : row + 1], record=True)
+        assert batch[row].tobytes() == alone[0].tobytes()
+
+
+@PROPERTY
+@given(
+    st.integers(1, 3),
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+    st.floats(1e-3, 10.0),
+)
+def test_coarsen_arrays_two_levels_equal_one(paths, groups, substeps, seed, length):
+    # coarsening (groups x substeps) pieces in two stages equals coarsening
+    # all of them at once
+    g = np.random.default_rng(seed)
+    n = groups * substeps
+    w = g.standard_normal((paths, n)) * np.sqrt(length / n)
+    h_area = g.standard_normal((paths, n)) * np.sqrt(length / n / 12.0)
+    w_mid, h_mid = bm.coarsen_arrays(w.reshape(paths, groups, substeps), h_area.reshape(paths, groups, substeps))
+    w_two, h_two = bm.coarsen_arrays(w_mid, h_mid)
+    w_one, h_one = bm.coarsen_arrays(w, h_area)
+    scale = np.sqrt(length) * 1e-13
+    np.testing.assert_allclose(w_two, w_one, rtol=0, atol=scale)
+    np.testing.assert_allclose(h_two, h_one, rtol=0, atol=scale)

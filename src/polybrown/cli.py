@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, brownian, harness, igbm, levy, orthopoly
+from . import __version__, brownian, checks, harness, igbm, orthopoly
 from .harness import _fmt, _write_csv
 
 _DOMAIN_PATHS = 2
@@ -35,53 +35,30 @@ def _positive_int(text):
 
 
 def _steps_list(text):
-    steps = tuple(_positive_int(part) for part in str(text).split(","))
-    return steps
+    return tuple(_positive_int(part) for part in str(text).split(","))
 
 
 def _schemes_list(text):
     return tuple(igbm.SchemeKind.from_name(part.strip()) for part in str(text).split(","))
 
 
-def _float(text):
-    return float(text)
-
-
-def _str(text):
-    return str(text)
-
-
 # per-subcommand defaults (as strings; converted after merging)
 _IGBM_DEFAULTS = {f.name: str(getattr(igbm.REFERENCE, f.name)) for f in dataclasses.fields(igbm.IgbmParams)}
+_SCHEMES = ",".join(kind.value for kind in igbm.SchemeKind)
+_BENCHMARK_DEFAULTS = {"seed": "0", "out": "out", "schemes": _SCHEMES, "workers": "1", **_IGBM_DEFAULTS}
 
 _DEFAULTS = {
     "basis": {"seed": "0", "out": "out", "max_k": "8", "grid": "201"},
     "paths": {"seed": "0", "out": "out", "degree": "4", "paths": "10", "grid": "201"},
     "igbm-paths": {"seed": "0", "out": "out", "scheme": "log-ode", "steps": "500", "paths": "10", **_IGBM_DEFAULTS},
-    "strong": {
-        "seed": "0",
-        "out": "out",
-        "paths": "10000",
-        "steps": "25,50,100,200,400",
-        "schemes": "log-ode,parabola,linear,milstein,euler",
-        "workers": "1",
-        **_IGBM_DEFAULTS,
-    },
-    "weak": {
-        "seed": "0",
-        "out": "out",
-        "paths": "100000",
-        "steps": "5,10,20,40,80,160",
-        "schemes": "log-ode,parabola,linear,milstein,euler",
-        "workers": "1",
-        **_IGBM_DEFAULTS,
-    },
+    "strong": {"paths": "10000", "steps": "25,50,100,200,400", **_BENCHMARK_DEFAULTS},
+    "weak": {"paths": "100000", "steps": "5,10,20,40,80,160", **_BENCHMARK_DEFAULTS},
     "check": {"seed": "0"},
 }
 
 _CONVERTERS = {
     "seed": _u64,
-    "out": _str,
+    "out": str,
     "max_k": _positive_int,
     "grid": _positive_int,
     "degree": _positive_int,
@@ -90,11 +67,11 @@ _CONVERTERS = {
     "schemes": _schemes_list,
     "steps": _steps_list,
     "workers": _positive_int,
-    "a": _float,
-    "b": _float,
-    "sigma": _float,
-    "y0": _float,
-    "horizon": _float,
+    "a": float,
+    "b": float,
+    "sigma": float,
+    "y0": float,
+    "horizon": float,
 }
 
 
@@ -229,133 +206,14 @@ def cmd_weak(strings, cfg):
     return _run_benchmark(strings, cfg, "weak")
 
 
-# ---------------------------------------------------------------------------
-# check: fast invariant suites
-
-
-def _check_orthonormality():
-    for i in range(1, 21):
-        for j in range(1, 21):
-            target = 1.0 if i == j else 0.0
-            if abs(orthopoly.inner_product_mu(i, j) - target) >= 1e-10:
-                return f"inner product ({i},{j}) off target"
-    return None
-
-
-def _check_evaluation_routes():
-    xs = np.linspace(-1.0, 1.0, 200)
-    for k in range(2, 51):
-        a = orthopoly.jacobi_m1m1_eval_recurrence(k, xs)
-        b = orthopoly.jacobi_m1m1_eval_legendre(k, xs)
-        denom = np.maximum(np.abs(a), np.abs(b))
-        mask = denom > 0
-        if np.max(np.abs(a - b)[mask] / denom[mask]) >= 1e-10:
-            return f"evaluation routes disagree at k={k}"
-    return None
-
-
-def _check_quadrature():
-    for n in (3, 8, 21):
-        rule = orthopoly.gauss_legendre(n)
-        if abs(float(np.sum(rule.weights)) - 2.0) > 1e-14:
-            return f"weights at n={n} do not sum to 2"
-        for m in range(2 * n):
-            exact = 2.0 / (m + 1) if m % 2 == 0 else 0.0
-            if abs(float(np.sum(rule.weights * rule.nodes**m)) - exact) > 5e-14:
-                return f"rule n={n} inexact at degree {m}"
-    return None
-
-
-def _check_eigen_ode():
-    ts = np.linspace(0.0, 1.0, 101)
-    xs = 2.0 * ts - 1.0
-    for k in range(1, 21):
-        norm = np.sqrt(k * (k + 1.0) * (2.0 * k + 1.0))
-        weighted_second = -0.5 * k * norm * (xs * orthopoly.legendre_eval(k, xs) - orthopoly.legendre_eval(k - 1, xs))
-        residual = orthopoly.eigenvalue(k) * weighted_second + orthopoly.basis_e_eval(k, ts)
-        if np.max(np.abs(residual)) >= 1e-8:
-            return f"eigen-ODE residual too large at k={k}"
-    return None
-
-
-def _check_phi():
-    if igbm.phi(0.0) != 1.0:
-        return "phi(0) != 1"
-    xs = np.linspace(-2.0, 2.0, 401)
-    if not np.all(np.diff(igbm.phi(xs)) > 0):
-        return "phi not monotone"
-    for x in (9.9e-6, 1.01e-5, -9.9e-6, -1.01e-5):
-        if abs(igbm.phi(x) - np.expm1(x) / x) > 1e-13:
-            return "phi branches disagree"
-    return None
-
-
-def _check_levy_algebra(seed):
-    g = np.random.default_rng(seed)
-    for _ in range(100):
-        w, hh, ll = g.standard_normal(3)
-        h = float(g.uniform(0.05, 4.0))
-        ti = levy.triple_integrals_from_whl(w, hh, ll, h)
-        if abs(ti.i_wwt + ti.i_wtw + ti.i_tww - 0.5 * h * w * w) > 1e-13 * max(1.0, abs(w) ** 2 * h):
-            return "shuffle identity violated"
-        if abs(ti.i_wwt - 2 * ti.i_wtw + ti.i_tww - 6.0 * ll) > 1e-13 * max(1.0, abs(ll)):
-            return "area identity violated"
-        if abs(ti.i_wt + ti.i_tw - h * w) > 1e-13 * max(1.0, h * abs(w)):
-            return "integration-by-parts identity violated"
-    return None
-
-
-def _check_coarsen(seed):
-    g = np.random.default_rng(seed)
-    quarters = [brownian.sample_pair(0.25, g) for _ in range(4)]
-    direct = brownian.coarsen(quarters)
-    paired = brownian.coarsen([brownian.coarsen(quarters[:2]), brownian.coarsen(quarters[2:])])
-    if abs(direct.h_area - paired.h_area) > 1e-14 or abs(direct.w - paired.w) > 1e-14:
-        return "coarsen not associative"
-    halves = [brownian.IncrementPair(1.0, 0.0, 0.5), brownian.IncrementPair(0.0, 0.0, 0.5)]
-    if abs(brownian.coarsen(halves).h_area - 0.25) > 1e-15:
-        return "two-halves oracle violated"
-    return None
-
-
-def _check_schemes(seed):
-    p = igbm.IgbmParams(a=0.1, b=0.04, sigma=0.0, y0=0.06, horizon=0.1)  # one step of h = 0.1
-    analytic = 0.04 + 0.02 * np.exp(-0.01)
-    for kind in (igbm.SchemeKind.LOG_ODE, igbm.SchemeKind.PARABOLA_ODE, igbm.SchemeKind.PIECEWISE_LINEAR):
-        if abs(igbm.simulate(kind, p, [[0.3]], [[-0.1]])[0] - analytic) > 1e-10:
-            return f"{kind.value} misses the deterministic flow"
-    bench = igbm.REFERENCE
-    g = np.random.default_rng(seed)
-    for y in g.uniform(-2.0, 2.0, size=20):
-        bracket = -bench.a_strat * (bench.sigma * y) - bench.sigma * (bench.a_strat * (bench.b_strat - y))
-        if abs(bracket + bench.a * bench.b * bench.sigma) > 1e-12:
-            return "first Lie bracket is not -ab*sigma"
-        if abs(-bench.sigma * bracket - bench.a * bench.b * bench.sigma**2) > 1e-12:
-            return "iterated Lie bracket is not ab*sigma^2"
-    return None
-
-
 def cmd_check(strings, cfg):
-    seed = cfg["seed"]
-    suites = [
-        ("orthonormality", _check_orthonormality),
-        ("evaluation-routes", _check_evaluation_routes),
-        ("quadrature", _check_quadrature),
-        ("eigen-ode", _check_eigen_ode),
-        ("phi", _check_phi),
-        ("levy-algebra", lambda: _check_levy_algebra(seed)),
-        ("coarsen", lambda: _check_coarsen(seed)),
-        ("schemes", lambda: _check_schemes(seed)),
-    ]
-    failures = 0
-    for name, suite in suites:
-        message = suite()
-        if message is None:
-            print(f"ok {name}")
-        else:
-            failures += 1
-            print(f"FAIL {name}: {message}")
-    return 1 if failures else 0
+    failed = False
+    for name, invariant, bound in checks.SUITES:
+        worst = invariant(np.random.default_rng(cfg["seed"]))
+        ok = worst <= bound
+        failed |= not ok
+        print(f"{'ok' if ok else 'FAIL'} {name} {worst:.2e} {'<=' if ok else '>'} {bound:g}")
+    return 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------

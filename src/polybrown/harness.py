@@ -8,6 +8,7 @@ order-independent as well.
 """
 
 import multiprocessing
+import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -220,36 +221,35 @@ def run_experiment(config, metrics=("strong", "weak"), workers=1):
 
     Fine references and coarsened data are shared across schemes and both
     metrics at each level, so adding schemes or metrics is nearly free.
-    Deterministic given the seed.
+    Deterministic given the seed.  A slope needs at least 3 step counts and
+    positive errors; the schemes left without one are named in a UserWarning,
+    once per metric.
     """
-    bad = [m for m in metrics if m not in ("strong", "weak")]
-    if bad:
-        raise ValueError(f"unknown metrics: {bad}")
-    per_level = {}
-    for n_steps in config.step_counts:
-        fine, coarse = _level_terminals(config, n_steps, workers)
-        per_level[n_steps] = (fine, coarse)
-
-    strong_rows, weak_rows, slope_rows = [], [], []
+    if not set(metrics) <= {"strong", "weak"} or len(set(metrics)) < len(metrics):
+        raise ValueError(f"metrics must be distinct names from strong, weak: {metrics}")
+    per_level = {n_steps: _level_terminals(config, n_steps, workers) for n_steps in config.step_counts}
+    stats = {"strong": _strong_stats, "weak": lambda fine, approx: _weak_stats(fine, approx, config.params.b)}
+    rows = {"strong": [], "weak": []}
+    slope_rows, unfitted = [], {metric: {} for metric in metrics}  # unfitted: reason -> scheme names
     for scheme in config.schemes:
-        points = {"strong": [], "weak": []}
-        for n_steps in config.step_counts:
-            fine, coarse = per_level[n_steps]
-            h = config.params.horizon / n_steps
-            if "strong" in metrics:
-                err, se = _strong_stats(fine, coarse[scheme])
-                strong_rows.append(ErrorRow(scheme, n_steps, h, err, se))
-                points["strong"].append((h, err))
-            if "weak" in metrics:
-                err, se = _weak_stats(fine, coarse[scheme], config.params.b)
-                weak_rows.append(ErrorRow(scheme, n_steps, h, err, se))
-                points["weak"].append((h, err))
         for metric in metrics:
-            pts = points[metric]
-            if len(pts) >= 3 and all(e > 0 for _, e in pts):
-                fit = fit_slope(pts)
+            grid = [
+                ErrorRow(scheme, n_steps, config.params.horizon / n_steps, *stats[metric](fine, coarse[scheme]))
+                for n_steps, (fine, coarse) in per_level.items()
+            ]
+            rows[metric] += grid
+            unusable = ", ".join(f"error {r.error:g} at N={r.n_steps}" for r in grid if not r.error > 0)
+            reason = "fewer than 3 step counts" if len(grid) < 3 else unusable
+            if reason:
+                unfitted[metric].setdefault(reason, []).append(scheme.value)
+            else:
+                fit = fit_slope([(r.h, r.error) for r in grid])
                 slope_rows.append(SlopeRow(scheme, metric, fit.slope, fit.stderr))
-    return ConvergenceReport(strong=tuple(strong_rows), weak=tuple(weak_rows), slopes=tuple(slope_rows))
+    for metric, reasons in unfitted.items():
+        if reasons:
+            dropped = "; ".join(f"{', '.join(names)} ({reason})" for reason, names in reasons.items())
+            warnings.warn(f"no {metric} slope for {dropped}", stacklevel=2)
+    return ConvergenceReport(strong=tuple(rows["strong"]), weak=tuple(rows["weak"]), slopes=tuple(slope_rows))
 
 
 def _fmt(x):

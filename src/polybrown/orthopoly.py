@@ -42,12 +42,7 @@ def legendre_eval(k, x):
     if k < 0:
         raise ValueError("degree out of range: k must be >= 0")
     xa = _as_array(x)
-    if k == 0:
-        return _match(x, np.ones_like(xa))
-    prev, cur = np.ones_like(xa), xa.copy()
-    for n in range(2, k + 1):
-        prev, cur = cur, ((2 * n - 1) * xa * cur - (n - 1) * prev) / n
-    return _match(x, cur)
+    return _match(x, _legendre_pair(k, xa)[0] if k else np.ones_like(xa))
 
 
 def _legendre_pair(k, xa):
@@ -178,9 +173,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-
-    def integrate(self, f):
-        return float(np.sum(self.weights * f(self.nodes)))
 
 
 def gauss_legendre(n):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from polybrown import brownian as bm
-from polybrown import harness, levy
+from polybrown import checks, harness, levy
 from polybrown import orthopoly as op
 from polybrown.igbm import SchemeKind
 
@@ -26,11 +26,7 @@ def _report(num, ok, detail):
 
 
 def test_criterion_1_orthonormality():
-    worst = 0.0
-    for i in range(1, 21):
-        for j in range(1, 21):
-            target = 1.0 if i == j else 0.0
-            worst = max(worst, abs(op.inner_product_mu(i, j) - target))
+    worst = checks.orthonormality(np.random.default_rng(SEED))
     _report(1, worst < 1e-10, f"max |<e_i,e_j> - delta_ij| = {worst:.2e} (i,j <= 20)")
 
 
@@ -39,14 +35,7 @@ def test_criterion_1_orthonormality():
 
 
 def test_criterion_2_evaluation_routes():
-    xs = np.linspace(-1.0, 1.0, 200)
-    worst = 0.0
-    for k in range(2, 51):
-        a = op.jacobi_m1m1_eval_recurrence(k, xs)
-        b = op.jacobi_m1m1_eval_legendre(k, xs)
-        denom = np.maximum(np.abs(a), np.abs(b))
-        mask = denom > 0
-        worst = max(worst, float(np.max(np.abs(a - b)[mask] / denom[mask])))
+    worst = checks.evaluation_routes(np.random.default_rng(SEED))
     _report(2, worst < 1e-10, f"max relative route disagreement = {worst:.2e} (k <= 50)")
 
 
@@ -160,17 +149,7 @@ def test_criterion_6_levy_algebra():
         for name in ("i_wwt", "i_wtw", "i_tww", "i_wt", "i_tw"):
             a, b = getattr(direct, name), getattr(pred, name)
             worst_path = max(worst_path, abs(a - b) / max(abs(a), 0.05))
-    worst_exact = 0.0
-    for _ in range(100):
-        w, hh, ll = g.standard_normal(3)
-        h = float(g.uniform(0.05, 4.0))
-        ti = levy.triple_integrals_from_whl(w, hh, ll, h)
-        scale = max(1.0, h * w * w, abs(ll))
-        worst_exact = max(
-            worst_exact,
-            abs(ti.i_wwt + ti.i_wtw + ti.i_tww - 0.5 * h * w * w) / scale,
-            abs(ti.i_wwt - 2 * ti.i_wtw + ti.i_tww - 6.0 * ll) / scale,
-        )
+    worst_exact = checks.levy_algebra(g)  # the next 100 draws of g: the identities relative to max(1, hW^2, |L|)
     ok = worst_path < 0.02 and worst_exact < 1e-14
     _report(6, ok, f"pathwise rel gap {worst_path:.4f} (100 paths, m=1e5); exact residue {worst_exact:.1e}")
 

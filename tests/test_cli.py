@@ -1,9 +1,15 @@
 """Tests for the command-line interface."""
 
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from polybrown import cli, orthopoly
+from polybrown import checks, cli, orthopoly
 
 
 def run(argv):
@@ -158,8 +164,45 @@ def test_igbm_paths_do_not_depend_on_path_count(tmp_path):
     assert many[: len(few)] == few
 
 
-def test_check_command():
+CHECK_LINE = re.compile(r"(ok|FAIL) (\S+) (\S+) (<=|>) (\S+)")
+
+
+def check_lines(capsys):
+    lines = capsys.readouterr().out.splitlines()
+    parsed = [CHECK_LINE.fullmatch(line) for line in lines]
+    assert all(parsed), lines
+    return [m.groups() for m in parsed]
+
+
+def test_check_command(capsys):
     assert run(["check"]) == 0
+    lines = check_lines(capsys)
+    assert [name for _, name, *_ in lines] == [name for name, _, _ in checks.SUITES]
+    for (status, _, worst, relation, bound), (_, _, expected_bound) in zip(lines, checks.SUITES):
+        assert (status, relation) == ("ok", "<=")
+        assert float(worst) <= float(bound) == expected_bound
+
+
+def test_check_fails_loudly_and_runs_every_suite(capsys, monkeypatch):
+    inner = orthopoly.inner_product_mu
+    monkeypatch.setattr(orthopoly, "inner_product_mu", lambda i, j: inner(i, j) + 1e-9)
+    assert run(["check", "--seed", "3"]) == 1
+    lines = check_lines(capsys)
+    assert [name for _, name, *_ in lines] == [name for name, _, _ in checks.SUITES]
+    failed = [line for line in lines if line[0] == "FAIL"]
+    assert failed == [line for line in lines if line[1] == "orthonormality"]
+    assert failed[0][3] == ">" and float(failed[0][2]) > 1e-10
+
+
+def test_dropped_slopes_are_named_on_stderr(tmp_path):
+    argv = ["weak", "--b", "0", "--y0", "0", "--schemes", "linear,euler", "--paths", "100", "--steps", "5,10,20"]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    command = [sys.executable, "-m", "polybrown", *argv, "--out", str(tmp_path / "o")]
+    result = subprocess.run(command, env=env, capture_output=True, text=True)
+    assert result.returncode == 0
+    zeros = "error 0 at N=5, error 0 at N=10, error 0 at N=20"
+    assert f"UserWarning: no weak slope for linear, euler ({zeros})\n" in result.stderr
+    assert (tmp_path / "o" / "slopes.csv").read_text() == "scheme,metric,slope,slope_stderr\n"
 
 
 def test_unknown_subcommand_exits_nonzero():

@@ -153,8 +153,9 @@ def test_run_experiment_report_shape():
     assert all(r.error >= 0 for r in rep.strong)
     hs = [r.h for r in rep.strong if r.scheme is SchemeKind.LOG_ODE]
     assert hs == [0.5, 0.25, 0.125]
-    with pytest.raises(ValueError):
-        harness.run_experiment(cfg, metrics=("strongest",))
+    for metrics in (("strongest",), ("strong", "strong")):
+        with pytest.raises(ValueError):
+            harness.run_experiment(cfg, metrics=metrics)
 
 
 def test_run_experiment_deterministic():
@@ -162,6 +163,28 @@ def test_run_experiment_deterministic():
     rep1 = harness.run_experiment(cfg, metrics=("strong",))
     rep2 = harness.run_experiment(cfg, metrics=("strong",))
     assert rep1 == rep2
+
+
+def test_slopes_left_out_are_named_in_a_warning():
+    flat = IgbmParams(a=0.1, b=0.0, sigma=0.6, y0=0.0, horizon=5.0)  # y stays 0: every error is 0
+    schemes = (SchemeKind.PIECEWISE_LINEAR, SchemeKind.EULER_MARUYAMA)
+    cfg = harness.ExperimentConfig(params=flat, schemes=schemes, step_counts=(5, 10, 20), num_paths=100, seed=0)
+    with pytest.warns(UserWarning) as record:
+        rep = harness.run_experiment(cfg, metrics=("weak",))
+    assert rep.slopes == ()
+    zeros = "error 0 at N=5, error 0 at N=10, error 0 at N=20"
+    assert [str(w.message) for w in record] == [f"no weak slope for linear, euler ({zeros})"]
+    with pytest.warns(UserWarning, match=r"^no strong slope for log-ode \(fewer than 3 step counts\)$"):
+        rep = harness.run_experiment(small_config(step_counts=(10, 20), schemes=(SchemeKind.LOG_ODE,)), ("strong",))
+    assert rep.slopes == () and len(rep.strong) == 2
+
+
+def test_block_size_does_not_change_the_report(monkeypatch):
+    cfg = small_config()
+    expected = harness.run_experiment(cfg)
+    monkeypatch.setattr(harness, "_BLOCK", 97)  # does not divide the 400 paths
+    for workers in (1, 2):
+        assert harness.run_experiment(cfg, workers=workers) == expected
 
 
 def test_worker_count_invariance():

@@ -12,36 +12,41 @@ import numpy as np
 from . import brownian, igbm, levy, orthopoly
 
 
+def _worst(residuals):
+    """Largest |r| over scalars and arrays; a NaN anywhere makes it NaN."""
+    return float(np.max(np.abs(np.concatenate([np.ravel(r) for r in residuals]))))
+
+
 def orthonormality(g):
     """max |<e_i, e_j> - delta_ij| under the bridge weight, i, j <= 20."""
-    return max(abs(orthopoly.inner_product_mu(i, j) - float(i == j)) for i in range(1, 21) for j in range(1, 21))
+    return _worst(orthopoly.inner_product_mu(i, j) - float(i == j) for i in range(1, 21) for j in range(1, 21))
 
 
 def evaluation_routes(g):
     """Largest relative gap between the recurrence and Legendre-difference
     values of P_k^(-1,-1), k = 2..50, on 200 points of [-1, 1]."""
     xs = np.linspace(-1.0, 1.0, 200)
-    worst = 0.0
+    gaps = []
     for k in range(2, 51):
         a = orthopoly.jacobi_m1m1_eval_recurrence(k, xs)
         b = orthopoly.jacobi_m1m1_eval_legendre(k, xs)
         denom = np.maximum(np.abs(a), np.abs(b))
-        mask = denom > 0
-        worst = max(worst, float(np.max(np.abs(a - b)[mask] / denom[mask])))
-    return worst
+        mask = denom != 0  # keeps NaN
+        gaps.append((a - b)[mask] / denom[mask])
+    return _worst(gaps)
 
 
 def quadrature(g):
     """Gauss-Legendre rules with 3, 8 and 21 nodes: the weight sum against 2
     and the integral of every monomial of degree < 2n against its exact value."""
-    worst = 0.0
+    residuals = []
     for n in (3, 8, 21):
         rule = orthopoly.gauss_legendre(n)
-        worst = max(worst, abs(float(np.sum(rule.weights)) - 2.0))
+        residuals.append(np.sum(rule.weights) - 2.0)
         for m in range(2 * n):
             exact = 2.0 / (m + 1) if m % 2 == 0 else 0.0
-            worst = max(worst, abs(float(np.sum(rule.weights * rule.nodes**m)) - exact))
-    return worst
+            residuals.append(np.sum(rule.weights * rule.nodes**m) - exact)
+    return _worst(residuals)
 
 
 def eigen_ode(g):
@@ -50,44 +55,41 @@ def eigen_ode(g):
     division-free."""
     ts = np.linspace(0.0, 1.0, 101)
     xs = 2.0 * ts - 1.0
-    worst = 0.0
+    residuals = []
     for k in range(1, 21):
         norm = np.sqrt(k * (k + 1.0) * (2.0 * k + 1.0))
         weighted_second = -0.5 * k * norm * (xs * orthopoly.legendre_eval(k, xs) - orthopoly.legendre_eval(k - 1, xs))
-        residual = orthopoly.eigenvalue(k) * weighted_second + orthopoly.basis_e_eval(k, ts)
-        worst = max(worst, float(np.max(np.abs(residual))))
-    return worst
+        residuals.append(orthopoly.eigenvalue(k) * weighted_second + orthopoly.basis_e_eval(k, ts))
+    return _worst(residuals)
 
 
 def phi(g):
     """phi(0) = 1, and phi strictly increasing on 401 points of [-2, 2]: the
-    residual also counts the steps that do not increase."""
+    residual also counts the steps that do not increase, NaN steps included."""
     steps = np.diff(igbm.phi(np.linspace(-2.0, 2.0, 401)))
-    return max(abs(igbm.phi(0.0) - 1.0), float(np.count_nonzero(steps <= 0)))
+    return _worst([igbm.phi(0.0) - 1.0, np.count_nonzero(~(steps > 0))])
 
 
 def phi_branches(g):
     """Gap between phi and expm1(x)/x on both sides of the series cutoff."""
-    return max(abs(igbm.phi(x) - np.expm1(x) / x) for x in (9.9e-6, 1.01e-5, -9.9e-6, -1.01e-5))
+    return _worst(igbm.phi(x) - np.expm1(x) / x for x in (9.9e-6, 1.01e-5, -9.9e-6, -1.01e-5))
 
 
 def levy_algebra(g):
     """The shuffle, area and integration-by-parts identities of
     `levy.triple_integrals_from_whl` on 100 draws of W, H, L ~ N(0, 1) and
-    h ~ U(0.05, 4), relative to max(1, hW^2, |L|)."""
-    worst = 0.0
+    h ~ U(0.05, 4), relative to max(1, hW^2), max(1, |L|) and max(1, h|W|)."""
+    residuals = []
     for _ in range(100):
         w, hh, ll = g.standard_normal(3)
         h = float(g.uniform(0.05, 4.0))
         ti = levy.triple_integrals_from_whl(w, hh, ll, h)
-        scale = max(1.0, h * w * w, abs(ll))
-        worst = max(
-            worst,
-            abs(ti.i_wwt + ti.i_wtw + ti.i_tww - 0.5 * h * w * w) / scale,
-            abs(ti.i_wwt - 2 * ti.i_wtw + ti.i_tww - 6.0 * ll) / scale,
-            abs(ti.i_wt + ti.i_tw - h * w) / scale,
-        )
-    return worst
+        residuals += [
+            (ti.i_wwt + ti.i_wtw + ti.i_tww - 0.5 * h * w * w) / max(1.0, h * w * w),
+            (ti.i_wwt - 2 * ti.i_wtw + ti.i_tww - 6.0 * ll) / max(1.0, abs(ll)),
+            (ti.i_wt + ti.i_tw - h * w) / max(1.0, h * abs(w)),
+        ]
+    return _worst(residuals)
 
 
 def coarsen_associativity(g):
@@ -97,14 +99,14 @@ def coarsen_associativity(g):
     w, h_area = np.sqrt(0.25) * z[..., 0], np.sqrt(0.25 / 12.0) * z[..., 1]
     direct = brownian.coarsen_arrays(w, h_area)
     paired = brownian.coarsen_arrays(*brownian.coarsen_arrays(w.reshape(100, 2, 2), h_area.reshape(100, 2, 2)))
-    return max(float(np.max(np.abs(a - b))) for a, b in zip(direct, paired))
+    return _worst(a - b for a, b in zip(direct, paired))
 
 
 def coarsen_halves(g):
     """A unit increment over the first half and none over the second has
     space-time area 1/4."""
     _, h_area = brownian.coarsen_arrays(np.array([1.0, 0.0]), np.zeros(2))
-    return abs(float(h_area) - 0.25)
+    return _worst([h_area - 0.25])
 
 
 def schemes(g):
@@ -114,12 +116,11 @@ def schemes(g):
     p = igbm.IgbmParams(a=0.1, b=0.04, sigma=0.0, y0=0.06, horizon=0.1)  # one step of h = 0.1
     flow = 0.04 + 0.02 * np.exp(-0.01)
     kinds = (igbm.SchemeKind.LOG_ODE, igbm.SchemeKind.PARABOLA_ODE, igbm.SchemeKind.PIECEWISE_LINEAR)
-    worst = max(abs(float(igbm.simulate(kind, p, [[0.3]], [[-0.1]])[0]) - flow) for kind in kinds)
+    residuals = [igbm.simulate(kind, p, [[0.3]], [[-0.1]]) - flow for kind in kinds]
     r = igbm.REFERENCE
-    for y in g.uniform(-2.0, 2.0, size=20):
-        bracket = -r.a_strat * (r.sigma * y) - r.sigma * (r.a_strat * (r.b_strat - y))
-        worst = max(worst, abs(bracket + r.a * r.b * r.sigma), abs(-r.sigma * bracket - r.a * r.b * r.sigma**2))
-    return float(worst)
+    y = g.uniform(-2.0, 2.0, size=20)
+    bracket = -r.a_strat * (r.sigma * y) - r.sigma * (r.a_strat * (r.b_strat - y))
+    return _worst(residuals + [bracket + r.a * r.b * r.sigma, -r.sigma * bracket - r.a * r.b * r.sigma**2])
 
 
 # (name, invariant, bound): `polybrown check` passes a suite when worst <= bound.

@@ -194,6 +194,24 @@ def test_check_fails_loudly_and_runs_every_suite(capsys, monkeypatch):
     assert failed[0][3] == ">" and float(failed[0][2]) > 1e-10
 
 
+def test_check_fails_on_nan(capsys, monkeypatch):
+    inner = orthopoly.inner_product_mu
+    monkeypatch.setattr(orthopoly, "inner_product_mu", lambda i, j: np.nan if (i, j) == (3, 5) else inner(i, j))
+    assert np.isnan(checks.orthonormality(np.random.default_rng(0)))
+    assert run(["check"]) == 1
+    assert [line for line in check_lines(capsys) if line[0] == "FAIL"] == [("FAIL", "orthonormality", "nan", ">", "1e-10")]
+
+
+def test_suites_propagate_nan(monkeypatch):
+    """NaN at the ends of e_k or in one step of phi is a failure, not a pass."""
+    basis_e = orthopoly.basis_e_eval
+    monkeypatch.setattr(orthopoly, "basis_e_eval", lambda k, t: np.where((t == 0) | (t == 1), np.nan, basis_e(k, t)))
+    assert np.isnan(checks.eigen_ode(np.random.default_rng(0)))
+    phi = checks.igbm.phi
+    monkeypatch.setattr(checks.igbm, "phi", lambda x: np.where(np.asarray(x) == 1.0, np.nan, phi(x)))
+    assert checks.phi(np.random.default_rng(0)) == 2.0  # the steps into and out of x = 1
+
+
 def test_dropped_slopes_are_named_on_stderr(tmp_path):
     argv = ["weak", "--b", "0", "--y0", "0", "--schemes", "linear,euler", "--paths", "100", "--steps", "5,10,20"]
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))

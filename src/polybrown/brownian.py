@@ -235,17 +235,17 @@ def coarsen(pairs):
 
 
 def coarsen_arrays(w_fine, h_fine):
-    """Vectorized coarsen along the last axis: (..., substeps) -> (...,).
-
-    Same algebra as `coarsen`, for equal-length sub-intervals.
-    """
-    substeps = w_fine.shape[-1]
-    if substeps == 1:  # passthrough keeps the coupling identity exact
-        return w_fine[..., 0].copy(), h_fine[..., 0].copy()
-    prefix = np.cumsum(w_fine, axis=-1) - w_fine
-    w = np.sum(w_fine, axis=-1)
-    h_area = np.sum(prefix + h_fine + 0.5 * w_fine, axis=-1) / substeps - 0.5 * w
-    return w, h_area
+    """Vectorized `coarsen` of equal-length pieces along the last axis,
+    (..., n) -> (...,), in the weighted form w = sum_i w_i and
+    h_area = mean_i h_area_i + sum_i (n-1-2i)/(2n) w_i, accumulated piece by
+    piece: no full-size temporaries, and each element uses its own row only."""
+    n = w_fine.shape[-1]
+    w, h_sum, tilt = (np.zeros(w_fine.shape[:-1]) for _ in range(3))
+    for i in range(n):
+        w += w_fine[..., i]
+        h_sum += h_fine[..., i]
+        tilt += (n - 1 - 2 * i) / (2 * n) * w_fine[..., i]
+    return w, h_sum / n + tilt
 
 
 def sample_brownian_dense(n_steps, rng):

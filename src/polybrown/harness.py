@@ -1,10 +1,12 @@
 """Monte Carlo strong/weak error estimation against a coupled fine reference,
 with log-log slope fitting and CSV emission.
 
-Every path owns a counter-based random stream keyed by (seed, domain, level,
-path index), so results are bit-identical for any worker count or scheduling.
-Reductions run over arrays assembled in path order, which keeps them
-order-independent as well.
+Each path's Brownian increments are drawn once, on one fine mesh for the
+whole grid (`fine_steps`) that also carries the log-ODE reference, and every
+level is the exact coarsening of the next finer one: the nested coupling of
+multilevel Monte Carlo.  Streams are keyed per path (`path_generator`, at
+level 0) and reductions run over arrays in path order, so results are
+bit-identical for any worker count or scheduling.
 """
 
 import multiprocessing
@@ -24,7 +26,7 @@ __all__ = [
     "SlopeFit",
     "SlopeRow",
     "default_config",
-    "fine_substeps",
+    "fine_steps",
     "fit_slope",
     "path_generator",
     "path_increments",
@@ -39,8 +41,9 @@ _DOMAIN_HARNESS = 1
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Benchmark configuration.  Step counts and path indices must fit the
-    stream key (see `path_generator`), so a bad grid fails before any work."""
+    """Benchmark configuration, validated before any work: step counts
+    ascend, stay below 2^16 and each divides the next; schemes are distinct;
+    path indices and the seed fit the stream key (see `path_generator`)."""
 
     params: igbm.IgbmParams
     schemes: tuple
@@ -53,6 +56,8 @@ class ExperimentConfig:
             raise ValueError("step_counts must be strictly ascending")
         if any(not 1 <= n < 1 << 16 for n in self.step_counts):
             raise ValueError("step counts must be in [1, 2^16)")
+        if any(finer % n for n, finer in zip(self.step_counts, self.step_counts[1:])):
+            raise ValueError(f"each step count must divide the next: {','.join(map(str, self.step_counts))}")
         if self.num_paths < 100:
             raise ValueError("too few paths: need num_paths >= 100")
         if self.num_paths > 1 << 32:
@@ -61,6 +66,8 @@ class ExperimentConfig:
             raise ValueError("seed must be in [0, 2^64)")
         if not self.schemes:
             raise ValueError("need at least one scheme")
+        if len(set(self.schemes)) < len(self.schemes):
+            raise ValueError(f"schemes must be distinct: {','.join(scheme.value for scheme in self.schemes)}")
 
 
 def default_config(num_paths, step_counts, seed=0, schemes=tuple(igbm.SchemeKind)):
@@ -70,9 +77,11 @@ def default_config(num_paths, step_counts, seed=0, schemes=tuple(igbm.SchemeKind
     )
 
 
-def fine_substeps(n_steps):
-    """Fine substeps per coarse step so the fine mesh is min(h/10, T/1000)."""
-    return max(10, int(round(1000.0 / n_steps)))
+def fine_steps(step_counts):
+    """Steps of the fine mesh common to a divisor chain of step counts: a
+    multiple of the largest, at most min(h/10, T/1000) at every level."""
+    n_max = max(step_counts)
+    return n_max * max(10, -(-1000 // n_max))
 
 
 def path_generator(seed, domain, level, index):
@@ -100,44 +109,34 @@ def path_increments(seed, domain, level, indices, n_intervals, length):
     return w, h_area
 
 
-def _simulate_block(params, schemes, n_steps, substeps, seed, lo, hi):
-    """Terminal values for paths [lo, hi): fine log-ODE reference plus every
-    scheme on the coarsened data of the same increments."""
-    n_fine = n_steps * substeps
-    w_fine, h_fine = path_increments(seed, _DOMAIN_HARNESS, n_steps, range(lo, hi), n_fine, params.horizon / n_fine)
-    fine = igbm.simulate(igbm.SchemeKind.LOG_ODE, params, w_fine, h_fine)
-    shape = (hi - lo, n_steps, substeps)
-    w_coarse, h_coarse = coarsen_arrays(w_fine.reshape(shape), h_fine.reshape(shape))
-    return fine, {scheme: igbm.simulate(scheme, params, w_coarse, h_coarse) for scheme in schemes}
-
-
-def _block_task(args):
-    params, schemes, n_steps, substeps, seed, lo, hi = args
-    fine, coarse = _simulate_block(params, schemes, n_steps, substeps, seed, lo, hi)
-    return lo, fine, coarse
-
-
-def _level_terminals(config, n_steps, workers):
-    """Assemble per-path terminal arrays for one step count."""
-    substeps = fine_substeps(n_steps)
-    n_paths = config.num_paths
-    tasks = [
-        (config.params, config.schemes, n_steps, substeps, config.seed, lo, min(lo + _BLOCK, n_paths))
-        for lo in range(0, n_paths, _BLOCK)
-    ]
-    fine = np.empty(n_paths)
-    coarse = {scheme: np.empty(n_paths) for scheme in config.schemes}
-    if workers > 1:
-        with multiprocessing.Pool(processes=workers) as pool:
-            results = pool.map(_block_task, tasks)
-    else:
-        results = map(_block_task, tasks)
-    for lo, fine_block, coarse_block in results:
-        hi = lo + fine_block.size
-        fine[lo:hi] = fine_block
-        for scheme, vals in coarse_block.items():
-            coarse[scheme][lo:hi] = vals
+def _simulate_block(params, schemes, step_counts, n_fine, seed, lo, hi):
+    """Terminal values for paths [lo, hi): the log-ODE reference on `n_fine`
+    steps, and {(step count, scheme): terminals} on the same increments,
+    coarsened exactly from the finest level down."""
+    w, h_area = path_increments(seed, _DOMAIN_HARNESS, 0, range(lo, hi), n_fine, params.horizon / n_fine)
+    fine = igbm.simulate(igbm.SchemeKind.LOG_ODE, params, w, h_area)
+    coarse = {}
+    for n_steps in reversed(step_counts):
+        shape = (hi - lo, n_steps, w.shape[1] // n_steps)
+        w, h_area = coarsen_arrays(w.reshape(shape), h_area.reshape(shape))
+        coarse.update({(n_steps, scheme): igbm.simulate(scheme, params, w, h_area) for scheme in schemes})
     return fine, coarse
+
+
+def _terminals(config, workers):
+    """`_simulate_block` over all paths, joined in path order.  One task per
+    block and at most one pool process per block; one block runs in-process."""
+    n_paths = config.num_paths
+    common = (config.params, config.schemes, config.step_counts, fine_steps(config.step_counts), config.seed)
+    tasks = [(*common, lo, min(lo + _BLOCK, n_paths)) for lo in range(0, n_paths, _BLOCK)]
+    processes = min(workers, len(tasks))
+    if processes > 1:
+        with multiprocessing.Pool(processes=processes) as pool:
+            blocks = pool.starmap(_simulate_block, tasks)
+    else:
+        blocks = [_simulate_block(*task) for task in tasks]
+    fine = np.concatenate([fine_block for fine_block, _ in blocks])
+    return fine, {key: np.concatenate([block[key] for _, block in blocks]) for key in blocks[0][1]}
 
 
 def _strong_stats(fine, approx):
@@ -219,23 +218,23 @@ class ConvergenceReport:
 def run_experiment(config, metrics=("strong", "weak"), workers=1):
     """Full error grid over (scheme, N) plus fitted log-log slopes.
 
-    Fine references and coarsened data are shared across schemes and both
-    metrics at each level, so adding schemes or metrics is nearly free.
+    One fine path and reference per sample serve every level, scheme and
+    metric, so the errors of different levels are correlated.
     Deterministic given the seed.  A slope needs at least 3 step counts and
     positive errors; the schemes left without one are named in a UserWarning,
     once per metric.
     """
     if not set(metrics) <= {"strong", "weak"} or len(set(metrics)) < len(metrics):
         raise ValueError(f"metrics must be distinct names from strong, weak: {metrics}")
-    per_level = {n_steps: _level_terminals(config, n_steps, workers) for n_steps in config.step_counts}
+    fine, coarse = _terminals(config, workers)
     stats = {"strong": _strong_stats, "weak": lambda fine, approx: _weak_stats(fine, approx, config.params.b)}
     rows = {"strong": [], "weak": []}
     slope_rows, unfitted = [], {metric: {} for metric in metrics}  # unfitted: reason -> scheme names
     for scheme in config.schemes:
         for metric in metrics:
             grid = [
-                ErrorRow(scheme, n_steps, config.params.horizon / n_steps, *stats[metric](fine, coarse[scheme]))
-                for n_steps, (fine, coarse) in per_level.items()
+                ErrorRow(scheme, n_steps, config.params.horizon / n_steps, *stats[metric](fine, coarse[n_steps, scheme]))
+                for n_steps in config.step_counts
             ]
             rows[metric] += grid
             unusable = ", ".join(f"error {r.error:g} at N={r.n_steps}" for r in grid if not r.error > 0)

@@ -155,6 +155,21 @@ def test_bad_grid_refused_before_output(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--schemes", "linear,linear"], "schemes must be distinct: linear,linear"),
+        (["--steps", "10,15,30"], "each step count must divide the next: 10,15,30"),
+    ],
+)
+def test_repeated_schemes_and_non_chain_grids_refused_before_output(tmp_path, capsys, flags, message):
+    out = tmp_path / "o"
+    argv = ["strong", "--paths", "100", "--steps", "5,10,20", *flags, "--out", str(out)]
+    assert run(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_igbm_paths_do_not_depend_on_path_count(tmp_path):
     base = ["igbm-paths", "--scheme", "parabola", "--steps", "30", "--seed", "3"]
     assert run(base + ["--paths", "2", "--out", str(tmp_path / "a")]) == 0

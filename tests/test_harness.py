@@ -1,7 +1,12 @@
 """Tests for the Monte Carlo error harness."""
 
+import itertools
+import multiprocessing
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polybrown import harness
 from polybrown.igbm import REFERENCE, IgbmParams, SchemeKind
@@ -26,13 +31,18 @@ def test_config_validation():
         small_config(num_paths=50)
     with pytest.raises(ValueError):
         small_config(schemes=())
+    with pytest.raises(ValueError, match="each step count must divide the next: 10,15,30"):
+        small_config(step_counts=(10, 15, 30))
+    with pytest.raises(ValueError, match="schemes must be distinct: linear,linear"):
+        small_config(schemes=(SchemeKind.PIECEWISE_LINEAR, SchemeKind.PIECEWISE_LINEAR))
 
 
 def test_config_rejects_stream_key_overflow():
-    # step counts key the stream's level (16 bits), path indices its low 32 bits
-    small_config(step_counts=(10, (1 << 16) - 1))
+    # step counts stay below 2^16 (the harness keys its streams at level 0);
+    # path indices are the stream key's low 32 bits
+    small_config(step_counts=(5, (1 << 16) - 1))
     with pytest.raises(ValueError):
-        small_config(step_counts=(10, 1 << 16))
+        small_config(step_counts=(8, 1 << 16))
     with pytest.raises(ValueError):
         small_config(num_paths=(1 << 32) + 1)
     small_config(seed=(1 << 64) - 1)
@@ -42,13 +52,26 @@ def test_config_rejects_stream_key_overflow():
         small_config(seed=-1)
 
 
-def test_fine_substeps_rule():
-    # fine mesh = min(h/10, T/1000): 1000/N substeps, floored at 10
-    assert harness.fine_substeps(25) == 40
-    assert harness.fine_substeps(50) == 20
-    assert harness.fine_substeps(100) == 10
-    assert harness.fine_substeps(200) == 10
-    assert harness.fine_substeps(400) == 10
+def _assert_fine_mesh_bound(step_counts):
+    # fine mesh <= min(h/10, T/1000) at every level, on a mesh every level coarsens exactly
+    m = harness.fine_steps(step_counts)
+    assert m >= 1000
+    for n in step_counts:
+        assert m % n == 0 and m // n >= 10, (step_counts, n, m)
+
+
+def test_fine_steps_on_the_repo_grids():
+    grids = {(25, 50, 100, 200, 400): 4000, (5, 10, 20, 40, 80, 160): 1600, (800, 1600, 3200): 32000}
+    for grid, expected in grids.items():
+        assert harness.fine_steps(grid) == expected
+    for grid in [*grids, (10, 20, 40), (5, 10, 20), (25, 50), (3,), (1,), ((1 << 16) - 1,)]:
+        _assert_fine_mesh_bound(grid)
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(st.integers(1, 3000), st.lists(st.integers(1, 7), max_size=5))
+def test_fine_steps_bound_every_level(base, ratios):
+    _assert_fine_mesh_bound(tuple(itertools.accumulate([base, *ratios], lambda n, r: n * r)))
 
 
 def test_path_streams_are_reproducible_and_distinct():
@@ -111,14 +134,14 @@ def test_fit_slope_validation():
 
 def test_strong_coupling_identity():
     # fine resolution == coarse resolution for the reference scheme: S = 0
-    fine, coarse = harness._simulate_block(REFERENCE, (SchemeKind.LOG_ODE,), 20, 1, 99, 0, 400)
-    np.testing.assert_array_equal(fine, coarse[SchemeKind.LOG_ODE])
-    assert harness._strong_stats(fine, coarse[SchemeKind.LOG_ODE]) == (0.0, 0.0)
+    fine, coarse = harness._simulate_block(REFERENCE, (SchemeKind.LOG_ODE,), (20,), 20, 99, 0, 400)
+    np.testing.assert_array_equal(fine, coarse[20, SchemeKind.LOG_ODE])
+    assert harness._strong_stats(fine, coarse[20, SchemeKind.LOG_ODE]) == (0.0, 0.0)
 
 
 def test_weak_coupling_identity():
-    fine, coarse = harness._simulate_block(REFERENCE, (SchemeKind.LOG_ODE,), 20, 1, 99, 0, 400)
-    err, se = harness._weak_stats(fine, coarse[SchemeKind.LOG_ODE], REFERENCE.b)
+    fine, coarse = harness._simulate_block(REFERENCE, (SchemeKind.LOG_ODE,), (20,), 20, 99, 0, 400)
+    err, se = harness._weak_stats(fine, coarse[20, SchemeKind.LOG_ODE], REFERENCE.b)
     assert err == 0.0
 
 
@@ -185,6 +208,35 @@ def test_block_size_does_not_change_the_report(monkeypatch):
     monkeypatch.setattr(harness, "_BLOCK", 97)  # does not divide the 400 paths
     for workers in (1, 2):
         assert harness.run_experiment(cfg, workers=workers) == expected
+
+
+def test_no_more_pool_processes_than_blocks(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for multiprocessing.Pool: records its size, runs in-process."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, tasks):
+            return list(itertools.starmap(fn, tasks))
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    one_block = small_config(num_paths=100, schemes=(SchemeKind.EULER_MARUYAMA,))
+    assert harness.run_experiment(one_block, workers=8) == harness.run_experiment(one_block)
+    assert sizes == []  # a single block runs in-process
+    three_blocks = small_config(num_paths=1100, step_counts=(1, 2, 4), schemes=(SchemeKind.EULER_MARUYAMA,))
+    expected = harness.run_experiment(three_blocks)
+    for workers in (8, 2):
+        assert harness.run_experiment(three_blocks, workers=workers) == expected
+    assert sizes == [3, 2]
 
 
 def test_worker_count_invariance():

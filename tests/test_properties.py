@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polybrown import brownian as bm
-from polybrown import igbm
+from polybrown import harness, igbm
 
 # Derandomized, so that a run of the suite is reproducible.
 PROPERTY = settings(deadline=None, derandomize=True, max_examples=200)
@@ -78,3 +78,27 @@ def test_coarsen_arrays_two_levels_equal_one(paths, groups, substeps, seed, leng
     scale = np.sqrt(length) * 1e-13
     np.testing.assert_allclose(w_two, w_one, rtol=0, atol=scale)
     np.testing.assert_allclose(h_two, h_one, rtol=0, atol=scale)
+
+
+@st.composite
+def divisor_chains(draw):
+    """Small strictly ascending step-count grids, each count dividing the next."""
+    counts = [draw(st.integers(1, 4))]
+    for _ in range(draw(st.integers(0, 2))):
+        counts.append(counts[-1] * draw(st.integers(2, 3)))
+    return tuple(counts)
+
+
+@settings(deadline=None, derandomize=True, max_examples=20)
+@given(divisor_chains(), st.integers(2, 6), st.data(), st.integers(0, 2**64 - 1))
+def test_block_split_does_not_change_terminals(step_counts, n, data, seed):
+    # a block's values are those of its paths alone, wherever the block starts and ends
+    k = data.draw(st.integers(1, n - 1))
+    schemes = tuple(igbm.SchemeKind)
+    args = (igbm.REFERENCE, schemes, step_counts, harness.fine_steps(step_counts), seed)
+    fine, coarse = harness._simulate_block(*args, 0, n)
+    parts = [harness._simulate_block(*args, lo, hi) for lo, hi in ((0, k), (k, n))]
+    assert fine.tobytes() == np.concatenate([part_fine for part_fine, _ in parts]).tobytes()
+    assert coarse.keys() == {(n_steps, scheme) for n_steps in step_counts for scheme in schemes}
+    for key, terminals in coarse.items():
+        assert terminals.tobytes() == np.concatenate([part[key] for _, part in parts]).tobytes()

@@ -191,8 +191,8 @@ def _run_benchmark(strings, cfg, metric):
         num_paths=cfg["paths"],
         seed=cfg["seed"],
     )
-    out = _prepare_out(strings, metric)
     report = harness.run_experiment(config, metrics=(metric,), workers=cfg["workers"])
+    out = _prepare_out(strings, metric)
     harness.write_error_csv(report.rows(metric), os.path.join(out, f"{metric}.csv"))
     harness.write_slopes_csv(report.slopes, os.path.join(out, "slopes.csv"))
     return 0

@@ -14,6 +14,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import levy
 from .orthopoly import gauss_legendre_01
 
 __all__ = [
@@ -85,19 +86,10 @@ class SchemeKind(enum.Enum):
             raise ValueError(f"unknown scheme '{name}' (choose from: {valid})") from None
 
 
-_PHI_SERIES_CUTOFF = 1e-5
-
-
 def phi(x):
-    """(e^x - 1)/x with the removable singularity handled.
-
-    For |x| < 1e-5 the three-term series 1 + x/2 + x^2/6 is used, keeping the
-    relative error below 1e-16 on both branches.
-    """
+    """(e^x - 1)/x as expm1(x)/x, and 1 at the removable singularity x = 0."""
     xa = np.asarray(x, dtype=float)
-    small = np.abs(xa) < _PHI_SERIES_CUTOFF
-    safe = np.where(small, 1.0, xa)
-    out = np.where(small, 1.0 + xa * (0.5 + xa / 6.0), np.expm1(safe) / safe)
+    out = np.divide(np.expm1(xa), xa, out=np.ones_like(xa), where=xa != 0)
     return out if np.ndim(x) else float(out)
 
 
@@ -107,15 +99,15 @@ _GL3_NODES, _GL3_WEIGHTS = gauss_legendre_01(3)
 
 
 def _kernel_log_ode(y, w, h_area, h, a, b, sigma, a_strat, b_strat):
-    """One high-order step:  y e^{-a~h + sigma W}
-    + abh (1 - sigma H + sigma^2 (3H^2/5 + h/30)) phi(-a~h + sigma W).
+    """One high-order step:  y e^x + ab (h (1 - sigma H) + sigma^2 E[L | W, H])
+    phi(x), with x = -a~h + sigma W.
 
-    The correction bracket carries the conditional-mean estimate of the
-    third-order area through the constant Lie brackets -ab*sigma, ab*sigma^2.
+    The constant Lie brackets -ab*sigma and ab*sigma^2 carry the area H and
+    the conditional-mean estimate `levy.cond_mean_L` of the third-order area.
     """
     x = -a_strat * h + sigma * w
-    bracket = 1.0 - sigma * h_area + sigma * sigma * (0.6 * h_area * h_area + h / 30.0)
-    return y * np.exp(x) + a * b * h * bracket * phi(x)
+    correction = h * (1.0 - sigma * h_area) + sigma * sigma * levy.cond_mean_L(w, h_area, h)
+    return y * np.exp(x) + a * b * correction * phi(x)
 
 
 def _kernel_parabola(y, w, h_area, h, a, b, sigma, a_strat, b_strat):
@@ -170,6 +162,7 @@ def simulate(kind, p, w, h_area, record=False):
     Returns the terminal values (paths,), or with `record` the trajectories
     (paths, steps + 1) including y0.  Each row depends on its own row of
     data only, so a path's values do not depend on the batch it is in.
+    Raises ValueError, naming the scheme, if any returned value is not finite.
     """
     w = np.asarray(w, dtype=float)
     h_area = np.asarray(h_area, dtype=float)
@@ -189,4 +182,7 @@ def simulate(kind, p, w, h_area, record=False):
         y = kernel(y, w[:, k], h_area[:, k], h, *par)
         if record:
             traj[:, k + 1] = y
-    return traj if record else y
+    out = traj if record else y
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"the {kind.value} scheme gave non-finite values")
+    return out

@@ -1,6 +1,8 @@
 """Closed-form conditional moments of the space-space-time Levy area and the
 algebra relating (W, H, L) to third-order Stratonovich iterated integrals,
-plus discretized oracles for testing them against dense paths."""
+plus discretized oracles for testing them against dense paths.  The closed
+forms take W and H as scalars or broadcasting arrays and the interval length
+as a positive scalar; the log-ODE scheme of `igbm` runs `cond_mean_L`."""
 
 from dataclasses import dataclass
 
@@ -37,25 +39,22 @@ def _check_positive_length(length):
         raise ValueError("nonpositive length")
 
 
-def cond_mean_sq_integral(pair):
-    """E[ integral of (W_{s,u})^2 du | W, H ] = hW^2/3 + hWH + 6hH^2/5 + h^2/15."""
-    _check_positive_length(pair.length)
-    w, hh, h = pair.w, pair.h_area, pair.length
-    return h * w * w / 3.0 + h * w * hh + 1.2 * h * hh * hh + h * h / 15.0
+def cond_mean_sq_integral(w, h_area, length):
+    """E[ integral of (W_{s,u})^2 du | W, H ] = hW^2/3 + hWH + 2 E[L | W, H]."""
+    _check_positive_length(length)
+    return length * w * w / 3.0 + length * w * h_area + 2.0 * cond_mean_L(w, h_area, length)
 
 
-def cond_mean_L(pair):
-    """E[ L | W, H ] = h^2/30 + 3hH^2/5."""
-    _check_positive_length(pair.length)
-    hh, h = pair.h_area, pair.length
-    return h * h / 30.0 + 0.6 * h * hh * hh
+def cond_mean_L(w, h_area, length):
+    """E[ L | W, H ] = h^2/30 + 3hH^2/5; W does not enter."""
+    _check_positive_length(length)
+    return length * length / 30.0 + 0.6 * length * h_area * h_area
 
 
-def cond_var_L(pair):
+def cond_var_L(w, h_area, length):
     """Var( L | W, H ) = 11 h^4 / 25200 + h^3 (W^2/720 + H^2/700)."""
-    _check_positive_length(pair.length)
-    w, hh, h = pair.w, pair.h_area, pair.length
-    return 11.0 / 25200.0 * h**4 + h**3 * (w * w / 720.0 + hh * hh / 700.0)
+    _check_positive_length(length)
+    return 11.0 / 25200.0 * length**4 + length**3 * (w * w / 720.0 + h_area * h_area / 700.0)
 
 
 def triple_integrals_from_whl(w, h_area, l_area, length):

@@ -121,14 +121,14 @@ def test_criterion_5_conditional_moments():
             sq[lo : lo + block] = np.trapezoid(full * full, full_t, axis=1)
         # mean of the squared-path integral vs the closed form
         se_sq = np.std(sq, ddof=1) / np.sqrt(n_draws)
-        gap_sq = abs(np.mean(sq) - levy.cond_mean_sq_integral(pair))
+        gap_sq = abs(np.mean(sq) - levy.cond_mean_sq_integral(w, hh, 1.0))
         ok &= gap_sq < 3 * se_sq + 2e-4  # 3 MC se plus the O(m^-1) grid bias
         # the same draws give L through the integral identities
         l_draws = 0.5 * (sq - w * w / 3.0 - w * hh)
         se_l = np.std(l_draws, ddof=1) / np.sqrt(n_draws)
-        gap_l = abs(np.mean(l_draws) - levy.cond_mean_L(pair))
+        gap_l = abs(np.mean(l_draws) - levy.cond_mean_L(w, hh, 1.0))
         ok &= gap_l < 3 * se_l + 1e-4
-        var_rel = abs(np.var(l_draws, ddof=1) - levy.cond_var_L(pair)) / levy.cond_var_L(pair)
+        var_rel = abs(np.var(l_draws, ddof=1) - levy.cond_var_L(w, hh, 1.0)) / levy.cond_var_L(w, hh, 1.0)
         ok &= var_rel < 0.05
         details.append(f"(W,H)=({w},{hh}): mean {gap_sq / se_sq:.1f} se, L {gap_l / se_l:.1f} se, var {var_rel * 100:.1f}%")
     _report(5, ok, "; ".join(details))

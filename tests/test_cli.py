@@ -146,6 +146,21 @@ def test_non_finite_parameters_refused_before_output(tmp_path, capsys, command, 
     assert not out.exists()  # neither the manifest nor a CSV
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["strong", "--sigma", "100", "--paths", "100", "--steps", "5,10,20"],
+        ["igbm-paths", "--scheme", "parabola", "--sigma", "100", "--steps", "5", "--paths", "3"],
+    ],
+)
+def test_non_finite_results_refused_without_output(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run(argv + ["--out", str(out)]) == 2
+    assert "polybrown: error: the parabola scheme gave non-finite values" in capsys.readouterr().err
+    assert not out.exists()  # no NaN table, not even a manifest
+
+
 def test_bad_grid_refused_before_output(tmp_path):
     out = tmp_path / "o"
     assert run(["strong", "--steps", f"10,20,{1 << 16}", "--out", str(out)]) == 2

@@ -210,6 +210,14 @@ def test_block_size_does_not_change_the_report(monkeypatch):
         assert harness.run_experiment(cfg, workers=workers) == expected
 
 
+def test_non_finite_terminals_raise_through_the_pool(monkeypatch):
+    monkeypatch.setattr(harness, "_BLOCK", 50)  # two blocks, so two pool processes
+    wild = IgbmParams(a=0.1, b=0.04, sigma=100.0, y0=0.06, horizon=5.0)
+    cfg = harness.ExperimentConfig(wild, (SchemeKind.PARABOLA_ODE,), (5, 10, 20), num_paths=100, seed=0)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="the parabola scheme"):
+        harness.run_experiment(cfg, workers=2)
+
+
 def test_no_more_pool_processes_than_blocks(monkeypatch):
     sizes = []
 

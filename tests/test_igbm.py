@@ -1,10 +1,11 @@
 """Tests for the IGBM step kernels and the array simulation driver."""
 
+import mpmath
 import numpy as np
 import pytest
 
 from polybrown import brownian as bm
-from polybrown import igbm
+from polybrown import igbm, levy
 
 BENCH = igbm.IgbmParams(a=0.1, b=0.04, sigma=0.6, y0=0.06, horizon=5.0)
 
@@ -77,12 +78,15 @@ def test_phi_values():
     assert igbm.phi(1e-8) == pytest.approx(1.0 + 5e-9, abs=1e-15)
 
 
-def test_phi_branch_consistency():
-    for x in (9.9e-6, 1.01e-5, -9.9e-6, -1.01e-5):
-        series = 1.0 + x * (0.5 + x / 6.0)
-        direct = np.expm1(x) / x
-        assert igbm.phi(x) == pytest.approx(series, rel=1e-13)
-        assert igbm.phi(x) == pytest.approx(direct, rel=1e-13)
+def test_phi_against_mpmath():
+    # within 2 ulp of 50-digit arithmetic at 0 and at log-uniform |x| in [1e-300, 20], both signs
+    g = rng(5)
+    xs = np.concatenate(([0.0], g.choice([-1.0, 1.0], 10_000) * 10.0 ** g.uniform(-300.0, np.log10(20.0), 10_000)))
+    got = igbm.phi(xs)
+    with mpmath.workdps(50):
+        exact = [mpmath.expm1(x) / x if x else mpmath.mpf(1) for x in map(mpmath.mpf, xs)]
+        rel = [float(abs((mpmath.mpf(v) - e) / e)) for v, e in zip(got, exact)]
+    assert max(rel) <= 4.5e-16
 
 
 def test_phi_monotone_and_vectorized():
@@ -103,6 +107,23 @@ def test_log_ode_deterministic_limit():
     analytic = 0.04 + (0.06 - 0.04) * np.exp(-0.01)
     assert got == pytest.approx(analytic, abs=1e-12)
     assert got == pytest.approx(0.06 * np.exp(-0.01) + 0.004 * 0.1 * igbm.phi(-0.01), abs=1e-16)
+
+
+def test_log_ode_step_runs_levy_cond_mean_L(monkeypatch):
+    # the third-order term of the step is whatever levy.cond_mean_L returns
+    p, h = BENCH, 0.1
+    y, w, hh = np.array([0.06, 0.11]), np.array([0.3, -0.2]), np.array([0.05, -0.12])
+    x = -p.a_strat * h + p.sigma * w
+
+    def expected(mean_l):
+        return y * np.exp(x) + p.a * p.b * (h * (1.0 - p.sigma * hh) + p.sigma * p.sigma * mean_l) * igbm.phi(x)
+
+    plain = step(LOG_ODE, y, p, w, hh, h)
+    assert plain.tobytes() == expected(levy.cond_mean_L(w, hh, h)).tobytes()
+    monkeypatch.setattr(levy, "cond_mean_L", lambda w, h_area, length: 7.0 * length + w * h_area)
+    patched = step(LOG_ODE, y, p, w, hh, h)
+    assert patched.tobytes() == expected(7.0 * h + w * hh).tobytes()
+    assert np.all(patched != plain)
 
 
 def test_log_ode_pure_geometric_when_ab_zero():
@@ -289,6 +310,18 @@ def test_simulate_record_shape():
     assert traj.shape == (2, 51)
     assert np.all(traj[:, 0] == BENCH.y0)
     np.testing.assert_array_equal(traj[:, -1], igbm.simulate(MILSTEIN, BENCH, w, hh))
+
+
+@pytest.mark.parametrize("record", [False, True])
+def test_simulate_refuses_non_finite_values(record):
+    w, hh = make_increments(3, 5, 5.0, rng(12))
+    wild = igbm.IgbmParams(a=0.1, b=0.04, sigma=100.0, y0=0.06, horizon=5.0)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="the parabola scheme"):
+        igbm.simulate(PARABOLA, wild, w, hh, record=record)  # exp overflows: 0 * inf
+    w[1, 2] = np.nan
+    for kind in igbm.SchemeKind:
+        with pytest.raises(ValueError, match=f"the {kind.value} scheme gave non-finite values"):
+            igbm.simulate(kind, BENCH, w, hh, record=record)
 
 
 def test_non_negativity_all_schemes():

@@ -8,6 +8,7 @@ from polybrown import levy
 
 
 def pair(w, hh, h=1.0):
+    """The interval (W, H, h) as `brownian.parabola_eval` takes it."""
     return bm.IncrementPair(w=w, h_area=hh, length=h)
 
 
@@ -20,32 +21,34 @@ def rng(seed=0):
 
 
 def test_cond_mean_sq_integral_values():
-    assert levy.cond_mean_sq_integral(pair(0.0, 0.0)) == pytest.approx(1.0 / 15.0, rel=1e-15)
-    assert levy.cond_mean_sq_integral(pair(1.0, 0.0)) == pytest.approx(0.4, rel=1e-15)
-    with pytest.raises(ValueError):
-        pair(0.0, 0.0, -1.0)  # nonpositive lengths never reach the formulas
+    assert levy.cond_mean_sq_integral(0.0, 0.0, 1.0) == pytest.approx(1.0 / 15.0, rel=1e-15)
+    assert levy.cond_mean_sq_integral(1.0, 0.0, 1.0) == pytest.approx(0.4, rel=1e-15)
+    for closed_form in (levy.cond_mean_sq_integral, levy.cond_mean_L, levy.cond_var_L):
+        for length in (0.0, -1.0):
+            with pytest.raises(ValueError, match="nonpositive length"):
+                closed_form(0.0, 0.0, length)
 
 
 def test_cond_mean_L_values():
-    assert levy.cond_mean_L(pair(3.7, 0.0)) == pytest.approx(1.0 / 30.0, rel=1e-15)
-    assert levy.cond_mean_L(pair(0.0, 1.0)) == pytest.approx(19.0 / 30.0, rel=1e-15)
+    assert levy.cond_mean_L(3.7, 0.0, 1.0) == pytest.approx(1.0 / 30.0, rel=1e-15)
+    assert levy.cond_mean_L(0.0, 1.0, 1.0) == pytest.approx(19.0 / 30.0, rel=1e-15)
 
 
 def test_cond_var_L_values():
-    assert levy.cond_var_L(pair(0.0, 0.0)) == pytest.approx(11.0 / 25200.0, rel=1e-15)
-    assert levy.cond_var_L(pair(1.0, 0.0)) == pytest.approx(11.0 / 25200.0 + 1.0 / 720.0, rel=1e-15)
+    assert levy.cond_var_L(0.0, 0.0, 1.0) == pytest.approx(11.0 / 25200.0, rel=1e-15)
+    assert levy.cond_var_L(1.0, 0.0, 1.0) == pytest.approx(11.0 / 25200.0 + 1.0 / 720.0, rel=1e-15)
 
 
 def test_cond_var_L_scaling():
     w, hh = 0.83, -0.26
-    scaled = levy.cond_var_L(pair(w, hh, 2.0))
+    scaled = levy.cond_var_L(w, hh, 2.0)
     expected = 16.0 * 11.0 / 25200.0 + 8.0 * (w * w / 720.0 + hh * hh / 700.0)
     assert scaled == pytest.approx(expected, rel=1e-14)
 
 
 def test_cond_moments_floor():
-    assert levy.cond_mean_L(pair(0.0, 0.0)) == pytest.approx(1.0 / 30.0)
-    assert levy.cond_var_L(pair(0.0, 0.0)) >= 11.0 / 25200.0
+    assert levy.cond_mean_L(0.0, 0.0, 1.0) == pytest.approx(1.0 / 30.0)
+    assert levy.cond_var_L(0.0, 0.0, 1.0) >= 11.0 / 25200.0
 
 
 def test_mean_sq_consistent_with_mean_L():
@@ -55,9 +58,8 @@ def test_mean_sq_consistent_with_mean_L():
     for _ in range(100):
         w, hh = g.standard_normal(2)
         h = float(g.uniform(0.1, 3.0))
-        p = pair(w, hh, h)
-        lhs = levy.cond_mean_sq_integral(p)
-        rhs = h * w * w / 3.0 + h * w * hh + 2.0 * levy.cond_mean_L(p)
+        lhs = levy.cond_mean_sq_integral(w, hh, h)
+        rhs = h * w * w / 3.0 + h * w * hh + 2.0 * levy.cond_mean_L(w, hh, h)
         assert lhs == pytest.approx(rhs, rel=1e-14, abs=1e-14)
 
 
@@ -66,7 +68,7 @@ def test_unit_interval_variance_identity():
     g = rng(2)
     for _ in range(100):
         w, hh = g.standard_normal(2)
-        lhs = 4.0 * levy.cond_var_L(pair(w, hh))
+        lhs = 4.0 * levy.cond_var_L(w, hh, 1.0)
         rhs = 11.0 / 6300.0 + w * w / 180.0 + hh * hh / 175.0
         assert lhs == pytest.approx(rhs, rel=1e-14)
 
@@ -198,4 +200,4 @@ def test_cond_mean_sq_integral_against_arch_simulation():
     full = np.concatenate((np.zeros((n, 1)), draws, np.full((n, 1), w)), axis=1)
     sq = np.trapezoid(full * full, full_t, axis=1)
     se = np.std(sq) / np.sqrt(n)
-    assert abs(np.mean(sq) - levy.cond_mean_sq_integral(pair(w, hh))) < 3 * se + 1e-4
+    assert abs(np.mean(sq) - levy.cond_mean_sq_integral(w, hh, 1.0)) < 3 * se + 1e-4

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polybrown import brownian as bm
-from polybrown import harness, igbm
+from polybrown import harness, igbm, levy
 
 # Derandomized, so that a run of the suite is reproducible.
 PROPERTY = settings(deadline=None, derandomize=True, max_examples=200)
@@ -55,6 +55,21 @@ def test_simulate_rows_do_not_depend_on_the_batch(p, data, kind):
     for row in range(w.shape[0]):
         alone = igbm.simulate(kind, p, w[row : row + 1], h_area[row : row + 1], record=True)
         assert batch[row].tobytes() == alone[0].tobytes()
+
+
+@PROPERTY
+@given(
+    st.lists(st.tuples(bounded, bounded), min_size=1, max_size=8),
+    st.floats(min_value=1e-6, max_value=10.0),
+    st.sampled_from([levy.cond_mean_sq_integral, levy.cond_mean_L, levy.cond_var_L]),
+)
+def test_levy_closed_forms_on_arrays_equal_scalar_calls(pairs, length, closed_form):
+    # the scheme calls each closed form on a whole column; each element is
+    # the value the scalar call gives, to the bit
+    w, h_area = np.array(pairs).T
+    batch = closed_form(w, h_area, length)
+    alone = np.array([closed_form(float(wi), float(hi), length) for wi, hi in pairs])
+    assert batch.tobytes() == alone.tobytes()
 
 
 @PROPERTY

@@ -34,6 +34,13 @@ def _positive_int(text):
     return value
 
 
+def _path_count(text):
+    value = _positive_int(text)
+    if value > harness.MAX_PATHS:
+        raise ValueError("too many paths: need paths <= 2^32")
+    return value
+
+
 def _steps_list(text):
     return tuple(_positive_int(part) for part in str(text).split(","))
 
@@ -48,7 +55,7 @@ _SCHEMES = ",".join(kind.value for kind in igbm.SchemeKind)
 _BENCHMARK_DEFAULTS = {"seed": "0", "out": "out", "schemes": _SCHEMES, "workers": "1", **_IGBM_DEFAULTS}
 
 _DEFAULTS = {
-    "basis": {"seed": "0", "out": "out", "max_k": "8", "grid": "201"},
+    "basis": {"out": "out", "max_k": "8", "grid": "201"},
     "paths": {"seed": "0", "out": "out", "degree": "4", "paths": "10", "grid": "201"},
     "igbm-paths": {"seed": "0", "out": "out", "scheme": "log-ode", "steps": "500", "paths": "10", **_IGBM_DEFAULTS},
     "strong": {"paths": "10000", "steps": "25,50,100,200,400", **_BENCHMARK_DEFAULTS},
@@ -62,7 +69,7 @@ _CONVERTERS = {
     "max_k": _positive_int,
     "grid": _positive_int,
     "degree": _positive_int,
-    "paths": _positive_int,
+    "paths": _path_count,
     "scheme": igbm.SchemeKind.from_name,
     "schemes": _schemes_list,
     "steps": _steps_list,

@@ -23,6 +23,7 @@ __all__ = [
     "ConvergenceReport",
     "ErrorRow",
     "ExperimentConfig",
+    "MAX_PATHS",
     "SlopeFit",
     "SlopeRow",
     "default_config",
@@ -37,6 +38,7 @@ __all__ = [
 
 _BLOCK = 512  # paths per work item; fixed so work decomposition never affects values
 _DOMAIN_HARNESS = 1
+MAX_PATHS = 1 << 32  # path indices fill 32 bits of the stream key (see `path_generator`)
 
 
 @dataclass(frozen=True)
@@ -60,7 +62,7 @@ class ExperimentConfig:
             raise ValueError(f"each step count must divide the next: {','.join(map(str, self.step_counts))}")
         if self.num_paths < 100:
             raise ValueError("too few paths: need num_paths >= 100")
-        if self.num_paths > 1 << 32:
+        if self.num_paths > MAX_PATHS:
             raise ValueError("too many paths: need num_paths <= 2^32")
         if not 0 <= self.seed < 1 << 64:
             raise ValueError("seed must be in [0, 2^64)")
@@ -88,7 +90,7 @@ def path_generator(seed, domain, level, index):
     """Counter-based stream for one path: the 128-bit Philox key packs the
     master seed with (domain, level, path index), so streams are independent
     and reproducible for any work decomposition."""
-    if not (0 <= seed < 1 << 64 and 0 <= domain < 1 << 16 and 0 <= level < 1 << 16 and 0 <= index < 1 << 32):
+    if not (0 <= seed < 1 << 64 and 0 <= domain < 1 << 16 and 0 <= level < 1 << 16 and 0 <= index < MAX_PATHS):
         raise ValueError("stream key component out of range")
     key = np.array([seed, (domain << 48) | (level << 32) | index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

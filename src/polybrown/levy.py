@@ -1,20 +1,16 @@
 """Closed-form conditional moments of the space-space-time Levy area and the
-algebra relating (W, H, L) to third-order Stratonovich iterated integrals,
-plus discretized oracles for testing them against dense paths.  The closed
-forms take W and H as scalars or broadcasting arrays and the interval length
-as a positive scalar; the log-ODE scheme of `igbm` runs `cond_mean_L`."""
+algebra relating (W, H, L) to third-order Stratonovich iterated integrals.
+The closed forms take W and H as scalars or broadcasting arrays and the
+interval length as a positive scalar; the log-ODE scheme of `igbm` runs
+`cond_mean_L`."""
 
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = [
     "TripleIntegrals",
     "cond_mean_L",
     "cond_mean_sq_integral",
     "cond_var_L",
-    "discrete_levy_areas",
-    "discrete_triple_integrals",
     "triple_integrals_from_whl",
 ]
 
@@ -69,74 +65,4 @@ def triple_integrals_from_whl(w, h_area, l_area, length):
         i_tww=base - cross + l_area,
         i_wt=0.5 * h * w + h * h_area,
         i_tw=0.5 * h * w - h * h_area,
-    )
-
-
-def _require_dense(path):
-    if path.n_steps < 1000:
-        raise ValueError("grid too coarse: need at least 1000 steps")
-
-
-def _discrete_core(grid, values):
-    """Discretized integrals for values sampled on a shared grid.
-
-    `values` may be 1-d or (paths, grid) 2-d; reductions run over the last
-    axis.  Stratonovich dW factors use midpoint values, dt factors use the
-    trapezoidal rule.
-    """
-    t = np.asarray(grid, dtype=float)
-    v = np.asarray(values, dtype=float)
-    h = t[-1] - t[0]
-    rel = v - v[..., :1]
-    dv = np.diff(v, axis=-1)
-    mid_rel = 0.5 * (rel[..., :-1] + rel[..., 1:])
-    mid_t = 0.5 * (t[:-1] + t[1:]) - t[0]
-    dt = np.diff(t)
-
-    w = rel[..., -1]
-    i_wt = np.trapezoid(rel, t, axis=-1)
-    i_tw = np.sum(mid_t * dv, axis=-1)
-    i_wwt = np.trapezoid(0.5 * rel * rel, t, axis=-1)
-
-    # cumulative inner integrals, then one more midpoint-dW layer
-    inner_wt = np.cumsum(mid_rel * dt, axis=-1)  # integral of rel dv up to each node
-    inner_wt_full = np.concatenate((np.zeros(v.shape[:-1] + (1,)), inner_wt), axis=-1)
-    i_wtw = np.sum(0.5 * (inner_wt_full[..., :-1] + inner_wt_full[..., 1:]) * dv, axis=-1)
-
-    inner_tw = np.cumsum(mid_t * dv, axis=-1)  # integral of (v - s) dW up to each node
-    inner_tw_full = np.concatenate((np.zeros(v.shape[:-1] + (1,)), inner_tw), axis=-1)
-    i_tww = np.sum(0.5 * (inner_tw_full[..., :-1] + inner_tw_full[..., 1:]) * dv, axis=-1)
-
-    h_area = i_wt / h - 0.5 * w
-    l_area = (i_wwt - 2.0 * i_wtw + i_tww) / 6.0
-    return {
-        "w": w,
-        "h_area": h_area,
-        "l_area": l_area,
-        "i_wt": i_wt,
-        "i_tw": i_tw,
-        "i_wwt": i_wwt,
-        "i_wtw": i_wtw,
-        "i_tww": i_tww,
-        "length": h,
-    }
-
-
-def discrete_levy_areas(path):
-    """(W, H, L) of a dense path by direct discretization of the definitions."""
-    _require_dense(path)
-    out = _discrete_core(path.grid, path.values)
-    return float(out["w"]), float(out["h_area"]), float(out["l_area"])
-
-
-def discrete_triple_integrals(path):
-    """Direct discretizations of the five iterated integrals of a dense path."""
-    _require_dense(path)
-    out = _discrete_core(path.grid, path.values)
-    return TripleIntegrals(
-        i_wwt=float(out["i_wwt"]),
-        i_wtw=float(out["i_wtw"]),
-        i_tww=float(out["i_tww"]),
-        i_wt=float(out["i_wt"]),
-        i_tw=float(out["i_tw"]),
     )

@@ -63,13 +63,9 @@ def jacobi_m1m1_eval_legendre(k, x):
         raise ValueError("degree out of range: k must be >= 2")
     xa = _as_array(x)
     n = k - 1
-    q2, q1 = np.ones_like(xa), xa.copy()  # Q_{m-2}, Q_{m-1} with m = 2
-    q0 = ((3.0 * xa * q1) - q2) / 2.0
-    for m in range(3, n + 2):
-        q2, q1 = q1, q0
-        q0 = ((2 * m - 1) * xa * q1 - (m - 1) * q2) / m
-    # q0 = Q_{n+1}, q2 = Q_{n-1}
-    return _match(x, n / (4.0 * n + 2.0) * (q0 - q2))
+    q_n, q_prev = _legendre_pair(n, xa)
+    q_next = ((2 * n + 1) * xa * q_n - n * q_prev) / (n + 1)  # one more Bonnet step
+    return _match(x, n / (4.0 * n + 2.0) * (q_next - q_prev))
 
 
 def jacobi_m1m1_eval_recurrence(k, x):

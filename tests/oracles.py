@@ -1,0 +1,109 @@
+"""Discretised references the tests hold `polybrown` to.
+
+Dense Brownian paths, trapezoidal extraction of expansion coefficients, the
+Brownian parabola and arch, the prefix-sum coarsening of (W, H) pairs and
+direct discretisations of the iterated integrals.  Nothing in `polybrown`
+runs them; they check the closed forms and the exact algebra it does run.
+A path is the pair of plain arrays `(grid, values)`, with values along the
+last axis (leading axes index paths); an interval is its increment `w` and
+rescaled space-time area `h_area`.
+"""
+
+import numpy as np
+
+from polybrown import levy, orthopoly
+
+
+def sample_brownian_dense(n_steps, rng, size=()):
+    """Standard Brownian motion on the uniform grid {i/n_steps}: (grid,
+    values), values of shape size + (n_steps + 1,)."""
+    incs = rng.normal(0.0, np.sqrt(1.0 / n_steps), size=tuple(size) + (n_steps,))
+    values = np.concatenate((np.zeros(incs.shape[:-1] + (1,)), np.cumsum(incs, axis=-1)), axis=-1)
+    return np.linspace(0.0, 1.0, n_steps + 1), values
+
+
+def extract_Ik(grid, values, k):
+    """Trapezoidal estimate of the k-th expansion coefficient of dense paths.
+
+    The path is reduced to its bridge first (subtracting t times the total
+    increment), so motions and bridges are both accepted.  The polynomial
+    factor e_k/(t(1-t)) is evaluated in de-singularized form.
+    """
+    if grid.size < 17:
+        raise ValueError("grid too coarse: need at least 16 steps")
+    bridge = values - values[..., :1] - grid * (values[..., -1:] - values[..., :1])
+    return np.trapezoid(bridge * orthopoly.basis_e_over_weight(k, grid), grid, axis=-1)
+
+
+def parabola_eval(start, w, h_area, u):
+    """The Brownian parabola of an interval at fractions u in [0, 1]:
+    start + u w + 6 u(1-u) h_area, which matches the interval's increment and
+    time integral."""
+    u = np.asarray(u, dtype=float)
+    if np.any(u < 0.0) or np.any(u > 1.0):
+        raise ValueError("u out of range [0, 1]")
+    return start + u * w + 6.0 * u * (1.0 - u) * h_area
+
+
+def arch_covariance(s, t):
+    """Covariance of the standard Brownian arch: min(s,t) - st - 3st(1-s)(1-t)."""
+    s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+    if np.any(s < 0.0) or np.any(s > 1.0) or np.any(t < 0.0) or np.any(t > 1.0):
+        raise ValueError("s, t out of domain [0, 1]")
+    return np.minimum(s, t) - s * t - 3.0 * s * t * (1.0 - s) * (1.0 - t)
+
+
+def arch_cov_factor(grid):
+    """Cholesky factor F, F F^T = the arch covariance on a strictly
+    increasing grid inside (0, 1); an arch is F times standard normals."""
+    return np.linalg.cholesky(arch_covariance(grid[:, None], grid[None, :]))
+
+
+def coarsen(w, h_area):
+    """(w, h_area) of one interval from the 1-d arrays of its n equal pieces,
+    in prefix-sum form: with prefix_i the increment accumulated before piece i,
+
+        w = sum_i w_i
+        h_area = (1/n) sum_i (prefix_i + h_area_i + w_i/2) - w/2
+
+    which is the space-time area definition applied to the concatenation.
+    `polybrown.brownian.coarsen_arrays` computes the same in weighted form.
+    """
+    w, h_area = np.asarray(w, dtype=float), np.asarray(h_area, dtype=float)
+    prefix = np.concatenate(([0.0], np.cumsum(w)[:-1]))
+    w_total = np.sum(w)
+    return w_total, np.sum(prefix + h_area + 0.5 * w) / w.size - 0.5 * w_total
+
+
+def discrete_integrals(grid, values):
+    """(W, H, L) and the five iterated integrals (a `levy.TripleIntegrals`)
+    of dense paths, by direct discretization of the definitions.
+
+    Reductions run over the last axis of `values`.  Stratonovich dW factors
+    use midpoint values, dt factors use the trapezoidal rule.
+    """
+    t, v = grid, values
+    h = t[-1] - t[0]
+    rel = v - v[..., :1]
+    dv = np.diff(v, axis=-1)
+    mid_rel = 0.5 * (rel[..., :-1] + rel[..., 1:])
+    mid_t = 0.5 * (t[:-1] + t[1:]) - t[0]
+    dt = np.diff(t)
+
+    w = rel[..., -1]
+    i_wt = np.trapezoid(rel, t, axis=-1)
+    i_tw = np.sum(mid_t * dv, axis=-1)
+    i_wwt = np.trapezoid(0.5 * rel * rel, t, axis=-1)
+
+    # cumulative inner integrals, then one more midpoint-dW layer
+    inner_wt = np.cumsum(mid_rel * dt, axis=-1)  # integral of rel dv up to each node
+    inner_wt_full = np.concatenate((np.zeros(v.shape[:-1] + (1,)), inner_wt), axis=-1)
+    i_wtw = np.sum(0.5 * (inner_wt_full[..., :-1] + inner_wt_full[..., 1:]) * dv, axis=-1)
+
+    inner_tw = np.cumsum(mid_t * dv, axis=-1)  # integral of (v - s) dW up to each node
+    inner_tw_full = np.concatenate((np.zeros(v.shape[:-1] + (1,)), inner_tw), axis=-1)
+    i_tww = np.sum(0.5 * (inner_tw_full[..., :-1] + inner_tw_full[..., 1:]) * dv, axis=-1)
+
+    h_area = i_wt / h - 0.5 * w
+    l_area = (i_wwt - 2.0 * i_wtw + i_tww) / 6.0
+    return w, h_area, l_area, levy.TripleIntegrals(i_wwt=i_wwt, i_wtw=i_wtw, i_tww=i_tww, i_wt=i_wt, i_tw=i_tw)

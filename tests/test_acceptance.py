@@ -8,6 +8,7 @@ and desk-scale: the whole suite runs in a few minutes single-threaded.
 import numpy as np
 import pytest
 
+import oracles
 from polybrown import brownian as bm
 from polybrown import checks, harness, levy
 from polybrown import orthopoly as op
@@ -77,14 +78,12 @@ def test_criterion_4_truncation_norm():
     ok = True
     details = []
     for big_n in (2, 4, 8):
-        q = np.stack([op.basis_e_over_weight(k, t) for k in range(1, big_n + 1)])
         e_vals = np.stack([op.basis_e_eval(k, interior) for k in range(1, big_n + 1)])
         total = 0.0
         for _ in range(n_paths // block):
-            incs = g.normal(0.0, np.sqrt(1.0 / m), size=(block, m))
-            w_path = np.concatenate((np.zeros((block, 1)), np.cumsum(incs, axis=1)), axis=1)
+            _, w_path = oracles.sample_brownian_dense(m, g, (block,))
+            i_hat = np.stack([oracles.extract_Ik(t, w_path, k) for k in range(1, big_n + 1)], axis=-1)
             bridge = w_path - np.outer(w_path[:, -1], t)
-            i_hat = np.trapezoid(bridge[:, None, :] * q[None, :, :], t, axis=2)
             resid = bridge[:, 1:-1] - i_hat @ e_vals
             f = resid * resid * inv_weight
             est = np.trapezoid(f, interior, axis=1) + (f[:, 0] + f[:, -1]) / m
@@ -107,13 +106,12 @@ def test_criterion_5_conditional_moments():
     block = 5000
     grid = np.arange(1, m) / m
     full_t = np.concatenate(([0.0], grid, [1.0]))
-    factor = bm.arch_cov_factor(grid)
+    factor = oracles.arch_cov_factor(grid)
     g = np.random.default_rng(SEED + 2)
     ok = True
     details = []
     for w, hh in ((0.7, -0.1), (-1.2, 0.3)):
-        pair = bm.IncrementPair(w=w, h_area=hh, length=1.0)
-        parab = bm.parabola_eval(0.0, pair, grid)
+        parab = oracles.parabola_eval(0.0, w, hh, grid)
         sq = np.empty(n_draws)
         for lo in range(0, n_draws, block):
             draws = parab + (factor @ g.standard_normal((grid.size, block))).T
@@ -142,9 +140,7 @@ def test_criterion_6_levy_algebra():
     g = np.random.default_rng(SEED + 3)
     worst_path = 0.0
     for _ in range(100):
-        path = bm.sample_brownian_dense(100_000, g)
-        w, hh, ll = levy.discrete_levy_areas(path)
-        direct = levy.discrete_triple_integrals(path)
+        w, hh, ll, direct = oracles.discrete_integrals(*oracles.sample_brownian_dense(100_000, g))
         pred = levy.triple_integrals_from_whl(w, hh, ll, 1.0)
         for name in ("i_wwt", "i_wtw", "i_tww", "i_wt", "i_tw"):
             a, b = getattr(direct, name), getattr(pred, name)

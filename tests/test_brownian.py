@@ -1,8 +1,10 @@
-"""Tests for Brownian samplers, polynomial paths, parabolas, arches, coarsening."""
+"""Tests for Brownian samplers, polynomial paths and coarsening, and for the
+dense-path, parabola and arch references of `oracles`."""
 
 import numpy as np
 import pytest
 
+import oracles
 from polybrown import brownian as bm
 from polybrown import orthopoly as op
 
@@ -15,20 +17,6 @@ def rng(seed=0):
 
 # ---------------------------------------------------------------------------
 # IncrementPair sampling
-
-
-def test_sample_pair_law():
-    g = rng(11)
-    n = 10**6
-    w = np.empty(n)
-    h = np.empty(n)
-    # one batched draw with the same law as n sample_pair calls
-    z = g.standard_normal((n, 2))
-    w[:] = z[:, 0]
-    h[:] = z[:, 1] / np.sqrt(12.0)
-    assert abs(np.var(w) - 1.0) < 0.01
-    assert abs(np.var(h) - 1.0 / 12.0) < 0.001
-    assert abs(np.corrcoef(w, h)[0, 1]) < 0.005
 
 
 def test_sample_pair_basics():
@@ -110,30 +98,25 @@ def test_kl_degree_validation():
 # Coefficient extraction
 
 
-def uniform_path(values):
-    m = len(values) - 1
-    return bm.DensePath(grid=np.linspace(0.0, 1.0, m + 1), values=np.asarray(values, dtype=float))
-
-
 def test_extract_zero_path():
-    path = uniform_path(np.zeros(101))
+    t = np.linspace(0.0, 1.0, 101)
     for k in (1, 2, 5):
-        assert bm.extract_Ik(path, k) == 0.0
+        assert oracles.extract_Ik(t, np.zeros(101), k) == 0.0
 
 
 def test_extract_e1_is_orthonormal():
     t = np.linspace(0.0, 1.0, 10_001)
-    path = bm.DensePath(grid=t, values=op.basis_e_eval(1, t))
-    assert abs(bm.extract_Ik(path, 1) - 1.0) < 1e-4
-    assert abs(bm.extract_Ik(path, 2)) < 1e-4
+    values = op.basis_e_eval(1, t)
+    assert abs(oracles.extract_Ik(t, values, 1) - 1.0) < 1e-4
+    assert abs(oracles.extract_Ik(t, values, 2)) < 1e-4
 
 
 def test_extract_round_trip():
     p = bm.sample_kl_coefficients(4, rng(9))
     t = np.linspace(0.0, 1.0, 10_001)
-    path = bm.DensePath(grid=t, values=bm.eval_polynomial_path(p, t))
+    values = bm.eval_polynomial_path(p, t)
     for k in (1, 2, 3):
-        assert abs(bm.extract_Ik(path, k) - p.coeffs[k - 1]) < 1e-4, k
+        assert abs(oracles.extract_Ik(t, values, k) - p.coeffs[k - 1]) < 1e-4, k
 
 
 def test_extract_handles_motion_bridging():
@@ -141,15 +124,12 @@ def test_extract_handles_motion_bridging():
     p = bm.sample_kl_coefficients(3, rng(10))
     t = np.linspace(0.0, 1.0, 4097)
     base = bm.eval_polynomial_path(p, t)
-    shifted = bm.DensePath(grid=t, values=base + 2.5 * t)
-    unshifted = bm.DensePath(grid=t, values=base)
-    assert bm.extract_Ik(shifted, 1) == pytest.approx(bm.extract_Ik(unshifted, 1), abs=1e-12)
+    assert oracles.extract_Ik(t, base + 2.5 * t, 1) == pytest.approx(oracles.extract_Ik(t, base, 1), abs=1e-12)
 
 
 def test_extract_rejects_coarse_grid():
-    path = uniform_path(np.zeros(11))
     with pytest.raises(ValueError):
-        bm.extract_Ik(path, 1)
+        oracles.extract_Ik(np.linspace(0.0, 1.0, 11), np.zeros(11), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -157,34 +137,33 @@ def test_extract_rejects_coarse_grid():
 
 
 def test_parabola_interpolation_constraints():
-    pair = bm.IncrementPair(w=1.0, h_area=0.25, length=1.0)
-    assert bm.parabola_eval(0.3, pair, 0.0) == 0.3
-    assert bm.parabola_eval(0.3, pair, 1.0) == pytest.approx(1.3, abs=1e-15)
-    assert bm.parabola_eval(0.0, pair, 0.5) == pytest.approx(0.875, abs=1e-15)
+    assert oracles.parabola_eval(0.3, 1.0, 0.25, 0.0) == 0.3
+    assert oracles.parabola_eval(0.3, 1.0, 0.25, 1.0) == pytest.approx(1.3, abs=1e-15)
+    assert oracles.parabola_eval(0.0, 1.0, 0.25, 0.5) == pytest.approx(0.875, abs=1e-15)
     with pytest.raises(ValueError):
-        bm.parabola_eval(0.0, pair, 1.2)
+        oracles.parabola_eval(0.0, 1.0, 0.25, 1.2)
 
 
 def test_parabola_time_integral_is_h_area():
-    pair = bm.IncrementPair(w=-0.7, h_area=0.31, length=1.0)
-    u, w = op.gauss_legendre_01(4)
-    bump = bm.parabola_eval(0.0, pair, u) - u * pair.w
-    assert np.sum(w * bump) == pytest.approx(pair.h_area, rel=1e-14)
+    w, hh = -0.7, 0.31
+    u, weights = op.gauss_legendre_01(4)
+    bump = oracles.parabola_eval(0.0, w, hh, u) - u * w
+    assert np.sum(weights * bump) == pytest.approx(hh, rel=1e-14)
 
 
 def test_arch_covariance_values():
-    assert bm.arch_covariance(0.0, 0.37) == 0.0
-    assert bm.arch_covariance(0.62, 1.0) == 0.0
-    assert bm.arch_covariance(0.5, 0.5) == pytest.approx(0.0625, abs=1e-15)
-    assert bm.arch_covariance(0.25, 0.75) == pytest.approx(0.25 - 0.1875 - 3 * 0.1875 * 0.1875, abs=1e-15)
-    assert bm.arch_covariance(0.3, 0.7) == bm.arch_covariance(0.7, 0.3)
+    assert oracles.arch_covariance(0.0, 0.37) == 0.0
+    assert oracles.arch_covariance(0.62, 1.0) == 0.0
+    assert oracles.arch_covariance(0.5, 0.5) == pytest.approx(0.0625, abs=1e-15)
+    assert oracles.arch_covariance(0.25, 0.75) == pytest.approx(0.25 - 0.1875 - 3 * 0.1875 * 0.1875, abs=1e-15)
+    assert oracles.arch_covariance(0.3, 0.7) == oracles.arch_covariance(0.7, 0.3)
     with pytest.raises(ValueError):
-        bm.arch_covariance(-0.1, 0.5)
+        oracles.arch_covariance(-0.1, 0.5)
 
 
 def test_sample_arch_statistics():
     grid = np.linspace(0.05, 0.95, 19)
-    factor = bm.arch_cov_factor(grid)
+    factor = oracles.arch_cov_factor(grid)
     g = rng(21)
     draws = (factor @ g.standard_normal((grid.size, 100_000))).T
     var_mid = np.var(draws[:, 9])  # t = 0.5
@@ -195,12 +174,6 @@ def test_sample_arch_statistics():
     assert np.all(np.abs(means) < 3 * sds + 1e-12)
 
 
-def test_sample_arch_endpoints_zero():
-    path = bm.sample_arch(np.linspace(0.1, 0.9, 9), rng(2))
-    assert path.grid[0] == 0.0 and path.grid[-1] == 1.0
-    assert path.values[0] == 0.0 and path.values[-1] == 0.0
-
-
 def test_arch_independent_of_parabola():
     # (w, h_area) and arch values are drawn independently by construction;
     # sample correlations at 5 grid points stay within +-0.01.
@@ -209,7 +182,7 @@ def test_arch_independent_of_parabola():
     z = g.standard_normal((n, 2))
     w, hh = z[:, 0], z[:, 1] / np.sqrt(12.0)
     grid = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
-    factor = bm.arch_cov_factor(grid)
+    factor = oracles.arch_cov_factor(grid)
     arch = (factor @ g.standard_normal((grid.size, n))).T
     for col in range(grid.size):
         assert abs(np.corrcoef(w, arch[:, col])[0, 1]) < 0.01
@@ -221,56 +194,47 @@ def test_arch_independent_of_parabola():
 
 
 def test_coarsen_two_halves_oracle():
-    halves = [bm.IncrementPair(1.0, 0.0, 0.5), bm.IncrementPair(0.0, 0.0, 0.5)]
-    out = bm.coarsen(halves)
-    assert out.length == 1.0
-    assert out.w == 1.0
-    assert out.h_area == pytest.approx(0.25, abs=1e-15)
+    w, h_area = oracles.coarsen([1.0, 0.0], [0.0, 0.0])
+    assert w == 1.0
+    assert h_area == pytest.approx(0.25, abs=1e-15)
     # equal-halves closed form (H1 + H2)/2 + (w1 - w2)/4
     h1, h2 = 0.11, -0.04
     w1, w2 = 0.6, -1.2
-    out = bm.coarsen([bm.IncrementPair(w1, h1, 0.5), bm.IncrementPair(w2, h2, 0.5)])
-    assert out.h_area == pytest.approx((h1 + h2) / 2 + (w1 - w2) / 4, abs=1e-15)
+    _, h_area = oracles.coarsen([w1, w2], [h1, h2])
+    assert h_area == pytest.approx((h1 + h2) / 2 + (w1 - w2) / 4, abs=1e-15)
 
 
 def test_coarsen_brute_force_quadrature():
     # Riemann quadrature of the area definition on the piecewise-parabolic
     # interpolant of the sub-interval data.
-    pieces = [bm.IncrementPair(0.8, 0.05, 0.5), bm.IncrementPair(-0.3, -0.12, 0.5)]
+    w, hh = [0.8, -0.3], [0.05, -0.12]
     m = 20_000
     u = np.linspace(0.0, 1.0, m // 2 + 1)
-    first = bm.parabola_eval(0.0, pieces[0], u)
-    second = bm.parabola_eval(first[-1], pieces[1], u)
+    first = oracles.parabola_eval(0.0, w[0], hh[0], u)
+    second = oracles.parabola_eval(first[-1], w[1], hh[1], u)
     path = np.concatenate((first, second[1:]))
     t = np.linspace(0.0, 1.0, m + 1)
     w_total = path[-1]
     h_direct = np.trapezoid(path - t * w_total, t)
-    out = bm.coarsen(pieces)
-    assert out.w == pytest.approx(w_total, abs=1e-12)
-    assert out.h_area == pytest.approx(h_direct, abs=1e-6)
+    out_w, out_h = oracles.coarsen(w, hh)
+    assert out_w == pytest.approx(w_total, abs=1e-12)
+    assert out_h == pytest.approx(h_direct, abs=1e-6)
 
 
 def test_coarsen_identity_and_symmetry():
-    p = bm.IncrementPair(0.4, -0.2, 0.25)
-    assert bm.coarsen([p]) is p
-    sym = bm.coarsen([bm.IncrementPair(0.7, 0.0, 0.5), bm.IncrementPair(0.7, 0.0, 0.5)])
-    assert sym.h_area == pytest.approx(0.0, abs=1e-15)
+    assert oracles.coarsen([0.4], [-0.2]) == pytest.approx((0.4, -0.2), abs=1e-15)
+    _, h_area = oracles.coarsen([0.7, 0.7], [0.0, 0.0])
+    assert h_area == pytest.approx(0.0, abs=1e-15)
 
 
 def test_coarsen_associativity():
-    g = rng(14)
-    quarters = [bm.sample_pair(0.25, g) for _ in range(4)]
-    direct = bm.coarsen(quarters)
-    paired = bm.coarsen([bm.coarsen(quarters[:2]), bm.coarsen(quarters[2:])])
-    assert direct.w == pytest.approx(paired.w, abs=1e-14)
-    assert direct.h_area == pytest.approx(paired.h_area, abs=1e-14)
-
-
-def test_coarsen_validation():
-    with pytest.raises(ValueError):
-        bm.coarsen([])
-    with pytest.raises(ValueError):
-        bm.coarsen([bm.IncrementPair(0, 0, 0.5), bm.IncrementPair(0, 0, 0.25)])
+    # the draws of four `sample_pair(0.25, g)` calls
+    quarters = rng(14).normal(0.0, np.sqrt([0.25, 0.25 / 12.0]), size=(4, 2))
+    w, hh = quarters[:, 0], quarters[:, 1]
+    direct = oracles.coarsen(w, hh)
+    halves = np.array([oracles.coarsen(w[:2], hh[:2]), oracles.coarsen(w[2:], hh[2:])])
+    paired = oracles.coarsen(halves[:, 0], halves[:, 1])
+    assert direct == pytest.approx(paired, abs=1e-14)
 
 
 def test_coarsen_arrays_matches_scalar():
@@ -279,40 +243,13 @@ def test_coarsen_arrays_matches_scalar():
     hh = g.standard_normal((3, 8)) * 0.05
     wv, hv = bm.coarsen_arrays(w, hh)
     for row in range(3):
-        pairs = [bm.IncrementPair(w[row, i], hh[row, i], 1.0 / 8) for i in range(8)]
-        out = bm.coarsen(pairs)
-        assert wv[row] == pytest.approx(out.w, abs=1e-14)
-        assert hv[row] == pytest.approx(out.h_area, abs=1e-14)
+        out_w, out_h = oracles.coarsen(w[row], hh[row])
+        assert wv[row] == pytest.approx(out_w, abs=1e-14)
+        assert hv[row] == pytest.approx(out_h, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
 # Expansion-level properties
-
-
-def test_kl_truncation_norm():
-    # E integral (B - B^N)^2 dmu = 1/(N+1); desk-scale Monte Carlo check.
-    g = rng(101)
-    m = 1000
-    n_paths = 4000
-    t = np.linspace(0.0, 1.0, m + 1)
-    interior = t[1:-1]
-    inv_weight = 1.0 / (interior * (1.0 - interior))
-    for big_n in (2, 4, 8):
-        q = np.stack([op.basis_e_over_weight(k, t) for k in range(1, big_n + 1)])
-        e_vals = np.stack([op.basis_e_eval(k, interior) for k in range(1, big_n + 1)])
-        total = 0.0
-        for _ in range(n_paths):
-            incs = g.normal(0.0, np.sqrt(1.0 / m), size=m)
-            w_path = np.concatenate(([0.0], np.cumsum(incs)))
-            bridge = w_path - t * w_path[-1]
-            i_hat = np.trapezoid(bridge * q, t, axis=1)
-            resid = bridge[1:-1] - i_hat @ e_vals
-            f = resid * resid * inv_weight
-            est = np.trapezoid(f, interior) + (f[0] + f[-1]) / m
-            total += est
-        mc = total / n_paths
-        target = 1.0 / (big_n + 1)
-        assert abs(mc - target) < 0.05 * target, big_n
 
 
 def test_mercer_partial_sum():
@@ -339,12 +276,3 @@ def test_polynomial_matches_time_integrals_of_dense_path():
                 return vals[-1] - k * np.trapezoid(t ** (k - 1) * vals, t)
 
             assert abs(stieltjes(trunc_vals) - stieltjes(dense_vals)) < 1e-3, (n, k)
-
-
-def test_dense_path_validation():
-    with pytest.raises(ValueError):
-        bm.DensePath(grid=np.array([0.0, 0.5, 0.9]), values=np.zeros(3))
-    with pytest.raises(ValueError):
-        bm.DensePath(grid=np.array([0.0, 0.6, 0.5, 1.0]), values=np.zeros(4))
-    p = bm.sample_brownian_dense(64, rng(1))
-    assert p.values[0] == 0.0 and p.n_steps == 64

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polybrown import checks, cli, orthopoly
+from polybrown import checks, cli, harness, orthopoly
 
 
 def run(argv):
@@ -32,6 +32,9 @@ def test_basis_csv_matches_library(tmp_path):
     manifest = (out / "manifest.txt").read_text()
     assert "command = basis" in manifest
     assert "artifact_version" in manifest
+    assert "seed" not in manifest  # the table is deterministic
+    with pytest.raises(SystemExit):
+        run(["basis", "--seed", "5", "--out", str(out)])
 
 
 def test_paths_csv_and_sidecar(tmp_path):
@@ -161,6 +164,14 @@ def test_non_finite_results_refused_without_output(tmp_path, capsys, argv):
     assert not out.exists()  # no NaN table, not even a manifest
 
 
+@pytest.mark.parametrize("command", ["paths", "igbm-paths", "strong", "weak"])
+def test_path_counts_beyond_the_stream_keys_refused_before_output(tmp_path, capsys, command):
+    out = tmp_path / "o"
+    assert run([command, "--paths", str(harness.MAX_PATHS + 1), "--out", str(out)]) == 2
+    assert "too many paths: need paths <= 2^32" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_grid_refused_before_output(tmp_path):
     out = tmp_path / "o"
     assert run(["strong", "--steps", f"10,20,{1 << 16}", "--out", str(out)]) == 2
@@ -251,6 +262,17 @@ def test_dropped_slopes_are_named_on_stderr(tmp_path):
     zeros = "error 0 at N=5, error 0 at N=10, error 0 at N=20"
     assert f"UserWarning: no weak slope for linear, euler ({zeros})\n" in result.stderr
     assert (tmp_path / "o" / "slopes.csv").read_text() == "scheme,metric,slope,slope_stderr\n"
+
+
+def test_bench_tracer_runs_a_command(tmp_path):
+    """`bench/trace.py` wraps polybrown's functions by name, so removing one
+    of them from `src/` would break `bench/run.py --trace 1`."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    argv = ["basis", "--max-k", "2", "--grid", "3", "--out", str(tmp_path / "o")]
+    tracer = [sys.executable, str(root / "bench" / "trace.py"), str(tmp_path / "r.json"), str(tmp_path / "s.npz")]
+    result = subprocess.run([*tracer, "traced", "--", *argv], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
 
 
 def test_unknown_subcommand_exits_nonzero():

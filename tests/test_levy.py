@@ -3,13 +3,8 @@
 import numpy as np
 import pytest
 
-from polybrown import brownian as bm
+import oracles
 from polybrown import levy
-
-
-def pair(w, hh, h=1.0):
-    """The interval (W, H, h) as `brownian.parabola_eval` takes it."""
-    return bm.IncrementPair(w=w, h_area=hh, length=h)
 
 
 def rng(seed=0):
@@ -114,7 +109,7 @@ def test_triple_integral_identities():
 
 def test_discrete_areas_of_linear_path():
     t = np.linspace(0.0, 1.0, 10_001)
-    w, hh, ll = levy.discrete_levy_areas(bm.DensePath(grid=t, values=t.copy()))
+    w, hh, ll, _ = oracles.discrete_integrals(t, t.copy())
     assert w == pytest.approx(1.0, abs=1e-12)
     assert hh == pytest.approx(0.0, abs=1e-12)
     assert ll == pytest.approx(0.0, abs=1e-10)
@@ -122,9 +117,7 @@ def test_discrete_areas_of_linear_path():
 
 def test_discrete_areas_of_parabola():
     t = np.linspace(0.0, 1.0, 10_001)
-    p = pair(0.0, 1.0)
-    path = bm.DensePath(grid=t, values=bm.parabola_eval(0.0, p, t))
-    w, hh, ll = levy.discrete_levy_areas(path)
+    w, hh, ll, _ = oracles.discrete_integrals(t, oracles.parabola_eval(0.0, 0.0, 1.0, t))
     assert w == pytest.approx(0.0, abs=1e-12)
     assert hh == pytest.approx(1.0, abs=1e-3)
     assert ll == pytest.approx(0.6, abs=1e-3)
@@ -134,31 +127,9 @@ def test_discrete_areas_of_parabola():
 def test_parabola_l_area_closed_form(w, eta):
     # A parabola's own space-space-time area is (3/5) h eta^2 (unit h here).
     t = np.linspace(0.0, 1.0, 10_001)
-    path = bm.DensePath(grid=t, values=bm.parabola_eval(0.0, pair(w, eta), t))
-    _, hh, ll = levy.discrete_levy_areas(path)
+    _, hh, ll, _ = oracles.discrete_integrals(t, oracles.parabola_eval(0.0, w, eta, t))
     assert hh == pytest.approx(eta, abs=1e-3)
     assert ll == pytest.approx(0.6 * eta * eta, abs=1e-3)
-
-
-def test_discrete_rejects_coarse_grid():
-    t = np.linspace(0.0, 1.0, 101)
-    with pytest.raises(ValueError):
-        levy.discrete_levy_areas(bm.DensePath(grid=t, values=t.copy()))
-
-
-def test_pathwise_identity_on_brownian_paths():
-    # The closed-form reconstruction identities hold pathwise in the fine-grid limit: compare
-    # the (W, H, L) reconstruction against direct discretizations.
-    g = rng(7)
-    for _ in range(100):
-        path = bm.sample_brownian_dense(100_000, g)
-        w, hh, ll = levy.discrete_levy_areas(path)
-        direct = levy.discrete_triple_integrals(path)
-        pred = levy.triple_integrals_from_whl(w, hh, ll, 1.0)
-        for name in ("i_wwt", "i_wtw", "i_tww", "i_wt", "i_tw"):
-            a = getattr(direct, name)
-            b = getattr(pred, name)
-            assert abs(a - b) <= 0.02 * max(abs(a), 0.05), name
 
 
 def test_tower_property_for_L():
@@ -174,30 +145,10 @@ def test_tower_property_for_L():
 
     n_paths = 20_000
     m = 1000
-    dt = 1.0 / m
     ls = np.empty(n_paths)
     block = 2000
-    t = np.linspace(0.0, 1.0, m + 1)
     for lo in range(0, n_paths, block):
-        incs = g.normal(0.0, np.sqrt(dt), size=(block, m))
-        vals = np.concatenate((np.zeros((block, 1)), np.cumsum(incs, axis=1)), axis=1)
-        out = levy._discrete_core(t, vals)
-        ls[lo : lo + block] = out["l_area"]
+        t, values = oracles.sample_brownian_dense(m, g, (block,))
+        ls[lo : lo + block] = oracles.discrete_integrals(t, values)[2]
     mc = np.var(ls)
     assert abs(mc - analytic) < 0.05 * analytic
-
-
-def test_cond_mean_sq_integral_against_arch_simulation():
-    # decomposition oracle: path = parabola + independent arch, fixed (W, H).
-    w, hh = 0.7, -0.1
-    grid = np.linspace(1.0 / 256, 1.0 - 1.0 / 256, 255)
-    factor = bm.arch_cov_factor(grid)
-    g = rng(9)
-    n = 40_000
-    parab = bm.parabola_eval(0.0, pair(w, hh), grid)
-    draws = parab + (factor @ g.standard_normal((grid.size, n))).T
-    full_t = np.concatenate(([0.0], grid, [1.0]))
-    full = np.concatenate((np.zeros((n, 1)), draws, np.full((n, 1), w)), axis=1)
-    sq = np.trapezoid(full * full, full_t, axis=1)
-    se = np.std(sq) / np.sqrt(n)
-    assert abs(np.mean(sq) - levy.cond_mean_sq_integral(w, hh, 1.0)) < 3 * se + 1e-4

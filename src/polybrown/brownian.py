@@ -77,8 +77,6 @@ def sample_kl_batch(degree, count, rng):
 
 def sample_kl_coefficients(degree, rng):
     """Draw the expansion coefficients of a degree-n polynomial path."""
-    if not 1 <= degree <= orthopoly.MAX_DEGREE:
-        raise ValueError(f"degree out of range: need 1 <= degree <= {orthopoly.MAX_DEGREE}")
     w1, coeffs = sample_kl_batch(degree, 1, rng)
     return BrownianPolynomial(w1=float(w1[0]), coeffs=coeffs[0])
 
@@ -97,12 +95,6 @@ def eval_polynomial_path(poly, t):
     for k in range(1, coeffs.shape[-1] + 1):
         out = out + np.multiply.outer(coeffs[..., k - 1], orthopoly.basis_e_eval(k, ta))
     return out if np.ndim(out) else float(out)
-
-
-
-
-
-
 
 
 def coarsen_arrays(w_fine, h_fine):

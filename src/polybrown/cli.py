@@ -41,8 +41,15 @@ def _path_count(text):
     return value
 
 
+def _level(text):
+    value = _positive_int(text)
+    if value >= harness.MAX_LEVEL:
+        raise ValueError("must be below 2^16, the number of stream levels")
+    return value
+
+
 def _steps_list(text):
-    return tuple(_positive_int(part) for part in str(text).split(","))
+    return tuple(_level(part) for part in str(text).split(","))
 
 
 def _schemes_list(text):
@@ -63,22 +70,23 @@ _DEFAULTS = {
     "check": {"seed": "0"},
 }
 
-_CONVERTERS = {
-    "seed": _u64,
-    "out": str,
-    "max_k": _positive_int,
-    "grid": _positive_int,
-    "degree": _positive_int,
-    "paths": _path_count,
-    "scheme": igbm.SchemeKind.from_name,
-    "schemes": _schemes_list,
-    "steps": _steps_list,
-    "workers": _positive_int,
-    "a": float,
-    "b": float,
-    "sigma": float,
-    "y0": float,
-    "horizon": float,
+# option -> (converter, help)
+_OPTIONS = {
+    "seed": (_u64, "master seed; all randomness derives from it"),
+    "out": (str, "output directory for CSVs and the manifest"),
+    "max_k": (_positive_int, "largest eigenfunction index to tabulate"),
+    "grid": (_positive_int, "number of grid points on [0, 1]"),
+    "degree": (_level, "polynomial path degree"),
+    "paths": (_path_count, "number of sample paths"),
+    "scheme": (igbm.SchemeKind.from_name, "scheme name for trajectory output"),
+    "schemes": (_schemes_list, "comma-separated scheme names"),
+    "steps": (_steps_list, "comma-separated step counts"),
+    "workers": (_positive_int, "worker processes (outputs are invariant to this)"),
+    "a": (float, "mean-reversion speed"),
+    "b": (float, "mean-reversion level"),
+    "sigma": (float, "volatility"),
+    "y0": (float, "initial value"),
+    "horizon": (float, "time horizon T"),
 }
 
 
@@ -119,7 +127,7 @@ def _effective_config(command, args):
     typed = {}
     for key, raw in merged.items():
         try:
-            typed[key] = _CONVERTERS[key](raw)
+            typed[key] = _OPTIONS[key][0](raw)
         except ValueError as exc:
             raise UsageError(f"invalid value for {key}: {exc}") from None
     return merged, typed
@@ -198,19 +206,11 @@ def _run_benchmark(strings, cfg, metric):
         num_paths=cfg["paths"],
         seed=cfg["seed"],
     )
-    report = harness.run_experiment(config, metrics=(metric,), workers=cfg["workers"])
+    rows, slopes = harness.run_experiment(config, metric, workers=cfg["workers"])
     out = _prepare_out(strings, metric)
-    harness.write_error_csv(report.rows(metric), os.path.join(out, f"{metric}.csv"))
-    harness.write_slopes_csv(report.slopes, os.path.join(out, "slopes.csv"))
+    harness.write_error_csv(rows, os.path.join(out, f"{metric}.csv"))
+    harness.write_slopes_csv(slopes, os.path.join(out, "slopes.csv"))
     return 0
-
-
-def cmd_strong(strings, cfg):
-    return _run_benchmark(strings, cfg, "strong")
-
-
-def cmd_weak(strings, cfg):
-    return _run_benchmark(strings, cfg, "weak")
 
 
 def cmd_check(strings, cfg):
@@ -231,28 +231,9 @@ _HANDLERS = {
     "basis": cmd_basis,
     "paths": cmd_paths,
     "igbm-paths": cmd_igbm_paths,
-    "strong": cmd_strong,
-    "weak": cmd_weak,
+    "strong": lambda strings, cfg: _run_benchmark(strings, cfg, "strong"),
+    "weak": lambda strings, cfg: _run_benchmark(strings, cfg, "weak"),
     "check": cmd_check,
-}
-
-_HELP = {
-    "seed": "master seed; all randomness derives from it",
-    "out": "output directory for CSVs and the manifest",
-    "config": "plain-text key = value configuration file (flags override)",
-    "max_k": "largest eigenfunction index to tabulate",
-    "grid": "number of grid points on [0, 1]",
-    "degree": "polynomial path degree",
-    "paths": "number of sample paths",
-    "scheme": "scheme name for trajectory output",
-    "schemes": "comma-separated scheme names",
-    "steps": "comma-separated step counts",
-    "workers": "worker processes (outputs are invariant to this)",
-    "a": "mean-reversion speed",
-    "b": "mean-reversion level",
-    "sigma": "volatility",
-    "y0": "initial value",
-    "horizon": "time horizon T",
 }
 
 
@@ -264,9 +245,9 @@ def _build_parser():
         p = sub.add_parser(command, help=f"run the {command} command")
         for key in defaults:
             flag = "--" + key.replace("_", "-")
-            p.add_argument(flag, dest=key, default=None, help=_HELP[key] + f" (default {defaults[key]})")
+            p.add_argument(flag, dest=key, default=None, help=_OPTIONS[key][1] + f" (default {defaults[key]})")
         if command != "check":
-            p.add_argument("--config", default=None, help=_HELP["config"])
+            p.add_argument("--config", default=None, help="plain-text key = value configuration file (flags override)")
     return parser
 
 
@@ -276,7 +257,7 @@ def main(argv=None):
     try:
         strings, typed = _effective_config(args.command, args)
         return _HANDLERS[args.command](strings, typed)
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, MemoryError) as exc:
         print(f"polybrown: error: {exc}", file=sys.stderr)
         return 2
 

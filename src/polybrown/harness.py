@@ -12,7 +12,6 @@ bit-identical for any worker count or scheduling.
 import multiprocessing
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -20,13 +19,11 @@ from . import igbm
 from .brownian import coarsen_arrays
 
 __all__ = [
-    "ConvergenceReport",
     "ErrorRow",
     "ExperimentConfig",
+    "MAX_LEVEL",
     "MAX_PATHS",
-    "SlopeFit",
     "SlopeRow",
-    "default_config",
     "fine_steps",
     "fit_slope",
     "path_generator",
@@ -39,6 +36,7 @@ __all__ = [
 _BLOCK = 512  # paths per work item; fixed so work decomposition never affects values
 _DOMAIN_HARNESS = 1
 MAX_PATHS = 1 << 32  # path indices fill 32 bits of the stream key (see `path_generator`)
+MAX_LEVEL = 1 << 16  # stream levels fill 16 bits of it
 
 
 @dataclass(frozen=True)
@@ -56,7 +54,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if list(self.step_counts) != sorted(set(self.step_counts)):
             raise ValueError("step_counts must be strictly ascending")
-        if any(not 1 <= n < 1 << 16 for n in self.step_counts):
+        if any(not 1 <= n < MAX_LEVEL for n in self.step_counts):
             raise ValueError("step counts must be in [1, 2^16)")
         if any(finer % n for n, finer in zip(self.step_counts, self.step_counts[1:])):
             raise ValueError(f"each step count must divide the next: {','.join(map(str, self.step_counts))}")
@@ -72,13 +70,6 @@ class ExperimentConfig:
             raise ValueError(f"schemes must be distinct: {','.join(scheme.value for scheme in self.schemes)}")
 
 
-def default_config(num_paths, step_counts, seed=0, schemes=tuple(igbm.SchemeKind)):
-    """A configuration of the reference experiment (`igbm.REFERENCE`)."""
-    return ExperimentConfig(
-        params=igbm.REFERENCE, schemes=tuple(schemes), step_counts=tuple(step_counts), num_paths=num_paths, seed=seed
-    )
-
-
 def fine_steps(step_counts):
     """Steps of the fine mesh common to a divisor chain of step counts: a
     multiple of the largest, at most min(h/10, T/1000) at every level."""
@@ -90,7 +81,7 @@ def path_generator(seed, domain, level, index):
     """Counter-based stream for one path: the 128-bit Philox key packs the
     master seed with (domain, level, path index), so streams are independent
     and reproducible for any work decomposition."""
-    if not (0 <= seed < 1 << 64 and 0 <= domain < 1 << 16 and 0 <= level < 1 << 16 and 0 <= index < MAX_PATHS):
+    if not (0 <= seed < 1 << 64 and 0 <= domain < 1 << 16 and 0 <= level < MAX_LEVEL and 0 <= index < MAX_PATHS):
         raise ValueError("stream key component out of range")
     key = np.array([seed, (domain << 48) | (level << 32) | index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
@@ -162,17 +153,11 @@ def _weak_stats(fine, approx, strike):
     return err, se
 
 
-class SlopeFit(NamedTuple):
-    slope: float
-    intercept: float
-    stderr: float
-
-
 def fit_slope(points):
     """Ordinary least squares of log(error) against log(h).
 
     `points` is a sequence of (h, error) with positive entries; returns the
-    fitted slope, intercept, and the slope's OLS standard error.
+    fitted slope and its OLS standard error.
     """
     pts = [(float(h), float(e)) for h, e in points]
     if len(pts) < 3:
@@ -187,7 +172,7 @@ def fit_slope(points):
     resid = y - (intercept + slope * x)
     dof = len(pts) - 2
     stderr = float(np.sqrt(np.sum(resid**2) / dof / np.sum(xc * xc))) if dof > 0 else 0.0
-    return SlopeFit(slope=slope, intercept=intercept, stderr=stderr)
+    return slope, stderr
 
 
 @dataclass(frozen=True)
@@ -207,50 +192,36 @@ class SlopeRow:
     stderr: float
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
-    strong: tuple
-    weak: tuple
-    slopes: tuple
+def run_experiment(config, metric, workers=1):
+    """Error rows over (scheme, N) for one metric, "strong" or "weak", and
+    the fitted log-log slope rows.
 
-    def rows(self, metric):
-        return self.strong if metric == "strong" else self.weak
-
-
-def run_experiment(config, metrics=("strong", "weak"), workers=1):
-    """Full error grid over (scheme, N) plus fitted log-log slopes.
-
-    One fine path and reference per sample serve every level, scheme and
-    metric, so the errors of different levels are correlated.
-    Deterministic given the seed.  A slope needs at least 3 step counts and
-    positive errors; the schemes left without one are named in a UserWarning,
-    once per metric.
+    One fine path and reference per sample serve every level and scheme, so
+    the errors of different levels are correlated.  Deterministic given the
+    seed.  A slope needs at least 3 step counts and positive errors; the
+    schemes left without one are named in one UserWarning.
     """
-    if not set(metrics) <= {"strong", "weak"} or len(set(metrics)) < len(metrics):
-        raise ValueError(f"metrics must be distinct names from strong, weak: {metrics}")
+    if metric not in ("strong", "weak"):
+        raise ValueError(f"metric must be strong or weak: {metric!r}")
     fine, coarse = _terminals(config, workers)
-    stats = {"strong": _strong_stats, "weak": lambda fine, approx: _weak_stats(fine, approx, config.params.b)}
-    rows = {"strong": [], "weak": []}
-    slope_rows, unfitted = [], {metric: {} for metric in metrics}  # unfitted: reason -> scheme names
+    stats = _strong_stats if metric == "strong" else lambda fine, approx: _weak_stats(fine, approx, config.params.b)
+    rows, slopes, unfitted = [], [], {}  # unfitted: reason -> scheme names
     for scheme in config.schemes:
-        for metric in metrics:
-            grid = [
-                ErrorRow(scheme, n_steps, config.params.horizon / n_steps, *stats[metric](fine, coarse[n_steps, scheme]))
-                for n_steps in config.step_counts
-            ]
-            rows[metric] += grid
-            unusable = ", ".join(f"error {r.error:g} at N={r.n_steps}" for r in grid if not r.error > 0)
-            reason = "fewer than 3 step counts" if len(grid) < 3 else unusable
-            if reason:
-                unfitted[metric].setdefault(reason, []).append(scheme.value)
-            else:
-                fit = fit_slope([(r.h, r.error) for r in grid])
-                slope_rows.append(SlopeRow(scheme, metric, fit.slope, fit.stderr))
-    for metric, reasons in unfitted.items():
-        if reasons:
-            dropped = "; ".join(f"{', '.join(names)} ({reason})" for reason, names in reasons.items())
-            warnings.warn(f"no {metric} slope for {dropped}", stacklevel=2)
-    return ConvergenceReport(strong=tuple(rows["strong"]), weak=tuple(rows["weak"]), slopes=tuple(slope_rows))
+        grid = [
+            ErrorRow(scheme, n_steps, config.params.horizon / n_steps, *stats(fine, coarse[n_steps, scheme]))
+            for n_steps in config.step_counts
+        ]
+        rows += grid
+        unusable = ", ".join(f"error {r.error:g} at N={r.n_steps}" for r in grid if not r.error > 0)
+        reason = "fewer than 3 step counts" if len(grid) < 3 else unusable
+        if reason:
+            unfitted.setdefault(reason, []).append(scheme.value)
+        else:
+            slopes.append(SlopeRow(scheme, metric, *fit_slope([(r.h, r.error) for r in grid])))
+    if unfitted:
+        dropped = "; ".join(f"{', '.join(names)} ({reason})" for reason, names in unfitted.items())
+        warnings.warn(f"no {metric} slope for {dropped}", stacklevel=2)
+    return tuple(rows), tuple(slopes)
 
 
 def _fmt(x):

@@ -23,8 +23,9 @@ __all__ = [
     "legendre_eval",
 ]
 
-# Monomial coefficient tables become ill-conditioned well before this, but all
-# coefficient-based uses in the package stay below degree ~22.
+# Caps the monomial coefficient tables (`jacobi_m1m1_coeffs`, `PolyBasis`),
+# which become ill-conditioned well before it, and the `gauss_legendre` node
+# count.  The value routes (`basis_e_eval`) stay accurate far beyond it.
 MAX_DEGREE = 64
 
 

@@ -12,7 +12,7 @@ import oracles
 from polybrown import brownian as bm
 from polybrown import checks, harness, levy
 from polybrown import orthopoly as op
-from polybrown.igbm import SchemeKind
+from polybrown.igbm import REFERENCE, SchemeKind
 
 SEED = 20_240_601
 
@@ -156,8 +156,8 @@ def test_criterion_6_levy_algebra():
 
 @pytest.fixture(scope="module")
 def strong_report():
-    cfg = harness.default_config(num_paths=10_000, step_counts=(25, 50, 100, 200, 400), seed=SEED)
-    return harness.run_experiment(cfg, metrics=("strong",))
+    cfg = harness.ExperimentConfig(REFERENCE, tuple(SchemeKind), (25, 50, 100, 200, 400), 10_000, SEED)
+    return harness.run_experiment(cfg, "strong")
 
 
 STRONG_BANDS = {
@@ -174,7 +174,8 @@ def test_criterion_7_strong_slopes(strong_report):
     # reported alongside (the clamped schemes fit noisily at desk scale).
     ok = True
     details = []
-    for row in strong_report.slopes:
+    _, slopes = strong_report
+    for row in slopes:
         center, width = STRONG_BANDS[row.scheme]
         ok &= abs(row.slope - center) < width
         details.append(f"{row.scheme.value} {row.slope:.3f}+-{row.stderr:.3f} (want {center}+-{width})")
@@ -182,7 +183,8 @@ def test_criterion_7_strong_slopes(strong_report):
 
 
 def test_criterion_8_error_ordering(strong_report):
-    at_200 = {r.scheme: r.error for r in strong_report.strong if r.n_steps == 200}
+    rows, _ = strong_report
+    at_200 = {r.scheme: r.error for r in rows if r.n_steps == 200}
     order = [
         SchemeKind.LOG_ODE,
         SchemeKind.PARABOLA_ODE,
@@ -203,8 +205,8 @@ def test_criterion_8_error_ordering(strong_report):
 
 @pytest.fixture(scope="module")
 def weak_report():
-    cfg = harness.default_config(num_paths=100_000, step_counts=(5, 10, 20, 40, 80, 160), seed=SEED)
-    return harness.run_experiment(cfg, metrics=("weak",))
+    cfg = harness.ExperimentConfig(REFERENCE, tuple(SchemeKind), (5, 10, 20, 40, 80, 160), 100_000, SEED)
+    return harness.run_experiment(cfg, "weak")
 
 
 # (band, fit window): each scheme's slope is fitted on the sub-grid where the
@@ -221,16 +223,16 @@ WEAK_CHECKS = {
 
 
 def test_criterion_9_weak_slopes(weak_report):
+    rows, _ = weak_report
     ok = True
     details = []
     for scheme in (s for s in SchemeKind if s in WEAK_CHECKS):
         (center, width), window = WEAK_CHECKS[scheme]
-        pts = [(r.h, r.error) for r in weak_report.weak if r.scheme is scheme and r.n_steps in window]
-        fit = harness.fit_slope(pts)
-        ok &= abs(fit.slope - center) < width
-        details.append(f"{scheme.value} {fit.slope:.3f}+-{fit.stderr:.3f} on N{list(window)} (want {center}+-{width})")
-    euler = harness.fit_slope([(r.h, r.error) for r in weak_report.weak if r.scheme is SchemeKind.EULER_MARUYAMA])
-    details.append(f"euler {euler.slope:.3f} (reported)")
+        slope, stderr = harness.fit_slope([(r.h, r.error) for r in rows if r.scheme is scheme and r.n_steps in window])
+        ok &= abs(slope - center) < width
+        details.append(f"{scheme.value} {slope:.3f}+-{stderr:.3f} on N{list(window)} (want {center}+-{width})")
+    euler, _ = harness.fit_slope([(r.h, r.error) for r in rows if r.scheme is SchemeKind.EULER_MARUYAMA])
+    details.append(f"euler {euler:.3f} (reported)")
     _report(9, ok, "; ".join(details))
 
 
@@ -239,15 +241,15 @@ def test_criterion_9_weak_slopes(weak_report):
 
 
 def test_criterion_10_determinism(tmp_path):
-    cfg = harness.default_config(num_paths=612, step_counts=(25, 50), seed=SEED)
+    cfg = harness.ExperimentConfig(REFERENCE, tuple(SchemeKind), (25, 50), 612, SEED)
 
     def emit(name, workers):
-        rep = harness.run_experiment(cfg, metrics=("strong", "weak"), workers=workers)
-        strong = tmp_path / f"strong_{name}.csv"
-        weak = tmp_path / f"weak_{name}.csv"
-        harness.write_error_csv(rep.strong, strong)
-        harness.write_error_csv(rep.weak, weak)
-        return strong.read_bytes() + weak.read_bytes()
+        written = b""
+        for metric in ("strong", "weak"):
+            rows, _ = harness.run_experiment(cfg, metric, workers=workers)
+            harness.write_error_csv(rows, tmp_path / f"{metric}_{name}.csv")
+            written += (tmp_path / f"{metric}_{name}.csv").read_bytes()
+        return written
 
     first = emit("a", 1)
     rerun = emit("b", 1)

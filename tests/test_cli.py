@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
+import importlib
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -9,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import polybrown
 from polybrown import checks, cli, harness, orthopoly
 
 
@@ -164,20 +167,51 @@ def test_non_finite_results_refused_without_output(tmp_path, capsys, argv):
     assert not out.exists()  # no NaN table, not even a manifest
 
 
-@pytest.mark.parametrize("command", ["paths", "igbm-paths", "strong", "weak"])
-def test_path_counts_beyond_the_stream_keys_refused_before_output(tmp_path, capsys, command):
+TOO_MANY = str(harness.MAX_PATHS + 1)
+TOO_HIGH = str(harness.MAX_LEVEL)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        *(
+            pytest.param([command, "--paths", TOO_MANY], "paths: too many paths: need paths <= 2^32", id=command)
+            for command in ("paths", "igbm-paths", "strong", "weak")
+        ),
+        pytest.param(["igbm-paths", "--steps", TOO_HIGH], "steps: must be below 2^16", id="igbm-paths-steps"),
+        pytest.param(["paths", "--degree", TOO_HIGH], "degree: must be below 2^16", id="paths-degree"),
+    ],
+)
+def test_path_counts_beyond_the_stream_keys_refused_before_output(tmp_path, capsys, argv, message):
     out = tmp_path / "o"
-    assert run([command, "--paths", str(harness.MAX_PATHS + 1), "--out", str(out)]) == 2
-    assert "too many paths: need paths <= 2^32" in capsys.readouterr().err
+    assert run(argv + ["--out", str(out)]) == 2
+    assert f"polybrown: error: invalid value for {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_out_of_memory_refused_before_output(tmp_path, capsys, monkeypatch):
+    message = "Unable to allocate 15.6 TiB for an array with shape (4294967296, 500) and data type float64"
+
+    def out_of_memory(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(harness, "path_increments", out_of_memory)
+    out = tmp_path / "o"
+    assert run(["igbm-paths", "--paths", str(harness.MAX_PATHS), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"polybrown: error: {message}\n"
+    assert not out.exists()
+
+
+def test_paths_beyond_the_coefficient_tables(tmp_path):
+    out = tmp_path / "o"
+    assert run(["paths", "--degree", "200", "--paths", "3", "--grid", "11", "--out", str(out)]) == 0
+    assert len((out / "path_coeffs.csv").read_text().splitlines()) == 1 + 3 * 200
 
 
 def test_bad_grid_refused_before_output(tmp_path):
     out = tmp_path / "o"
     assert run(["strong", "--steps", f"10,20,{1 << 16}", "--out", str(out)]) == 2
     assert run(["igbm-paths", "--steps", "10,20", "--out", str(out)]) == 2
-    assert run(["igbm-paths", "--steps", str(1 << 16), "--out", str(out)]) == 2
-    assert run(["paths", "--degree", "65", "--out", str(out)]) == 2
     assert not out.exists()
 
 
@@ -273,6 +307,16 @@ def test_bench_tracer_runs_a_command(tmp_path):
     tracer = [sys.executable, str(root / "bench" / "trace.py"), str(tmp_path / "r.json"), str(tmp_path / "s.npz")]
     result = subprocess.run([*tracer, "traced", "--", *argv], env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def test_every_exported_name_resolves():
+    """A name deleted from a module must leave its `__all__` too, or
+    `from polybrown.<module> import *` fails."""
+    for info in pkgutil.iter_modules(polybrown.__path__):
+        if info.name != "__main__":  # importing it runs the CLI
+            module = importlib.import_module(f"polybrown.{info.name}")
+            missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+            assert not missing, (info.name, missing)
 
 
 def test_unknown_subcommand_exits_nonzero():

@@ -12,10 +12,8 @@ from polybrown import harness
 from polybrown.igbm import REFERENCE, IgbmParams, SchemeKind
 
 
-def small_config(**kw):
-    defaults = dict(num_paths=400, step_counts=(10, 20, 40), seed=99)
-    defaults.update(kw)
-    return harness.default_config(**defaults)
+def small_config(num_paths=400, step_counts=(10, 20, 40), seed=99, schemes=tuple(SchemeKind)):
+    return harness.ExperimentConfig(REFERENCE, schemes, step_counts, num_paths, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -103,11 +101,11 @@ def test_path_increments_scale_one_stream_per_path():
 
 def test_fit_slope_exact_powers():
     hs = [0.4, 0.2, 0.1, 0.05]
-    fit = harness.fit_slope([(h, 3.0 * h) for h in hs])
-    assert fit.slope == pytest.approx(1.0, abs=1e-12)
-    fit = harness.fit_slope([(h, 0.2 * h**1.5) for h in hs])
-    assert fit.slope == pytest.approx(1.5, abs=1e-12)
-    assert fit.stderr == pytest.approx(0.0, abs=1e-10)
+    slope, _ = harness.fit_slope([(h, 3.0 * h) for h in hs])
+    assert slope == pytest.approx(1.0, abs=1e-12)
+    slope, stderr = harness.fit_slope([(h, 0.2 * h**1.5) for h in hs])
+    assert slope == pytest.approx(1.5, abs=1e-12)
+    assert stderr == pytest.approx(0.0, abs=1e-10)
 
 
 def test_fit_slope_on_benchmark_shaped_data():
@@ -115,8 +113,8 @@ def test_fit_slope_on_benchmark_shaped_data():
     hs = np.array([0.1, 0.05, 0.02, 0.01, 0.005])
     g = np.random.default_rng(0)
     errs = 0.01 * hs**1.5 * np.exp(g.normal(0.0, 0.05, hs.size))
-    fit = harness.fit_slope(list(zip(hs, errs)))
-    assert abs(fit.slope - 1.5) < 0.15
+    slope, _ = harness.fit_slope(list(zip(hs, errs)))
+    assert abs(slope - 1.5) < 0.15
 
 
 def test_fit_slope_validation():
@@ -150,7 +148,7 @@ def test_sigma_zero_is_deterministic():
     cfg = harness.ExperimentConfig(
         params=params, schemes=(SchemeKind.EULER_MARUYAMA,), step_counts=(10, 20, 40), num_paths=200, seed=1
     )
-    row = harness.run_experiment(cfg, metrics=("strong",)).strong[1]
+    row = harness.run_experiment(cfg, "strong")[0][1]
     assert row.n_steps == 20
     assert row.error > 0.0  # Euler discretizes the ODE inexactly
     assert row.std_err < 1e-12 * row.error  # identical across paths, up to summation residue
@@ -158,8 +156,8 @@ def test_sigma_zero_is_deterministic():
 
 def test_strong_order_of_magnitude():
     # order-1.5 scheme: halving h scales the error by ~2^1.5
-    cfg = harness.default_config(num_paths=10_000, step_counts=(50, 100), seed=5, schemes=(SchemeKind.LOG_ODE,))
-    e50, e100 = (row.error for row in harness.run_experiment(cfg, metrics=("strong",)).strong)
+    cfg = small_config(num_paths=10_000, step_counts=(50, 100), seed=5, schemes=(SchemeKind.LOG_ODE,))
+    e50, e100 = (row.error for row in harness.run_experiment(cfg, "strong")[0])
     assert 2.2 <= e50 / e100 <= 3.5
 
 
@@ -169,23 +167,20 @@ def test_strong_order_of_magnitude():
 
 def test_run_experiment_report_shape():
     cfg = small_config(schemes=(SchemeKind.LOG_ODE, SchemeKind.EULER_MARUYAMA))
-    rep = harness.run_experiment(cfg)
-    assert len(rep.strong) == 6
-    assert len(rep.weak) == 6
-    assert {r.metric for r in rep.slopes} == {"strong", "weak"}
-    assert all(r.error >= 0 for r in rep.strong)
-    hs = [r.h for r in rep.strong if r.scheme is SchemeKind.LOG_ODE]
-    assert hs == [0.5, 0.25, 0.125]
-    for metrics in (("strongest",), ("strong", "strong")):
+    for metric in ("strong", "weak"):
+        rows, slopes = harness.run_experiment(cfg, metric)
+        assert len(rows) == 6
+        assert [(r.scheme, r.metric) for r in slopes] == [(s, metric) for s in cfg.schemes]
+        assert all(r.error >= 0 for r in rows)
+        assert [r.h for r in rows if r.scheme is SchemeKind.LOG_ODE] == [0.5, 0.25, 0.125]
+    for metric in ("strongest", ("strong",), ("strong", "weak")):
         with pytest.raises(ValueError):
-            harness.run_experiment(cfg, metrics=metrics)
+            harness.run_experiment(cfg, metric)
 
 
 def test_run_experiment_deterministic():
     cfg = small_config()
-    rep1 = harness.run_experiment(cfg, metrics=("strong",))
-    rep2 = harness.run_experiment(cfg, metrics=("strong",))
-    assert rep1 == rep2
+    assert harness.run_experiment(cfg, "strong") == harness.run_experiment(cfg, "strong")
 
 
 def test_slopes_left_out_are_named_in_a_warning():
@@ -193,21 +188,22 @@ def test_slopes_left_out_are_named_in_a_warning():
     schemes = (SchemeKind.PIECEWISE_LINEAR, SchemeKind.EULER_MARUYAMA)
     cfg = harness.ExperimentConfig(params=flat, schemes=schemes, step_counts=(5, 10, 20), num_paths=100, seed=0)
     with pytest.warns(UserWarning) as record:
-        rep = harness.run_experiment(cfg, metrics=("weak",))
-    assert rep.slopes == ()
+        _, slopes = harness.run_experiment(cfg, "weak")
+    assert slopes == ()
     zeros = "error 0 at N=5, error 0 at N=10, error 0 at N=20"
     assert [str(w.message) for w in record] == [f"no weak slope for linear, euler ({zeros})"]
+    two_levels = small_config(step_counts=(10, 20), schemes=(SchemeKind.LOG_ODE,))
     with pytest.warns(UserWarning, match=r"^no strong slope for log-ode \(fewer than 3 step counts\)$"):
-        rep = harness.run_experiment(small_config(step_counts=(10, 20), schemes=(SchemeKind.LOG_ODE,)), ("strong",))
-    assert rep.slopes == () and len(rep.strong) == 2
+        rows, slopes = harness.run_experiment(two_levels, "strong")
+    assert slopes == () and len(rows) == 2
 
 
 def test_block_size_does_not_change_the_report(monkeypatch):
     cfg = small_config()
-    expected = harness.run_experiment(cfg)
+    expected = {metric: harness.run_experiment(cfg, metric) for metric in ("strong", "weak")}
     monkeypatch.setattr(harness, "_BLOCK", 97)  # does not divide the 400 paths
     for workers in (1, 2):
-        assert harness.run_experiment(cfg, workers=workers) == expected
+        assert {metric: harness.run_experiment(cfg, metric, workers) for metric in expected} == expected
 
 
 def test_non_finite_terminals_raise_through_the_pool(monkeypatch):
@@ -215,7 +211,7 @@ def test_non_finite_terminals_raise_through_the_pool(monkeypatch):
     wild = IgbmParams(a=0.1, b=0.04, sigma=100.0, y0=0.06, horizon=5.0)
     cfg = harness.ExperimentConfig(wild, (SchemeKind.PARABOLA_ODE,), (5, 10, 20), num_paths=100, seed=0)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="the parabola scheme"):
-        harness.run_experiment(cfg, workers=2)
+        harness.run_experiment(cfg, "strong", workers=2)
 
 
 def test_no_more_pool_processes_than_blocks(monkeypatch):
@@ -238,27 +234,25 @@ def test_no_more_pool_processes_than_blocks(monkeypatch):
 
     monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     one_block = small_config(num_paths=100, schemes=(SchemeKind.EULER_MARUYAMA,))
-    assert harness.run_experiment(one_block, workers=8) == harness.run_experiment(one_block)
+    assert harness.run_experiment(one_block, "strong", workers=8) == harness.run_experiment(one_block, "strong")
     assert sizes == []  # a single block runs in-process
     three_blocks = small_config(num_paths=1100, step_counts=(1, 2, 4), schemes=(SchemeKind.EULER_MARUYAMA,))
-    expected = harness.run_experiment(three_blocks)
+    expected = harness.run_experiment(three_blocks, "strong")
     for workers in (8, 2):
-        assert harness.run_experiment(three_blocks, workers=workers) == expected
+        assert harness.run_experiment(three_blocks, "strong", workers=workers) == expected
     assert sizes == [3, 2]
 
 
 def test_worker_count_invariance():
     cfg = small_config(num_paths=600, step_counts=(10, 20, 40))
-    rep1 = harness.run_experiment(cfg, metrics=("strong",), workers=1)
-    rep2 = harness.run_experiment(cfg, metrics=("strong",), workers=2)
-    assert rep1 == rep2
+    assert harness.run_experiment(cfg, "strong", workers=1) == harness.run_experiment(cfg, "strong", workers=2)
 
 
 def test_monotone_errors_at_test_scale():
-    cfg = harness.default_config(num_paths=2000, step_counts=(25, 50, 100, 200), seed=3)
-    rep = harness.run_experiment(cfg, metrics=("strong",))
+    cfg = small_config(num_paths=2000, step_counts=(25, 50, 100, 200), seed=3)
+    rows, _ = harness.run_experiment(cfg, "strong")
     for scheme in cfg.schemes:
-        errs = [r.error for r in rep.strong if r.scheme is scheme]
+        errs = [r.error for r in rows if r.scheme is scheme]
         violations = sum(1 for a, b in zip(errs, errs[1:]) if b > a)
         assert violations <= 1, (scheme, errs)
 
@@ -269,17 +263,17 @@ def test_monotone_errors_at_test_scale():
 
 def test_csv_writers(tmp_path):
     cfg = small_config(schemes=(SchemeKind.PARABOLA_ODE,))
-    rep = harness.run_experiment(cfg)
+    rows, slope_rows = harness.run_experiment(cfg, "strong")
     strong_csv = tmp_path / "strong.csv"
     slopes_csv = tmp_path / "slopes.csv"
-    harness.write_error_csv(rep.strong, strong_csv)
-    harness.write_slopes_csv(rep.slopes, slopes_csv)
+    harness.write_error_csv(rows, strong_csv)
+    harness.write_slopes_csv(slope_rows, slopes_csv)
     lines = strong_csv.read_text().splitlines()
     assert lines[0] == "scheme,N,h,error,std_err"
     assert lines[1].startswith("parabola,10,0.5,")
     assert len(lines) == 4
     fields = lines[1].split(",")
-    assert float(fields[3]) == rep.strong[0].error  # 17 significant digits round-trip
+    assert float(fields[3]) == rows[0].error  # 17 significant digits round-trip
     slopes = slopes_csv.read_text().splitlines()
     assert slopes[0] == "scheme,metric,slope,slope_stderr"
-    assert len(slopes) == 3
+    assert len(slopes) == 2 and slopes[1].startswith("parabola,strong,")

@@ -1,5 +1,6 @@
 """Tests for the orthogonal-polynomial layer."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -107,6 +108,19 @@ def test_basis_e_examples():
         op.basis_e_eval(0, 0.5)
     with pytest.raises(ValueError):
         op.inner_product_mu(0, 1)
+
+
+def test_basis_e_against_mpmath_beyond_max_degree():
+    # e_k = sqrt(k(k+1)/(2k+1))/2 (Q_{k+1} - Q_{k-1})(2t - 1) in 50 digits; only the
+    # monomial tables are capped at MAX_DEGREE, the value route stays accurate
+    k, t = 200, np.arange(1, 40) / 40.0
+    got = op.basis_e_eval(k, t)
+    with mpmath.workdps(50):
+        scale = mpmath.sqrt(mpmath.mpf(k * (k + 1)) / (2 * k + 1)) / 2
+        xs = [2 * mpmath.mpf(ti) - 1 for ti in t]
+        exact = [scale * (mpmath.legendre(k + 1, x) - mpmath.legendre(k - 1, x)) for x in xs]
+        err = max(abs(mpmath.mpf(g) - e) for g, e in zip(got, exact)) / max(abs(e) for e in exact)
+    assert float(err) < 1e-13
 
 
 def test_basis_e_positive_leading_coefficient():

@@ -71,7 +71,7 @@ def sample_kl_batch(degree, count, rng):
     z = rng.standard_normal((count, degree))
     w1 = z[:, 0]
     ks = np.arange(1, degree)
-    coeffs = z[:, 1:] * np.sqrt(1.0 / (ks * (ks + 1.0)))
+    coeffs = z[:, 1:] * np.sqrt(orthopoly.eigenvalue(ks))
     return w1, coeffs
 
 
@@ -84,17 +84,17 @@ def sample_kl_coefficients(degree, rng):
 def eval_polynomial_path(poly, t):
     """Evaluate W^n(t) = w1 * t + sum_k I_k e_k(t) for t in [0, 1].
 
-    For a batch of paths the result has shape (paths,) + shape(t); each e_k
-    is evaluated once for the whole batch.
+    For a batch of paths the result has shape (paths,) + shape(t).  One pass
+    of `orthopoly.basis_e_rows` gives each e_k once for the whole batch, so a
+    degree-n path costs O(n * size(t)).
     """
-    ta = np.asarray(t, dtype=float)
-    if np.any(ta < 0.0) or np.any(ta > 1.0):
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0.0) or np.any(t > 1.0):
         raise ValueError("t out of domain [0, 1]")
-    coeffs = np.asarray(poly.coeffs, dtype=float)
-    out = np.multiply.outer(poly.w1, ta)
-    for k in range(1, coeffs.shape[-1] + 1):
-        out = out + np.multiply.outer(coeffs[..., k - 1], orthopoly.basis_e_eval(k, ta))
-    return out if np.ndim(out) else float(out)
+    out = np.multiply.outer(poly.w1, t)
+    for column, e_k in zip(np.moveaxis(np.asarray(poly.coeffs, dtype=float), -1, 0), orthopoly.basis_e_rows(t)):
+        out = out + np.multiply.outer(column, e_k)
+    return out
 
 
 def coarsen_arrays(w_fine, h_fine):

@@ -7,6 +7,7 @@ All randomness flows from the single --seed flag.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import os
 import sys
@@ -133,18 +134,20 @@ def _effective_config(command, args):
     return merged, typed
 
 
-def _prepare_out(strings, command):
+@contextlib.contextmanager
+def _output(strings, command):
+    """Write the manifest and yield the output directory for the CSVs; a
+    manifest or CSV that cannot be written is a usage error."""
     out = strings["out"]
     try:
         os.makedirs(out, exist_ok=True)
-        manifest = os.path.join(out, "manifest.txt")
         lines = [f"command = {command}", f"artifact_version = {__version__}"]
         lines += [f"{key} = {strings[key]}" for key in sorted(strings)]
-        with open(manifest, "w", newline="\n") as fh:
+        with open(os.path.join(out, "manifest.txt"), "w", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
+        yield out
     except OSError as exc:
         raise UsageError(f"cannot write to output directory: {exc}") from None
-    return out
 
 
 def _igbm_params(cfg):
@@ -156,11 +159,11 @@ def _igbm_params(cfg):
 
 
 def cmd_basis(strings, cfg):
-    out = _prepare_out(strings, "basis")
     ts = np.linspace(0.0, 1.0, cfg["grid"])
-    table = [orthopoly.basis_e_eval(k, ts) for k in range(1, cfg["max_k"] + 1)]
-    rows = ((str(k), _fmt(t), _fmt(v)) for k, vals in enumerate(table, start=1) for t, v in zip(ts, vals))
-    _write_csv(os.path.join(out, "basis.csv"), "k,t,e_k(t)", rows)
+    table = zip(range(1, cfg["max_k"] + 1), orthopoly.basis_e_rows(ts))
+    rows = ((str(k), _fmt(t), _fmt(v)) for k, vals in table for t, v in zip(ts, vals))
+    with _output(strings, "basis") as out:
+        _write_csv(os.path.join(out, "basis.csv"), "k,t,e_k(t)", rows)
     return 0
 
 
@@ -170,15 +173,15 @@ def cmd_paths(strings, cfg):
         brownian.sample_kl_coefficients(degree, harness.path_generator(cfg["seed"], _DOMAIN_PATHS, degree, path_id))
         for path_id in range(cfg["paths"])
     ]
-    out = _prepare_out(strings, "paths")
     batch = brownian.BrownianPolynomial(w1=np.array([p.w1 for p in polys]), coeffs=np.stack([p.coeffs for p in polys]))
     ts = np.linspace(0.0, 1.0, cfg["grid"])
     values = brownian.eval_polynomial_path(batch, ts)
-    rows = ((str(i), _fmt(t), _fmt(v)) for i, row in enumerate(values) for t, v in zip(ts, row))
-    _write_csv(os.path.join(out, "paths.csv"), "path_id,t,kl_value", rows)
     table = np.column_stack((batch.w1, batch.coeffs))  # the k = 0 column carries the increment
-    rows = ((str(i), str(k), _fmt(ik)) for i, row in enumerate(table) for k, ik in enumerate(row))
-    _write_csv(os.path.join(out, "path_coeffs.csv"), "path_id,k,I_k", rows)
+    with _output(strings, "paths") as out:
+        rows = ((str(i), _fmt(t), _fmt(v)) for i, row in enumerate(values) for t, v in zip(ts, row))
+        _write_csv(os.path.join(out, "paths.csv"), "path_id,t,kl_value", rows)
+        rows = ((str(i), str(k), _fmt(ik)) for i, row in enumerate(table) for k, ik in enumerate(row))
+        _write_csv(os.path.join(out, "path_coeffs.csv"), "path_id,k,I_k", rows)
     return 0
 
 
@@ -191,10 +194,10 @@ def cmd_igbm_paths(strings, cfg):
         cfg["seed"], _DOMAIN_IGBM, n_steps, range(cfg["paths"]), n_steps, params.horizon / n_steps
     )
     traj = igbm.simulate(cfg["scheme"], params, w, h_area, record=True)
-    out = _prepare_out(strings, "igbm-paths")
     ts = np.linspace(0.0, params.horizon, n_steps + 1)
     rows = ((str(i), _fmt(t), _fmt(v)) for i, row in enumerate(traj) for t, v in zip(ts, row))
-    _write_csv(os.path.join(out, "igbm_paths.csv"), "path_id,t,value", rows)
+    with _output(strings, "igbm-paths") as out:
+        _write_csv(os.path.join(out, "igbm_paths.csv"), "path_id,t,value", rows)
     return 0
 
 
@@ -207,9 +210,9 @@ def _run_benchmark(strings, cfg, metric):
         seed=cfg["seed"],
     )
     rows, slopes = harness.run_experiment(config, metric, workers=cfg["workers"])
-    out = _prepare_out(strings, metric)
-    harness.write_error_csv(rows, os.path.join(out, f"{metric}.csv"))
-    harness.write_slopes_csv(slopes, os.path.join(out, "slopes.csv"))
+    with _output(strings, metric) as out:
+        harness.write_error_csv(rows, os.path.join(out, f"{metric}.csv"))
+        harness.write_slopes_csv(slopes, os.path.join(out, "slopes.csv"))
     return 0
 
 

@@ -88,9 +88,8 @@ class SchemeKind(enum.Enum):
 
 def phi(x):
     """(e^x - 1)/x as expm1(x)/x, and 1 at the removable singularity x = 0."""
-    xa = np.asarray(x, dtype=float)
-    out = np.divide(np.expm1(xa), xa, out=np.ones_like(xa), where=xa != 0)
-    return out if np.ndim(x) else float(out)
+    x = np.asarray(x, dtype=float)
+    return np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0)
 
 
 # Array kernels: one step of each scheme, for ndarray or scalar y / w / h_area.

@@ -2,17 +2,17 @@
 the orthonormal bridge eigenfunctions e_k built from them, and Gauss-Legendre
 quadrature rules used throughout the package."""
 
-from dataclasses import dataclass
+import itertools
 
 import numpy as np
 
 __all__ = [
     "MAX_DEGREE",
     "PolyBasis",
-    "QuadratureRule",
     "basis_e_deriv",
     "basis_e_eval",
     "basis_e_over_weight",
+    "basis_e_rows",
     "eigenvalue",
     "gauss_legendre",
     "gauss_legendre_01",
@@ -25,48 +25,44 @@ __all__ = [
 
 # Caps the monomial coefficient tables (`jacobi_m1m1_coeffs`, `PolyBasis`),
 # which become ill-conditioned well before it, and the `gauss_legendre` node
-# count.  The value routes (`basis_e_eval`) stay accurate far beyond it.
+# count.  The value routes (`basis_e_rows`) stay accurate far beyond it.
 MAX_DEGREE = 64
 
 
-def _as_array(x):
-    return np.asarray(x, dtype=float)
+def _legendre(x):
+    """Yield Q_0(x), Q_1(x), ... by the Bonnet recurrence, the one source of
+    every Legendre, Jacobi and e_k value in this module."""
+    x = np.asarray(x, dtype=float)
+    prev, cur = np.ones_like(x), x
+    yield prev
+    for n in itertools.count(2):
+        yield cur
+        prev, cur = cur, ((2 * n - 1) * x * cur - (n - 1) * prev) / n
 
 
-def _match(x, out):
-    """Return a scalar when the input was scalar, else the array."""
-    return out if np.ndim(x) else float(out)
+def _jacobi(x):
+    """Yield P_2^(-1,-1)(x), P_3^(-1,-1)(x), ... as P_{n+1} = n/(4n+2) *
+    (Q_{n+1} - Q_{n-1}), which is numerically stable at high degree and
+    exactly zero at x = +-1."""
+    q = _legendre(x)
+    q_prev, q_n = next(q), next(q)
+    for n, q_next in enumerate(q, start=1):
+        yield n / (4.0 * n + 2.0) * (q_next - q_prev)
+        q_prev, q_n = q_n, q_next
 
 
 def legendre_eval(k, x):
     """Evaluate the Legendre polynomial Q_k on [-1, 1] by the Bonnet recurrence."""
     if k < 0:
         raise ValueError("degree out of range: k must be >= 0")
-    xa = _as_array(x)
-    return _match(x, _legendre_pair(k, xa)[0] if k else np.ones_like(xa))
-
-
-def _legendre_pair(k, xa):
-    """Return (Q_k, Q_{k-1}) evaluated at an array, k >= 1."""
-    prev, cur = np.ones_like(xa), xa.copy()
-    for n in range(2, k + 1):
-        prev, cur = cur, ((2 * n - 1) * xa * cur - (n - 1) * prev) / n
-    return cur, prev
+    return next(itertools.islice(_legendre(x), k, None))
 
 
 def jacobi_m1m1_eval_legendre(k, x):
-    """Evaluate P_k^(-1,-1)(x) as a rescaled difference of Legendre polynomials.
-
-    Uses P_{n+1} = n/(4n+2) * (Q_{n+1} - Q_{n-1}) with n = k - 1, which is
-    numerically stable at high degree and exactly zero at x = +-1.
-    """
+    """Evaluate P_k^(-1,-1)(x) as a rescaled difference of Legendre polynomials."""
     if k < 2:
         raise ValueError("degree out of range: k must be >= 2")
-    xa = _as_array(x)
-    n = k - 1
-    q_n, q_prev = _legendre_pair(n, xa)
-    q_next = ((2 * n + 1) * xa * q_n - n * q_prev) / (n + 1)  # one more Bonnet step
-    return _match(x, n / (4.0 * n + 2.0) * (q_next - q_prev))
+    return next(itertools.islice(_jacobi(x), k - 2, None))
 
 
 def jacobi_m1m1_eval_recurrence(k, x):
@@ -77,14 +73,14 @@ def jacobi_m1m1_eval_recurrence(k, x):
     """
     if k < 2:
         raise ValueError("degree out of range: k must be >= 2")
-    xa = _as_array(x)
-    p_lo = 0.25 * (xa - 1.0) * (xa + 1.0)
+    x = np.asarray(x, dtype=float)
+    p_lo = 0.25 * (x - 1.0) * (x + 1.0)
     if k == 2:
-        return _match(x, p_lo)
-    p_hi = 0.5 * xa * (xa - 1.0) * (xa + 1.0)
+        return p_lo
+    p_hi = 0.5 * x * (x - 1.0) * (x + 1.0)
     for n in range(2, k - 1):
-        p_lo, p_hi = p_hi, ((n + 1) * (2 * n + 1) * xa * p_hi - n * (n + 1) * p_lo) / (n * (n + 2))
-    return _match(x, p_hi)
+        p_lo, p_hi = p_hi, ((n + 1) * (2 * n + 1) * x * p_hi - n * (n + 1) * p_lo) / (n * (n + 2))
+    return p_hi
 
 
 def jacobi_m1m1_coeffs(k):
@@ -109,8 +105,9 @@ def jacobi_m1m1_coeffs(k):
 
 
 def eigenvalue(k):
-    """Variance of the k-th expansion coefficient: 1 / (k (k + 1))."""
-    if k < 1:
+    """Variance of the k-th expansion coefficient, 1 / (k (k + 1)), for an
+    index k >= 1 or an array of them."""
+    if np.any(np.asarray(k) < 1):
         raise ValueError("index out of range: k must be >= 1")
     return 1.0 / (k * (k + 1.0))
 
@@ -120,25 +117,30 @@ def _e_norm(k):
     return np.sqrt(k * (k + 1.0) * (2.0 * k + 1.0)) / k
 
 
-def basis_e_eval(k, t):
-    """Evaluate the orthonormal eigenfunction e_k at t in [0, 1].
+def basis_e_rows(t):
+    """Yield e_1(t), e_2(t), ... in one pass of the recurrence, so the first
+    n rows cost O(n * size(t)).
 
     e_k(t) = sqrt(k(k+1)(2k+1))/k * P_{k+1}^(-1,-1)(2t - 1), with positive
-    leading coefficient.  Evaluated via the Legendre-difference route, so
-    e_k(0) = e_k(1) = 0 exactly.
+    leading coefficient; e_k(0) = e_k(1) = 0 exactly.
     """
+    for k, p in enumerate(_jacobi(2.0 * t - 1.0), start=1):
+        yield _e_norm(k) * p
+
+
+def basis_e_eval(k, t):
+    """Evaluate the orthonormal eigenfunction e_k at t in [0, 1]: row k of
+    `basis_e_rows`."""
     if k < 1:
         raise ValueError("index out of range: k must be >= 1")
-    ta = _as_array(t)
-    return _match(t, _e_norm(k) * jacobi_m1m1_eval_legendre(k + 1, 2.0 * ta - 1.0))
+    return next(itertools.islice(basis_e_rows(t), k - 1, None))
 
 
 def basis_e_deriv(k, t):
     """Evaluate e_k'(t) = sqrt(k(k+1)(2k+1)) * Q_k(2t - 1)."""
     if k < 1:
         raise ValueError("index out of range: k must be >= 1")
-    ta = _as_array(t)
-    return _match(t, k * _e_norm(k) * legendre_eval(k, 2.0 * ta - 1.0))
+    return k * _e_norm(k) * legendre_eval(k, 2.0 * t - 1.0)
 
 
 def basis_e_over_weight(k, t):
@@ -147,61 +149,47 @@ def basis_e_over_weight(k, t):
     Interior points divide the stable e_k values by t(1-t); at the roots the
     value is the derivative limit +-e_k'.
     """
-    if k < 1:
-        raise ValueError("index out of range: k must be >= 1")
-    ta = np.atleast_1d(_as_array(t)).copy()
-    out = np.empty_like(ta)
-    at0 = ta == 0.0
-    at1 = ta == 1.0
-    interior = ~(at0 | at1)
-    if interior.any():
-        ti = ta[interior]
-        out[interior] = basis_e_eval(k, ti) / (ti * (1.0 - ti))
-    if at0.any():
-        out[at0] = basis_e_deriv(k, 0.0)
-    if at1.any():
-        out[at1] = -basis_e_deriv(k, 1.0)
-    return _match(t, out if np.ndim(t) else out[0])
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Gauss-Legendre nodes and weights on [-1, 1]."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
+    t = np.asarray(t, dtype=float)
+    e_k = basis_e_eval(k, t)
+    slope = k * _e_norm(k)  # e_k'(1); e_k'(0) = (-1)^k e_k'(1), as Q_k(+-1) = (+-1)^k exactly
+    limits = np.where(t < 0.5, (-1) ** k * slope, -slope)
+    return np.divide(e_k, t * (1.0 - t), out=limits, where=(t != 0.0) & (t != 1.0))
 
 
 def gauss_legendre(n):
-    """Gauss-Legendre rule with n nodes, exact for polynomials of degree 2n - 1.
+    """Gauss-Legendre rule with n nodes on [-1, 1], exact for polynomials of
+    degree 2n - 1: returns (nodes, weights), nodes ascending.
 
     Nodes are found by Newton iteration on Q_n from Chebyshev-like initial
     guesses, to a 1e-15 update tolerance, then symmetrized about zero.
     """
     if not 1 <= n <= MAX_DEGREE:
         raise ValueError(f"unsupported node count: need 1 <= n <= {MAX_DEGREE}")
+
+    def q_and_slope(x):  # Q_n(x) and Q_n'(x) = n (x Q_n - Q_{n-1}) / (x^2 - 1)
+        q_prev, q = itertools.islice(_legendre(x), n - 1, n + 1)
+        return q, n * (x * q - q_prev) / (x * x - 1.0)
+
     i = np.arange(1, n + 1)
     x = np.cos(np.pi * (4.0 * i - 1.0) / (4.0 * n + 2.0))
     for _ in range(100):
-        q, q_prev = _legendre_pair(n, x)
-        dq = n * (x * q - q_prev) / (x * x - 1.0)
+        q, dq = q_and_slope(x)
         dx = q / dq
         x -= dx
         if np.max(np.abs(dx)) <= 1e-15:
             break
     x = 0.5 * (x - x[::-1])  # enforce exact symmetry (middle node -> 0 for odd n)
-    q, q_prev = _legendre_pair(n, x)
-    dq = n * (x * q - q_prev) / (x * x - 1.0)
+    _, dq = q_and_slope(x)
     w = 2.0 / ((1.0 - x * x) * dq * dq)
     w = 0.5 * (w + w[::-1])
     order = np.argsort(x)
-    return QuadratureRule(nodes=x[order], weights=w[order])
+    return x[order], w[order]
 
 
 def gauss_legendre_01(n):
     """Gauss-Legendre nodes and weights mapped to [0, 1]."""
-    rule = gauss_legendre(n)
-    return 0.5 * (rule.nodes + 1.0), 0.5 * rule.weights
+    nodes, weights = gauss_legendre(n)
+    return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
 def inner_product_mu(i, j):
@@ -274,4 +262,4 @@ class PolyBasis:
 
     def e_eval(self, k, t):
         """Horner evaluation of e_k from its [0, 1] coefficient table."""
-        return np.polynomial.polynomial.polyval(_as_array(t), self.e_coeffs(k))
+        return np.polynomial.polynomial.polyval(t, self.e_coeffs(k))

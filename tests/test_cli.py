@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import hashlib
 import importlib
 import os
 import pkgutil
@@ -203,9 +204,49 @@ def test_out_of_memory_refused_before_output(tmp_path, capsys, monkeypatch):
 
 
 def test_paths_beyond_the_coefficient_tables(tmp_path):
+    # up to the largest degree the CLI accepts: one recurrence pass over the
+    # basis keeps degree 65535 at about a second
+    for degree, paths in ((200, 3), (harness.MAX_LEVEL - 1, 1)):
+        out = tmp_path / str(degree)
+        assert run(["paths", "--degree", str(degree), "--paths", str(paths), "--grid", "11", "--out", str(out)]) == 0
+        coeffs = (out / "path_coeffs.csv").read_text().splitlines()
+        assert len(coeffs) == 1 + paths * degree
+        values = [line.split(",") for line in (out / "paths.csv").read_text().splitlines()[1:]]
+        assert float(values[0][2]) == 0.0
+        assert values[10][2] == coeffs[1].split(",")[2]  # e_k(1) = 0 exactly, so W(1) is the increment
+
+
+# SHA-256 of CSVs written at the commit before the basis moved to one
+# recurrence pass (NumPy 2.4.6): rewriting an evaluation route must not
+# change a byte of them.
+_DIGESTS = {
+    ("basis",): {"basis.csv": "35e8a071ee8cf031c65b86728166c7df907db733eb55e89275c01b1ea5558e19"},
+    ("paths", "--degree", "20", "--paths", "3", "--grid", "11", "--seed", "1"): {
+        "paths.csv": "486df5083adf2300e6c5a29a4f863a224af3698d1c68faafb5f9503dc82598c3",
+        "path_coeffs.csv": "fc86dec532137dd874a37aadac3a36fdeae59331aebdc129d67f4af75fc6524a",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", list(_DIGESTS), ids=lambda argv: argv[0])
+def test_basis_and_paths_keep_their_bytes(tmp_path, argv):
     out = tmp_path / "o"
-    assert run(["paths", "--degree", "200", "--paths", "3", "--grid", "11", "--out", str(out)]) == 0
-    assert len((out / "path_coeffs.csv").read_text().splitlines()) == 1 + 3 * 200
+    assert run([*argv, "--out", str(out)]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in _DIGESTS[argv]}
+    assert digests == _DIGESTS[argv], f"bytes differ from those recorded with NumPy 2.4.6 (this is {np.__version__})"
+
+
+@pytest.mark.parametrize(
+    "argv, csv",
+    [(["basis"], "basis.csv"), (["strong", "--paths", "100", "--steps", "5,10,20"], "strong.csv")],
+    ids=["basis", "strong"],
+)
+def test_unwritable_csv_is_a_usage_error(tmp_path, capsys, argv, csv):
+    out = tmp_path / "o"
+    (out / csv).mkdir(parents=True)
+    assert run([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("polybrown: error: cannot write to output directory:"), err
 
 
 def test_bad_grid_refused_before_output(tmp_path):

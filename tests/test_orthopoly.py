@@ -155,28 +155,28 @@ def test_basis_e_over_weight_endpoints():
 
 
 def test_gauss_legendre_closed_forms():
-    r1 = op.gauss_legendre(1)
-    np.testing.assert_allclose(r1.nodes, [0.0], atol=0)
-    np.testing.assert_allclose(r1.weights, [2.0], atol=0)
+    nodes, weights = op.gauss_legendre(1)
+    np.testing.assert_allclose(nodes, [0.0], atol=0)
+    np.testing.assert_allclose(weights, [2.0], atol=0)
 
-    r2 = op.gauss_legendre(2)
-    np.testing.assert_allclose(r2.nodes, [-1 / np.sqrt(3), 1 / np.sqrt(3)], atol=1e-15)
-    np.testing.assert_allclose(r2.weights, [1.0, 1.0], atol=1e-15)
+    nodes, weights = op.gauss_legendre(2)
+    np.testing.assert_allclose(nodes, [-1 / np.sqrt(3), 1 / np.sqrt(3)], atol=1e-15)
+    np.testing.assert_allclose(weights, [1.0, 1.0], atol=1e-15)
 
-    r3 = op.gauss_legendre(3)
-    np.testing.assert_allclose(r3.nodes, [-np.sqrt(0.6), 0.0, np.sqrt(0.6)], atol=1e-15)
-    np.testing.assert_allclose(r3.weights, [5 / 9, 8 / 9, 5 / 9], atol=1e-15)
+    nodes, weights = op.gauss_legendre(3)
+    np.testing.assert_allclose(nodes, [-np.sqrt(0.6), 0.0, np.sqrt(0.6)], atol=1e-15)
+    np.testing.assert_allclose(weights, [5 / 9, 8 / 9, 5 / 9], atol=1e-15)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 20, 40, 64])
 def test_gauss_legendre_degree_exactness(n):
-    rule = op.gauss_legendre(n)
-    assert abs(np.sum(rule.weights) - 2.0) < 1e-14
-    assert np.all(rule.weights > 0)
-    assert np.all(np.diff(rule.nodes) > 0)
+    nodes, weights = op.gauss_legendre(n)
+    assert abs(np.sum(weights) - 2.0) < 1e-14
+    assert np.all(weights > 0)
+    assert np.all(np.diff(nodes) > 0)
     for m in range(2 * n):
         exact = 2.0 / (m + 1) if m % 2 == 0 else 0.0
-        quad = float(np.sum(rule.weights * rule.nodes**m))
+        quad = float(np.sum(weights * nodes**m))
         assert abs(quad - exact) < 5e-14, (n, m)
 
 

@@ -1,11 +1,13 @@
 """Property-based tests of the simulation and coarsening algebra."""
 
+import itertools
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polybrown import brownian as bm
-from polybrown import harness, igbm, levy
+from polybrown import harness, igbm, levy, orthopoly
 
 # Derandomized, so that a run of the suite is reproducible.
 PROPERTY = settings(deadline=None, derandomize=True, max_examples=200)
@@ -117,3 +119,15 @@ def test_block_split_does_not_change_terminals(step_counts, n, data, seed):
     assert coarse.keys() == {(n_steps, scheme) for n_steps in step_counts for scheme in schemes}
     for key, terminals in coarse.items():
         assert terminals.tobytes() == np.concatenate([part[key] for _, part in parts]).tobytes()
+
+
+@PROPERTY
+@given(st.integers(1, 300), st.lists(st.floats(0.0, 1.0), max_size=20))
+def test_basis_rows_are_the_single_evaluations(k, inner):
+    # row k of the one-pass basis is e_k bitwise, at a grid point or alone,
+    # and vanishes exactly at both ends
+    t = np.array([0.0, *inner, 1.0])
+    row = next(itertools.islice(orthopoly.basis_e_rows(t), k - 1, None))
+    assert row.tobytes() == orthopoly.basis_e_eval(k, t).tobytes()
+    assert row[0] == 0.0 and row[-1] == 0.0
+    assert orthopoly.basis_e_eval(k, t[len(t) // 2]) == row[len(t) // 2]

@@ -18,8 +18,16 @@ def _worst(residuals):
 
 
 def orthonormality(g):
-    """max |<e_i, e_j> - delta_ij| under the bridge weight, i, j <= 20."""
-    return _worst(orthopoly.inner_product_mu(i, j) - float(i == j) for i in range(1, 21) for j in range(1, 21))
+    """max |<e_i, e_j> - delta_ij| under the bridge weight, i, j <= 20; each pair
+    on the n-node rule, n = ceil((i + j + 1)/2), exact for its degree i + j."""
+    degree = np.add.outer(np.arange(1, 21), np.arange(1, 21))
+    residuals = []
+    for n in range(2, 22):
+        t, w = orthopoly.gauss_legendre_01(n)
+        e = np.array([e_k for e_k, _ in zip(orthopoly.basis_e_rows(t), range(20))])
+        gram = np.sum(w * e[:, None] * (e / (t * (1.0 - t)))[None], axis=-1)
+        residuals.append((gram - np.eye(20))[(degree + 2) // 2 == n])
+    return _worst(residuals)
 
 
 def evaluation_routes(g):

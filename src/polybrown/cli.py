@@ -190,8 +190,8 @@ def cmd_igbm_paths(strings, cfg):
         raise UsageError("igbm-paths expects a single --steps value")
     n_steps = cfg["steps"][0]
     params = _igbm_params(cfg)
-    w, h_area = harness.path_increments(
-        cfg["seed"], _DOMAIN_IGBM, n_steps, range(cfg["paths"]), n_steps, params.horizon / n_steps
+    w, h_area = next(
+        harness.path_increments(cfg["seed"], _DOMAIN_IGBM, n_steps, range(cfg["paths"]), n_steps, params.horizon / n_steps)
     )
     traj = igbm.simulate(cfg["scheme"], params, w, h_area, record=True)
     ts = np.linspace(0.0, params.horizon, n_steps + 1)

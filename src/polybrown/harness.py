@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 _BLOCK = 512  # paths per work item; fixed so work decomposition never affects values
+_CHUNK = 320  # fine steps per time chunk, unless one coarsest step is longer; never affects values
 _DOMAIN_HARNESS = 1
 MAX_PATHS = 1 << 32  # path indices fill 32 bits of the stream key (see `path_generator`)
 MAX_LEVEL = 1 << 16  # stream levels fill 16 bits of it
@@ -87,32 +88,41 @@ def path_generator(seed, domain, level, index):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def path_increments(seed, domain, level, indices, n_intervals, length):
-    """(W, H) arrays of shape (len(indices), n_intervals) for intervals of
-    the given length: each path's stream draws its standard normals in one
-    call, W ~ N(0, length) and H ~ N(0, length/12)."""
-    w = np.empty((len(indices), n_intervals))
-    h_area = np.empty((len(indices), n_intervals))
-    for row, index in enumerate(indices):
-        z = path_generator(seed, domain, level, index).standard_normal((n_intervals, 2))
-        w[row] = z[:, 0]
-        h_area[row] = z[:, 1]
-    w *= np.sqrt(length)
-    h_area *= np.sqrt(length / 12.0)
-    return w, h_area
+def path_increments(seed, domain, level, indices, n_intervals, length, chunk=None):
+    """Yield (W, H) arrays of shape (len(indices), chunk), in time order, for
+    n_intervals intervals of the given length (one chunk by default): W ~
+    N(0, length), H ~ N(0, length/12).  Each path's stream stays open, so the
+    chunks joined are one draw; each array's columns are contiguous."""
+    chunk = n_intervals if chunk is None else chunk
+    if n_intervals % chunk:
+        raise ValueError("chunk must divide n_intervals")
+    generators = [path_generator(seed, domain, level, index) for index in indices]
+    z = np.empty((len(generators), chunk, 2))
+    scale = np.sqrt([length, length / 12.0])[:, None, None]
+    for _ in range(n_intervals // chunk):
+        for row, generator in zip(z, generators):
+            generator.standard_normal((chunk, 2), out=row)
+        w, h_area = np.multiply(z.transpose(2, 1, 0), scale, order="C")  # time-major (2, chunk, paths)
+        yield w.T, h_area.T
 
 
 def _simulate_block(params, schemes, step_counts, n_fine, seed, lo, hi):
     """Terminal values for paths [lo, hi): the log-ODE reference on `n_fine`
     steps, and {(step count, scheme): terminals} on the same increments,
-    coarsened exactly from the finest level down."""
-    w, h_area = path_increments(seed, _DOMAIN_HARNESS, 0, range(lo, hi), n_fine, params.horizon / n_fine)
-    fine = igbm.simulate(igbm.SchemeKind.LOG_ODE, params, w, h_area)
-    coarse = {}
-    for n_steps in reversed(step_counts):
-        shape = (hi - lo, n_steps, w.shape[1] // n_steps)
-        w, h_area = coarsen_arrays(w.reshape(shape), h_area.reshape(shape))
-        coarse.update({(n_steps, scheme): igbm.simulate(scheme, params, w, h_area) for scheme in schemes})
+    coarsened exactly from the finest level down, streamed through time in
+    chunks of whole coarsest steps (the most, dividing their count, within
+    `_CHUNK`), so memory does not grow with `n_fine`."""
+    per_step = n_fine // step_counts[0]
+    chunk = per_step * max(g for g in range(1, max(1, _CHUNK // per_step) + 1) if step_counts[0] % g == 0)
+    fine = np.full(hi - lo, params.y0)
+    coarse = {(n_steps, scheme): fine for n_steps in step_counts for scheme in schemes}
+    for w, h_area in path_increments(seed, _DOMAIN_HARNESS, 0, range(lo, hi), n_fine, params.horizon / n_fine, chunk):
+        fine = igbm.simulate(igbm.SchemeKind.LOG_ODE, params, w, h_area, y=fine, h=params.horizon / n_fine)
+        for n_steps in reversed(step_counts):
+            w, h_area = coarsen_arrays(*(a.reshape(hi - lo, n_steps * chunk // n_fine, -1) for a in (w, h_area)))
+            h = params.horizon / n_steps
+            for scheme in schemes:
+                coarse[n_steps, scheme] = igbm.simulate(scheme, params, w, h_area, y=coarse[n_steps, scheme], h=h)
     return fine, coarse
 
 

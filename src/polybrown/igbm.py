@@ -153,14 +153,14 @@ def kernel_fn(kind):
     return _KERNELS[kind]
 
 
-def simulate(kind, p, w, h_area, record=False):
+def simulate(kind, p, w, h_area, record=False, y=None, h=None):
     """Fold the chosen scheme over the columns of (paths, steps) arrays of
-    per-interval increments W and space-time areas H, from y0 with step
-    length horizon / steps.
+    per-interval increments W and space-time areas H, from `y` (y0) with step
+    length `h` (horizon / steps), so a run cut into pieces can resume.
 
     Returns the terminal values (paths,), or with `record` the trajectories
-    (paths, steps + 1) including y0.  Each row depends on its own row of
-    data only, so a path's values do not depend on the batch it is in.
+    (paths, steps + 1) including the start.  Each row depends on its own row
+    of data only, so a path's values do not depend on the batch it is in.
     Raises ValueError, naming the scheme, if any returned value is not finite.
     """
     w = np.asarray(w, dtype=float)
@@ -171,9 +171,9 @@ def simulate(kind, p, w, h_area, record=False):
     if steps == 0:
         raise ValueError("need at least one step")
     kernel = _KERNELS[kind]
-    h = p.horizon / steps
+    h = p.horizon / steps if h is None else h
     par = (p.a, p.b, p.sigma, p.a_strat, p.b_strat)
-    y = np.full(paths, p.y0)
+    y = np.full(paths, p.y0) if y is None else y
     if record:
         traj = np.empty((paths, steps + 1))
         traj[:, 0] = y

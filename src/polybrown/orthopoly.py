@@ -16,7 +16,6 @@ __all__ = [
     "eigenvalue",
     "gauss_legendre",
     "gauss_legendre_01",
-    "inner_product_mu",
     "jacobi_m1m1_coeffs",
     "jacobi_m1m1_eval_legendre",
     "jacobi_m1m1_eval_recurrence",
@@ -190,20 +189,6 @@ def gauss_legendre_01(n):
     """Gauss-Legendre nodes and weights mapped to [0, 1]."""
     nodes, weights = gauss_legendre(n)
     return 0.5 * (nodes + 1.0), 0.5 * weights
-
-
-def inner_product_mu(i, j):
-    """The weighted inner product  integral_0^1 e_i(t) e_j(t) / (t(1-t)) dt.
-
-    The integrand is a polynomial of degree i + j (the weight cancels one of
-    e_j's roots at each end), so a ceil((i+j+1)/2)-node Gauss-Legendre rule
-    integrates it exactly.  Values come from the stable evaluators; the nodes
-    are interior so the division never touches the singularity.
-    """
-    if i < 1 or j < 1:
-        raise ValueError("index out of range: i, j must be >= 1")
-    t, w = gauss_legendre_01((i + j + 1 + 1) // 2)
-    return float(np.sum(w * basis_e_eval(i, t) * basis_e_over_weight(j, t)))
 
 
 def _shift_to_unit(coeffs_x):

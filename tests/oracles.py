@@ -1,9 +1,11 @@
 """Discretised references the tests hold `polybrown` to.
 
 Dense Brownian paths, trapezoidal extraction of expansion coefficients, the
-Brownian parabola and arch, the prefix-sum coarsening of (W, H) pairs and
-direct discretisations of the iterated integrals.  Nothing in `polybrown`
-runs them; they check the closed forms and the exact algebra it does run.
+weighted inner product of the basis one pair at a time, the Brownian parabola
+and arch, the prefix-sum coarsening of (W, H) pairs, direct discretisations
+of the iterated integrals, and a harness block simulated on whole arrays.
+Nothing in `polybrown` runs them; they check the closed forms and the exact
+algebra it does run.
 A path is the pair of plain arrays `(grid, values)`, with values along the
 last axis (leading axes index paths); an interval is its increment `w` and
 rescaled space-time area `h_area`.
@@ -11,7 +13,7 @@ rescaled space-time area `h_area`.
 
 import numpy as np
 
-from polybrown import levy, orthopoly
+from polybrown import brownian, igbm, levy, orthopoly
 
 
 def sample_brownian_dense(n_steps, rng, size=()):
@@ -33,6 +35,20 @@ def extract_Ik(grid, values, k):
         raise ValueError("grid too coarse: need at least 16 steps")
     bridge = values - values[..., :1] - grid * (values[..., -1:] - values[..., :1])
     return np.trapezoid(bridge * orthopoly.basis_e_over_weight(k, grid), grid, axis=-1)
+
+
+def inner_product_mu(i, j):
+    """The weighted inner product  integral_0^1 e_i(t) e_j(t) / (t(1-t)) dt.
+
+    The integrand is a polynomial of degree i + j (the weight cancels one of
+    e_j's roots at each end), so a ceil((i+j+1)/2)-node Gauss-Legendre rule
+    integrates it exactly.  Values come from the stable evaluators; the nodes
+    are interior so the division never touches the singularity.
+    """
+    if i < 1 or j < 1:
+        raise ValueError("index out of range: i, j must be >= 1")
+    t, w = orthopoly.gauss_legendre_01((i + j + 1 + 1) // 2)
+    return float(np.sum(w * orthopoly.basis_e_eval(i, t) * orthopoly.basis_e_over_weight(j, t)))
 
 
 def parabola_eval(start, w, h_area, u):
@@ -107,3 +123,17 @@ def discrete_integrals(grid, values):
     h_area = i_wt / h - 0.5 * w
     l_area = (i_wwt - 2.0 * i_wtw + i_tww) / 6.0
     return w, h_area, l_area, levy.TripleIntegrals(i_wwt=i_wwt, i_wtw=i_wtw, i_tww=i_tww, i_wt=i_wt, i_tw=i_tw)
+
+
+def whole_block(params, schemes, step_counts, w, h_area):
+    """The harness's block on whole (paths, fine steps) arrays W and H: the
+    log-ODE reference over every fine step, then each level coarsened from
+    the next finer one over the whole horizon.  Returns the reference
+    terminals and {(step count, scheme): terminals}."""
+    fine = igbm.simulate(igbm.SchemeKind.LOG_ODE, params, w, h_area)
+    coarse = {}
+    for n_steps in reversed(step_counts):
+        shape = (w.shape[0], n_steps, w.shape[1] // n_steps)
+        w, h_area = brownian.coarsen_arrays(w.reshape(shape), h_area.reshape(shape))
+        coarse.update({(n_steps, scheme): igbm.simulate(scheme, params, w, h_area) for scheme in schemes})
+    return fine, coarse

@@ -300,8 +300,8 @@ def test_check_command(capsys):
 
 
 def test_check_fails_loudly_and_runs_every_suite(capsys, monkeypatch):
-    inner = orthopoly.inner_product_mu
-    monkeypatch.setattr(orthopoly, "inner_product_mu", lambda i, j: inner(i, j) + 1e-9)
+    rows = orthopoly.basis_e_rows
+    monkeypatch.setattr(orthopoly, "basis_e_rows", lambda t: (e_k + 1e-9 for e_k in rows(t)))
     assert run(["check", "--seed", "3"]) == 1
     lines = check_lines(capsys)
     assert [name for _, name, *_ in lines] == [name for name, _, _ in checks.SUITES]
@@ -311,8 +311,12 @@ def test_check_fails_loudly_and_runs_every_suite(capsys, monkeypatch):
 
 
 def test_check_fails_on_nan(capsys, monkeypatch):
-    inner = orthopoly.inner_product_mu
-    monkeypatch.setattr(orthopoly, "inner_product_mu", lambda i, j: np.nan if (i, j) == (3, 5) else inner(i, j))
+    rows = orthopoly.basis_e_rows
+
+    def nan_in_e3_on_the_5_node_rule(t):
+        return (np.nan * e_k if k == 3 and np.size(t) == 5 else e_k for k, e_k in enumerate(rows(t), start=1))
+
+    monkeypatch.setattr(orthopoly, "basis_e_rows", nan_in_e3_on_the_5_node_rule)
     assert np.isnan(checks.orthonormality(np.random.default_rng(0)))
     assert run(["check"]) == 1
     assert [line for line in check_lines(capsys) if line[0] == "FAIL"] == [("FAIL", "orthonormality", "nan", ">", "1e-10")]

@@ -2,12 +2,14 @@
 
 import itertools
 import multiprocessing
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from polybrown import harness
 from polybrown.igbm import REFERENCE, IgbmParams, SchemeKind
 
@@ -88,11 +90,29 @@ def test_path_generator_rejects_out_of_range_keys():
 
 
 def test_path_increments_scale_one_stream_per_path():
-    w, hh = harness.path_increments(7, 1, 25, range(2, 5), 6, 0.2)
+    w, hh = next(harness.path_increments(7, 1, 25, range(2, 5), 6, 0.2))
     assert w.shape == hh.shape == (3, 6)
     z = harness.path_generator(7, 1, 25, 3).standard_normal((6, 2))
     np.testing.assert_array_equal(w[1], z[:, 0] * np.sqrt(0.2))
     np.testing.assert_array_equal(hh[1], z[:, 1] * np.sqrt(0.2 / 12.0))
+
+
+@settings(deadline=None, derandomize=True, max_examples=50)
+@given(st.integers(1, 60), st.integers(1, 4), st.integers(0, 2**64 - 1))
+def test_chunked_draws_join_to_one_draw(n, paths, seed):
+    # every chunk length that divides n gives the single draw's columns, to
+    # the bit, in time-major chunks; any other length is refused
+    whole = next(harness.path_increments(seed, 1, 25, range(paths), n, 0.2))
+    for chunk in range(1, n + 1):
+        draws = harness.path_increments(seed, 1, 25, range(paths), n, 0.2, chunk)
+        if n % chunk:
+            with pytest.raises(ValueError, match="chunk must divide"):
+                next(draws)
+            continue
+        chunks = list(draws)
+        assert all(a.shape == (paths, chunk) and a.flags.f_contiguous for pair in chunks for a in pair)
+        for joined, expected in zip(map(np.hstack, zip(*chunks)), whole):
+            assert joined.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +155,25 @@ def test_strong_coupling_identity():
     fine, coarse = harness._simulate_block(REFERENCE, (SchemeKind.LOG_ODE,), (20,), 20, 99, 0, 400)
     np.testing.assert_array_equal(fine, coarse[20, SchemeKind.LOG_ODE])
     assert harness._strong_stats(fine, coarse[20, SchemeKind.LOG_ODE]) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("step_counts", [(100, 200, 400), (200, 400, 800)])
+def test_block_memory_does_not_grow_with_the_fine_mesh(step_counts):
+    # a 64-path block on 4000 and 8000 fine steps: held as whole arrays its W
+    # and H alone would take 4 and 8 MB; streamed it is the same block
+    n_fine = harness.fine_steps(step_counts)
+    args = (REFERENCE, tuple(SchemeKind), step_counts, n_fine, 5, 0, 64)
+    tracemalloc.start()
+    try:
+        fine, coarse = harness._simulate_block(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 << 20
+    w, h_area = next(harness.path_increments(5, harness._DOMAIN_HARNESS, 0, range(64), n_fine, REFERENCE.horizon / n_fine))
+    expected_fine, expected = oracles.whole_block(REFERENCE, tuple(SchemeKind), step_counts, w, h_area)
+    assert fine.tobytes() == expected_fine.tobytes()
+    assert all(coarse[key].tobytes() == terminals.tobytes() for key, terminals in expected.items())
 
 
 def test_weak_coupling_identity():

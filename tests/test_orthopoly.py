@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import oracles
 from polybrown import checks
 from polybrown import orthopoly as op
 
@@ -107,7 +108,7 @@ def test_basis_e_examples():
     with pytest.raises(ValueError):
         op.basis_e_eval(0, 0.5)
     with pytest.raises(ValueError):
-        op.inner_product_mu(0, 1)
+        oracles.inner_product_mu(0, 1)
 
 
 def test_basis_e_against_mpmath_beyond_max_degree():
@@ -188,6 +189,13 @@ def test_gauss_legendre_node_count_validation():
 
 # ---------------------------------------------------------------------------
 # Orthogonality properties
+
+
+def test_orthonormality_suite_is_the_worst_single_inner_product():
+    # one basis pass per rule size gives, to the bit, the worst of the 400
+    # inner products computed one pair at a time
+    pairs = [oracles.inner_product_mu(i, j) - float(i == j) for i in range(1, 21) for j in range(1, 21)]
+    assert checks.orthonormality(np.random.default_rng(0)) == max(abs(r) for r in pairs)
 
 
 def test_derivative_l2_orthogonality():

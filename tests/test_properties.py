@@ -1,11 +1,13 @@
 """Property-based tests of the simulation and coarsening algebra."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from polybrown import brownian as bm
 from polybrown import harness, igbm, levy, orthopoly
 
@@ -57,6 +59,21 @@ def test_simulate_rows_do_not_depend_on_the_batch(p, data, kind):
     for row in range(w.shape[0]):
         alone = igbm.simulate(kind, p, w[row : row + 1], h_area[row : row + 1], record=True)
         assert batch[row].tobytes() == alone[0].tobytes()
+
+
+@PROPERTY
+@given(params(), increments(), st.data(), st.sampled_from(list(igbm.SchemeKind)))
+def test_simulate_resumes_where_it_stopped(p, data, draw, kind):
+    # two calls chained through y= and h= are one call, to the bit
+    w, h_area = data
+    steps = w.shape[1]
+    assume(steps > 1)
+    k = draw.draw(st.integers(1, steps - 1))
+    h = p.horizon / steps
+    first = igbm.simulate(kind, p, w[:, :k], h_area[:, :k], record=True, h=h)
+    second = igbm.simulate(kind, p, w[:, k:], h_area[:, k:], record=True, y=first[:, -1], h=h)
+    whole = igbm.simulate(kind, p, w, h_area, record=True)
+    assert np.hstack([first, second[:, 1:]]).tobytes() == whole.tobytes()
 
 
 @PROPERTY
@@ -119,6 +136,23 @@ def test_block_split_does_not_change_terminals(step_counts, n, data, seed):
     assert coarse.keys() == {(n_steps, scheme) for n_steps in step_counts for scheme in schemes}
     for key, terminals in coarse.items():
         assert terminals.tobytes() == np.concatenate([part[key] for _, part in parts]).tobytes()
+
+
+@settings(deadline=None, derandomize=True, max_examples=20)
+@given(divisor_chains(), st.integers(1, 5), st.integers(0, 2**64 - 1))
+def test_streamed_block_is_the_whole_array_block(step_counts, n, seed):
+    # one coarsest step per chunk, the default chunk bound and one chunk for
+    # the whole horizon all give the whole-array block's terminals, to the bit
+    schemes = tuple(igbm.SchemeKind)
+    n_fine = harness.fine_steps(step_counts)
+    draws = harness.path_increments(seed, harness._DOMAIN_HARNESS, 0, range(n), n_fine, igbm.REFERENCE.horizon / n_fine)
+    fine, coarse = oracles.whole_block(igbm.REFERENCE, schemes, step_counts, *next(draws))
+    for chunk in (1, 320, n_fine):
+        with mock.patch.object(harness, "_CHUNK", chunk):
+            streamed_fine, streamed = harness._simulate_block(igbm.REFERENCE, schemes, step_counts, n_fine, seed, 0, n)
+        assert streamed_fine.tobytes() == fine.tobytes()
+        assert streamed.keys() == coarse.keys()
+        assert all(streamed[key].tobytes() == terminals.tobytes() for key, terminals in coarse.items())
 
 
 @PROPERTY

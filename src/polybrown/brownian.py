@@ -12,7 +12,6 @@ import numpy as np
 from . import orthopoly
 
 __all__ = [
-    "BrownianPolynomial",
     "IncrementPair",
     "coarsen_arrays",
     "eval_polynomial_path",
@@ -36,20 +35,6 @@ class IncrementPair:
             raise ValueError("nonpositive length")
 
 
-@dataclass(frozen=True)
-class BrownianPolynomial:
-    """Degree-n polynomial path on [0, 1]: w1 * t plus expansion terms I_k e_k.
-
-    A batch of paths has w1 of shape (paths,) and coeffs (paths, n-1)."""
-
-    w1: float
-    coeffs: np.ndarray  # I_1 .. I_{n-1} along the last axis
-
-    @property
-    def degree(self):
-        return np.shape(self.coeffs)[-1] + 1
-
-
 def sample_pair(length, rng):
     """Draw an IncrementPair: w ~ N(0, length), h_area ~ N(0, length/12), independent."""
     if not length > 0:
@@ -63,8 +48,7 @@ def sample_kl_batch(degree, count, rng):
     """Vectorized coefficient draws: returns (w1[count], coeffs[count, degree-1]).
 
     w1 ~ N(0, 1); column k-1 holds I_k ~ N(0, 1/(k(k+1))), all independent.
-    Each row is drawn w1-first so a single-row batch matches
-    sample_kl_coefficients stream-for-stream.
+    Each row is drawn w1-first, the order in which `polybrown paths` draws.
     """
     if degree < 1:
         raise ValueError("degree out of range: need degree >= 1")
@@ -76,23 +60,25 @@ def sample_kl_batch(degree, count, rng):
 
 
 def sample_kl_coefficients(degree, rng):
-    """Draw the expansion coefficients of a degree-n polynomial path."""
+    """One path's (w1, coeffs), the single row of `sample_kl_batch`.  Kept
+    because `bench/trace.py` wraps it by name; the CLI draws through `harness`."""
     w1, coeffs = sample_kl_batch(degree, 1, rng)
-    return BrownianPolynomial(w1=float(w1[0]), coeffs=coeffs[0])
+    return w1[0], coeffs[0]
 
 
-def eval_polynomial_path(poly, t):
-    """Evaluate W^n(t) = w1 * t + sum_k I_k e_k(t) for t in [0, 1].
+def eval_polynomial_path(w1, coeffs, t):
+    """Evaluate W^n(t) = w1 * t + sum_k I_k e_k(t) for t in [0, 1], with
+    I_1 .. I_{n-1} along the last axis of `coeffs`.
 
-    For a batch of paths the result has shape (paths,) + shape(t).  One pass
-    of `orthopoly.basis_e_rows` gives each e_k once for the whole batch, so a
-    degree-n path costs O(n * size(t)).
+    For w1 of shape (paths,) and coeffs (paths, n-1) the result has shape
+    (paths,) + shape(t).  One pass of `orthopoly.basis_e_rows` gives each e_k
+    once for the whole batch, so a degree-n path costs O(n * size(t)).
     """
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0) or np.any(t > 1.0):
         raise ValueError("t out of domain [0, 1]")
-    out = np.multiply.outer(poly.w1, t)
-    for column, e_k in zip(np.moveaxis(np.asarray(poly.coeffs, dtype=float), -1, 0), orthopoly.basis_e_rows(t)):
+    out = np.multiply.outer(w1, t)
+    for column, e_k in zip(np.moveaxis(np.asarray(coeffs, dtype=float), -1, 0), orthopoly.basis_e_rows(t)):
         out = out + np.multiply.outer(column, e_k)
     return out
 

@@ -9,13 +9,14 @@ All randomness flows from the single --seed flag.
 import argparse
 import contextlib
 import dataclasses
+import itertools
 import os
 import sys
 
 import numpy as np
 
 from . import __version__, brownian, checks, harness, igbm, orthopoly
-from .harness import _fmt, _write_csv
+from .harness import _blocks, _fmt, _write_csv
 
 _DOMAIN_PATHS = 2
 _DOMAIN_IGBM = 3
@@ -136,18 +137,37 @@ def _effective_config(command, args):
 
 @contextlib.contextmanager
 def _output(strings, command):
-    """Write the manifest and yield the output directory for the CSVs; a
-    manifest or CSV that cannot be written is a usage error."""
+    """Yield the output directory for the CSVs, then write the manifest.  A
+    failed run writes no manifest and removes the directory if it made it; an
+    OSError is a usage error."""
     out = strings["out"]
+    made = not os.path.isdir(out)
     try:
         os.makedirs(out, exist_ok=True)
+        yield out
         lines = [f"command = {command}", f"artifact_version = {__version__}"]
         lines += [f"{key} = {strings[key]}" for key in sorted(strings)]
         with open(os.path.join(out, "manifest.txt"), "w", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
-        yield out
-    except OSError as exc:
-        raise UsageError(f"cannot write to output directory: {exc}") from None
+    except BaseException as exc:
+        if made:
+            with contextlib.suppress(OSError):
+                os.rmdir(out)
+        if isinstance(exc, OSError):
+            raise UsageError(f"cannot write to output directory: {exc}") from None
+        raise
+
+
+def _write_long(path, header, labels, rows, first_id=0):
+    """Write the long table `id,label,value` of 1-D `rows`: one line per
+    value, with ids numbering the rows from `first_id` and `labels` the
+    shared column, formatted once."""
+    labels = [_fmt(label) for label in labels.tolist()]
+    lines = (
+        "".join([f"{i},{label},{_fmt(v)}\n" for label, v in zip(labels, row.tolist())])
+        for i, row in enumerate(rows, first_id)
+    )
+    _write_csv(path, header, lines)
 
 
 def _igbm_params(cfg):
@@ -160,44 +180,50 @@ def _igbm_params(cfg):
 
 def cmd_basis(strings, cfg):
     ts = np.linspace(0.0, 1.0, cfg["grid"])
-    table = zip(range(1, cfg["max_k"] + 1), orthopoly.basis_e_rows(ts))
-    rows = ((str(k), _fmt(t), _fmt(v)) for k, vals in table for t, v in zip(ts, vals))
+    rows = itertools.islice(orthopoly.basis_e_rows(ts), cfg["max_k"])
     with _output(strings, "basis") as out:
-        _write_csv(os.path.join(out, "basis.csv"), "k,t,e_k(t)", rows)
+        _write_long(os.path.join(out, "basis.csv"), "k,t,e_k(t)", ts, rows, first_id=1)
     return 0
+
+
+def _kl_block(seed, degree, paths):
+    """Rows (w1, I_1, ..., I_{degree-1}) of the paths in the range `paths`,
+    drawn as one interval with scale (1, sqrt(lambda_1), ...)."""
+    scale = np.sqrt(np.concatenate(([1.0], orthopoly.eigenvalue(np.arange(1, degree)))))
+    (draws,) = harness.path_increments(seed, _DOMAIN_PATHS, degree, paths, 1, scale)
+    return draws[:, :, 0].T
 
 
 def cmd_paths(strings, cfg):
-    degree = cfg["degree"]
-    polys = [
-        brownian.sample_kl_coefficients(degree, harness.path_generator(cfg["seed"], _DOMAIN_PATHS, degree, path_id))
-        for path_id in range(cfg["paths"])
-    ]
-    batch = brownian.BrownianPolynomial(w1=np.array([p.w1 for p in polys]), coeffs=np.stack([p.coeffs for p in polys]))
+    table = np.empty((cfg["paths"], cfg["degree"]))  # the k = 0 column carries the increment
+    for paths in _blocks(len(table)):
+        table[paths] = _kl_block(cfg["seed"], cfg["degree"], paths)
     ts = np.linspace(0.0, 1.0, cfg["grid"])
-    values = brownian.eval_polynomial_path(batch, ts)
-    table = np.column_stack((batch.w1, batch.coeffs))  # the k = 0 column carries the increment
+    blocks = (table[paths] for paths in _blocks(len(table)))
+    values = (row for block in blocks for row in brownian.eval_polynomial_path(block[:, 0], block[:, 1:], ts))
     with _output(strings, "paths") as out:
-        rows = ((str(i), _fmt(t), _fmt(v)) for i, row in enumerate(values) for t, v in zip(ts, row))
-        _write_csv(os.path.join(out, "paths.csv"), "path_id,t,kl_value", rows)
-        rows = ((str(i), str(k), _fmt(ik)) for i, row in enumerate(table) for k, ik in enumerate(row))
-        _write_csv(os.path.join(out, "path_coeffs.csv"), "path_id,k,I_k", rows)
+        _write_long(os.path.join(out, "paths.csv"), "path_id,t,kl_value", ts, values)
+        _write_long(os.path.join(out, "path_coeffs.csv"), "path_id,k,I_k", np.arange(cfg["degree"]), table)
     return 0
+
+
+def _igbm_block(cfg, params, paths):
+    """Trajectories (paths, steps + 1) of the paths in the range `paths`.  The
+    one-chunk draw is unpacked, which ends it and frees its buffer early."""
+    n_steps = cfg["steps"][0]
+    scale = np.sqrt([params.horizon / n_steps, params.horizon / n_steps / 12.0])
+    (draws,) = harness.path_increments(cfg["seed"], _DOMAIN_IGBM, n_steps, paths, n_steps, scale)
+    return igbm.simulate(cfg["scheme"], params, *draws, record=True)
 
 
 def cmd_igbm_paths(strings, cfg):
     if len(cfg["steps"]) != 1:
         raise UsageError("igbm-paths expects a single --steps value")
-    n_steps = cfg["steps"][0]
     params = _igbm_params(cfg)
-    w, h_area = next(
-        harness.path_increments(cfg["seed"], _DOMAIN_IGBM, n_steps, range(cfg["paths"]), n_steps, params.horizon / n_steps)
-    )
-    traj = igbm.simulate(cfg["scheme"], params, w, h_area, record=True)
-    ts = np.linspace(0.0, params.horizon, n_steps + 1)
-    rows = ((str(i), _fmt(t), _fmt(v)) for i, row in enumerate(traj) for t, v in zip(ts, row))
+    rows = (row for paths in _blocks(cfg["paths"]) for row in _igbm_block(cfg, params, paths))
+    ts = np.linspace(0.0, params.horizon, cfg["steps"][0] + 1)
     with _output(strings, "igbm-paths") as out:
-        _write_csv(os.path.join(out, "igbm_paths.csv"), "path_id,t,value", rows)
+        _write_long(os.path.join(out, "igbm_paths.csv"), "path_id,t,value", ts, rows)
     return 0
 
 

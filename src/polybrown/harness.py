@@ -9,7 +9,9 @@ level 0) and reductions run over arrays in path order, so results are
 bit-identical for any worker count or scheduling.
 """
 
+import contextlib
 import multiprocessing
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -88,38 +90,44 @@ def path_generator(seed, domain, level, index):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def path_increments(seed, domain, level, indices, n_intervals, length, chunk=None):
-    """Yield (W, H) arrays of shape (len(indices), chunk), in time order, for
-    n_intervals intervals of the given length (one chunk by default): W ~
-    N(0, length), H ~ N(0, length/12).  Each path's stream stays open, so the
-    chunks joined are one draw; each array's columns are contiguous."""
+def path_increments(seed, domain, level, indices, n_intervals, scale, chunk=None):
+    """Yield arrays of shape (len(scale), len(indices), chunk) in time order,
+    for n_intervals intervals in all (one chunk by default).  Entry j of an
+    interval is a standard normal times scale[j], so scale (sqrt(h),
+    sqrt(h/12)) gives the (W, H) of intervals of length h.  The buffer is
+    allocated before the streams are built; they stay open, so the chunks
+    joined are one draw.  Each (paths, chunk) array's columns are contiguous."""
     chunk = n_intervals if chunk is None else chunk
     if n_intervals % chunk:
         raise ValueError("chunk must divide n_intervals")
+    z = np.empty((len(indices), chunk, len(scale)))
     generators = [path_generator(seed, domain, level, index) for index in indices]
-    z = np.empty((len(generators), chunk, 2))
-    scale = np.sqrt([length, length / 12.0])[:, None, None]
     for _ in range(n_intervals // chunk):
         for row, generator in zip(z, generators):
-            generator.standard_normal((chunk, 2), out=row)
-        w, h_area = np.multiply(z.transpose(2, 1, 0), scale, order="C")  # time-major (2, chunk, paths)
-        yield w.T, h_area.T
+            generator.standard_normal(row.shape, out=row)
+        yield np.multiply(z.transpose(2, 1, 0), np.reshape(scale, (-1, 1, 1)), order="C").transpose(0, 2, 1)
 
 
-def _simulate_block(params, schemes, step_counts, n_fine, seed, lo, hi):
-    """Terminal values for paths [lo, hi): the log-ODE reference on `n_fine`
+def _blocks(n_paths):
+    """The path ranges of the `_BLOCK`-path work items, in path order."""
+    return (range(lo, min(lo + _BLOCK, n_paths)) for lo in range(0, n_paths, _BLOCK))
+
+
+def _simulate_block(params, schemes, step_counts, n_fine, seed, paths):
+    """Terminal values for the range `paths`: the log-ODE reference on `n_fine`
     steps, and {(step count, scheme): terminals} on the same increments,
     coarsened exactly from the finest level down, streamed through time in
     chunks of whole coarsest steps (the most, dividing their count, within
     `_CHUNK`), so memory does not grow with `n_fine`."""
     per_step = n_fine // step_counts[0]
     chunk = per_step * max(g for g in range(1, max(1, _CHUNK // per_step) + 1) if step_counts[0] % g == 0)
-    fine = np.full(hi - lo, params.y0)
+    fine = np.full(len(paths), params.y0)
     coarse = {(n_steps, scheme): fine for n_steps in step_counts for scheme in schemes}
-    for w, h_area in path_increments(seed, _DOMAIN_HARNESS, 0, range(lo, hi), n_fine, params.horizon / n_fine, chunk):
-        fine = igbm.simulate(igbm.SchemeKind.LOG_ODE, params, w, h_area, y=fine, h=params.horizon / n_fine)
+    h_fine = params.horizon / n_fine
+    for w, h_area in path_increments(seed, _DOMAIN_HARNESS, 0, paths, n_fine, np.sqrt([h_fine, h_fine / 12.0]), chunk):
+        fine = igbm.simulate(igbm.SchemeKind.LOG_ODE, params, w, h_area, y=fine, h=h_fine)
         for n_steps in reversed(step_counts):
-            w, h_area = coarsen_arrays(*(a.reshape(hi - lo, n_steps * chunk // n_fine, -1) for a in (w, h_area)))
+            w, h_area = coarsen_arrays(*(a.reshape(len(paths), n_steps * chunk // n_fine, -1) for a in (w, h_area)))
             h = params.horizon / n_steps
             for scheme in schemes:
                 coarse[n_steps, scheme] = igbm.simulate(scheme, params, w, h_area, y=coarse[n_steps, scheme], h=h)
@@ -129,9 +137,8 @@ def _simulate_block(params, schemes, step_counts, n_fine, seed, lo, hi):
 def _terminals(config, workers):
     """`_simulate_block` over all paths, joined in path order.  One task per
     block and at most one pool process per block; one block runs in-process."""
-    n_paths = config.num_paths
     common = (config.params, config.schemes, config.step_counts, fine_steps(config.step_counts), config.seed)
-    tasks = [(*common, lo, min(lo + _BLOCK, n_paths)) for lo in range(0, n_paths, _BLOCK)]
+    tasks = [(*common, paths) for paths in _blocks(config.num_paths)]
     processes = min(workers, len(tasks))
     if processes > 1:
         with multiprocessing.Pool(processes=processes) as pool:
@@ -234,30 +241,32 @@ def run_experiment(config, metric, workers=1):
     return tuple(rows), tuple(slopes)
 
 
-def _fmt(x):
-    return format(float(x), ".17g")
+_fmt = "%.17g".__mod__  # 17 significant digits, so every float64 reads back exactly
 
 
-def _write_csv(path, header, rows):
-    """Write a header line and one line per row (an iterable of fields)."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        fh.writelines(",".join(row) + "\n" for row in rows)
+def _write_csv(path, header, lines):
+    """Write a header line and then `lines`, strings of whole lines, under a
+    temporary name that is renamed to `path` once complete, so a failed write
+    leaves no partial CSV behind."""
+    part = os.fspath(path) + ".part"
+    try:
+        with open(part, "w", newline="\n") as fh:
+            fh.write(header + "\n")
+            fh.writelines(lines)
+        os.replace(part, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(part)
+        raise
 
 
 def write_error_csv(rows, path):
     """Write `scheme,N,h,error,std_err` rows with 17-significant-digit floats."""
-    _write_csv(
-        path,
-        "scheme,N,h,error,std_err",
-        ((r.scheme.value, str(r.n_steps), _fmt(r.h), _fmt(r.error), _fmt(r.std_err)) for r in rows),
-    )
+    lines = (f"{r.scheme.value},{r.n_steps},{_fmt(r.h)},{_fmt(r.error)},{_fmt(r.std_err)}\n" for r in rows)
+    _write_csv(path, "scheme,N,h,error,std_err", lines)
 
 
 def write_slopes_csv(rows, path):
     """Write `scheme,metric,slope,slope_stderr` rows."""
-    _write_csv(
-        path,
-        "scheme,metric,slope,slope_stderr",
-        ((r.scheme.value, r.metric, _fmt(r.slope), _fmt(r.stderr)) for r in rows),
-    )
+    lines = (f"{r.scheme.value},{r.metric},{_fmt(r.slope)},{_fmt(r.stderr)}\n" for r in rows)
+    _write_csv(path, "scheme,metric,slope,slope_stderr", lines)

@@ -9,9 +9,7 @@ import numpy as np
 __all__ = [
     "MAX_DEGREE",
     "PolyBasis",
-    "basis_e_deriv",
     "basis_e_eval",
-    "basis_e_over_weight",
     "basis_e_rows",
     "eigenvalue",
     "gauss_legendre",
@@ -133,26 +131,6 @@ def basis_e_eval(k, t):
     if k < 1:
         raise ValueError("index out of range: k must be >= 1")
     return next(itertools.islice(basis_e_rows(t), k - 1, None))
-
-
-def basis_e_deriv(k, t):
-    """Evaluate e_k'(t) = sqrt(k(k+1)(2k+1)) * Q_k(2t - 1)."""
-    if k < 1:
-        raise ValueError("index out of range: k must be >= 1")
-    return k * _e_norm(k) * legendre_eval(k, 2.0 * t - 1.0)
-
-
-def basis_e_over_weight(k, t):
-    """Evaluate the degree k-1 polynomial e_k(t) / (t (1 - t)).
-
-    Interior points divide the stable e_k values by t(1-t); at the roots the
-    value is the derivative limit +-e_k'.
-    """
-    t = np.asarray(t, dtype=float)
-    e_k = basis_e_eval(k, t)
-    slope = k * _e_norm(k)  # e_k'(1); e_k'(0) = (-1)^k e_k'(1), as Q_k(+-1) = (+-1)^k exactly
-    limits = np.where(t < 0.5, (-1) ** k * slope, -slope)
-    return np.divide(e_k, t * (1.0 - t), out=limits, where=(t != 0.0) & (t != 1.0))
 
 
 def gauss_legendre(n):

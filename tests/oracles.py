@@ -1,6 +1,7 @@
 """Discretised references the tests hold `polybrown` to.
 
-Dense Brownian paths, trapezoidal extraction of expansion coefficients, the
+The derivative of the basis and its quotient by the bridge weight, dense
+Brownian paths, trapezoidal extraction of expansion coefficients, the
 weighted inner product of the basis one pair at a time, the Brownian parabola
 and arch, the prefix-sum coarsening of (W, H) pairs, direct discretisations
 of the iterated integrals, and a harness block simulated on whole arrays.
@@ -24,6 +25,26 @@ def sample_brownian_dense(n_steps, rng, size=()):
     return np.linspace(0.0, 1.0, n_steps + 1), values
 
 
+def basis_e_deriv(k, t):
+    """e_k'(t) = sqrt(k(k+1)(2k+1)) * Q_k(2t - 1)."""
+    if k < 1:
+        raise ValueError("index out of range: k must be >= 1")
+    return k * orthopoly._e_norm(k) * orthopoly.legendre_eval(k, 2.0 * t - 1.0)
+
+
+def basis_e_over_weight(k, t):
+    """The degree k-1 polynomial e_k(t) / (t (1 - t)).
+
+    Interior points divide the stable e_k values by t(1-t); at the roots the
+    value is the derivative limit +-e_k'.
+    """
+    t = np.asarray(t, dtype=float)
+    e_k = orthopoly.basis_e_eval(k, t)
+    slope = k * orthopoly._e_norm(k)  # e_k'(1); e_k'(0) = (-1)^k e_k'(1), as Q_k(+-1) = (+-1)^k exactly
+    limits = np.where(t < 0.5, (-1) ** k * slope, -slope)
+    return np.divide(e_k, t * (1.0 - t), out=limits, where=(t != 0.0) & (t != 1.0))
+
+
 def extract_Ik(grid, values, k):
     """Trapezoidal estimate of the k-th expansion coefficient of dense paths.
 
@@ -34,7 +55,7 @@ def extract_Ik(grid, values, k):
     if grid.size < 17:
         raise ValueError("grid too coarse: need at least 16 steps")
     bridge = values - values[..., :1] - grid * (values[..., -1:] - values[..., :1])
-    return np.trapezoid(bridge * orthopoly.basis_e_over_weight(k, grid), grid, axis=-1)
+    return np.trapezoid(bridge * basis_e_over_weight(k, grid), grid, axis=-1)
 
 
 def inner_product_mu(i, j):
@@ -48,7 +69,7 @@ def inner_product_mu(i, j):
     if i < 1 or j < 1:
         raise ValueError("index out of range: i, j must be >= 1")
     t, w = orthopoly.gauss_legendre_01((i + j + 1 + 1) // 2)
-    return float(np.sum(w * orthopoly.basis_e_eval(i, t) * orthopoly.basis_e_over_weight(j, t)))
+    return float(np.sum(w * orthopoly.basis_e_eval(i, t) * basis_e_over_weight(j, t)))
 
 
 def parabola_eval(start, w, h_area, u):

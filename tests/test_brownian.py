@@ -40,11 +40,10 @@ def test_sample_pair_basics():
 
 
 def test_kl_degree_one_has_no_coeffs():
-    p = bm.sample_kl_coefficients(1, rng(1))
-    assert p.degree == 1
-    assert p.coeffs.size == 0
+    w1, coeffs = bm.sample_kl_coefficients(1, rng(1))
+    assert coeffs.size == 0
     t = np.linspace(0, 1, 5)
-    np.testing.assert_allclose(bm.eval_polynomial_path(p, t), p.w1 * t, atol=0)
+    np.testing.assert_allclose(bm.eval_polynomial_path(w1, coeffs, t), w1 * t, atol=0)
 
 
 def test_kl_coefficient_law():
@@ -59,41 +58,41 @@ def test_kl_coefficient_law():
 
 def test_kl_batch_matches_single_draws():
     w1, coeffs = bm.sample_kl_batch(4, 1, rng(42))
-    p = bm.sample_kl_coefficients(4, rng(42))
-    assert p.w1 == w1[0]
-    np.testing.assert_array_equal(p.coeffs, coeffs[0])
+    w1_single, coeffs_single = bm.sample_kl_coefficients(4, rng(42))
+    assert w1_single == w1[0]
+    np.testing.assert_array_equal(coeffs_single, coeffs[0])
 
 
 def test_eval_polynomial_path_pins():
-    p = bm.sample_kl_coefficients(5, rng(3))
-    assert bm.eval_polynomial_path(p, 0.0) == 0.0
-    assert bm.eval_polynomial_path(p, 1.0) == pytest.approx(p.w1, abs=1e-14)
-    bump = bm.BrownianPolynomial(w1=0.0, coeffs=np.array([1.0]))
-    assert bm.eval_polynomial_path(bump, 0.5) == pytest.approx(-SQRT6 / 4.0, rel=1e-14)
+    w1, coeffs = bm.sample_kl_coefficients(5, rng(3))
+    assert bm.eval_polynomial_path(w1, coeffs, 0.0) == 0.0
+    assert bm.eval_polynomial_path(w1, coeffs, 1.0) == pytest.approx(w1, abs=1e-14)
+    bump = bm.eval_polynomial_path(0.0, np.array([1.0]), 0.5)
+    assert bump == pytest.approx(-SQRT6 / 4.0, rel=1e-14)
     with pytest.raises(ValueError):
-        bm.eval_polynomial_path(p, 1.5)
+        bm.eval_polynomial_path(w1, coeffs, 1.5)
 
 
 def test_eval_polynomial_path_batch_matches_single_paths():
     g = rng(4)
     polys = [bm.sample_kl_coefficients(6, g) for _ in range(3)]
-    batch = bm.BrownianPolynomial(w1=np.array([p.w1 for p in polys]), coeffs=np.stack([p.coeffs for p in polys]))
-    assert batch.degree == 6
+    w1, coeffs = np.array([w1 for w1, _ in polys]), np.stack([coeffs for _, coeffs in polys])
+    assert coeffs.shape == (3, 5)
     t = np.linspace(0.0, 1.0, 17)
-    values = bm.eval_polynomial_path(batch, t)
+    values = bm.eval_polynomial_path(w1, coeffs, t)
     assert values.shape == (3, 17)
     for row, p in zip(values, polys):
-        np.testing.assert_array_equal(row, bm.eval_polynomial_path(p, t))
-    np.testing.assert_array_equal(bm.eval_polynomial_path(batch, 0.25), values[:, 4])
+        np.testing.assert_array_equal(row, bm.eval_polynomial_path(*p, t))
+    np.testing.assert_array_equal(bm.eval_polynomial_path(w1, coeffs, 0.25), values[:, 4])
 
 
 def test_kl_degree_validation():
     with pytest.raises(ValueError):
         bm.sample_kl_coefficients(0, rng(0))
     # no cap at MAX_DEGREE: the paths are evaluated by the stable route
-    poly = bm.sample_kl_coefficients(op.MAX_DEGREE + 1, rng(0))
-    assert poly.degree == op.MAX_DEGREE + 1
-    assert np.isfinite(bm.eval_polynomial_path(poly, np.linspace(0.0, 1.0, 11))).all()
+    w1, coeffs = bm.sample_kl_coefficients(op.MAX_DEGREE + 1, rng(0))
+    assert coeffs.size == op.MAX_DEGREE
+    assert np.isfinite(bm.eval_polynomial_path(w1, coeffs, np.linspace(0.0, 1.0, 11))).all()
 
 
 # ---------------------------------------------------------------------------
@@ -114,18 +113,18 @@ def test_extract_e1_is_orthonormal():
 
 
 def test_extract_round_trip():
-    p = bm.sample_kl_coefficients(4, rng(9))
+    w1, coeffs = bm.sample_kl_coefficients(4, rng(9))
     t = np.linspace(0.0, 1.0, 10_001)
-    values = bm.eval_polynomial_path(p, t)
+    values = bm.eval_polynomial_path(w1, coeffs, t)
     for k in (1, 2, 3):
-        assert abs(oracles.extract_Ik(t, values, k) - p.coeffs[k - 1]) < 1e-4, k
+        assert abs(oracles.extract_Ik(t, values, k) - coeffs[k - 1]) < 1e-4, k
 
 
 def test_extract_handles_motion_bridging():
     # adding a drift w1 * t must not change the extracted coefficients
-    p = bm.sample_kl_coefficients(3, rng(10))
+    w1, coeffs = bm.sample_kl_coefficients(3, rng(10))
     t = np.linspace(0.0, 1.0, 4097)
-    base = bm.eval_polynomial_path(p, t)
+    base = bm.eval_polynomial_path(w1, coeffs, t)
     assert oracles.extract_Ik(t, base + 2.5 * t, 1) == pytest.approx(oracles.extract_Ik(t, base, 1), abs=1e-12)
 
 
@@ -264,12 +263,11 @@ def test_polynomial_matches_time_integrals_of_dense_path():
     # W^n built from the first coefficients of a higher-degree expansion path
     # shares its integrals of u^k dW for k <= n - 1.
     g = rng(55)
-    full = bm.sample_kl_coefficients(12, g)
+    w1, coeffs = bm.sample_kl_coefficients(12, g)
     t = np.linspace(0.0, 1.0, 4001)
-    dense_vals = bm.eval_polynomial_path(full, t)
+    dense_vals = bm.eval_polynomial_path(w1, coeffs, t)
     for n in range(1, 7):
-        trunc = bm.BrownianPolynomial(w1=full.w1, coeffs=full.coeffs[: n - 1])
-        trunc_vals = bm.eval_polynomial_path(trunc, t)
+        trunc_vals = bm.eval_polynomial_path(w1, coeffs[: n - 1], t)
         for k in range(0, n):
             # integral u^k dW = W(1) - k * integral u^{k-1} W du  (by parts)
             def stieltjes(vals):

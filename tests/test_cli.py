@@ -5,6 +5,7 @@ import importlib
 import os
 import pkgutil
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import polybrown
-from polybrown import checks, cli, harness, orthopoly
+from polybrown import checks, cli, harness, igbm, orthopoly
 
 
 def run(argv):
@@ -271,13 +272,81 @@ def test_repeated_schemes_and_non_chain_grids_refused_before_output(tmp_path, ca
     assert not out.exists()
 
 
-def test_igbm_paths_do_not_depend_on_path_count(tmp_path):
-    base = ["igbm-paths", "--scheme", "parabola", "--steps", "30", "--seed", "3"]
-    assert run(base + ["--paths", "2", "--out", str(tmp_path / "a")]) == 0
-    assert run(base + ["--paths", "5", "--out", str(tmp_path / "b")]) == 0
-    few = (tmp_path / "a" / "igbm_paths.csv").read_text().splitlines()
-    many = (tmp_path / "b" / "igbm_paths.csv").read_text().splitlines()
+def _assert_paths_do_not_depend_on_path_count(tmp_path, argv, name, rows_per_path):
+    # 2 paths make one partial block; 1100 and 1300 end in partial third blocks of 512
+    for count in (2, 1100, 1300):
+        assert run([*argv, "--paths", str(count), "--out", str(tmp_path / str(count))]) == 0
+    few, many, most = ((tmp_path / str(count) / name).read_text().splitlines() for count in (2, 1100, 1300))
     assert many[: len(few)] == few
+    assert most[: len(many)] == many
+    assert [int(line.split(",")[0]) for line in many[1:]] == [i for i in range(1100) for _ in range(rows_per_path)]
+
+
+def test_igbm_paths_do_not_depend_on_path_count(tmp_path):
+    argv = ["igbm-paths", "--scheme", "parabola", "--steps", "30", "--seed", "3"]
+    _assert_paths_do_not_depend_on_path_count(tmp_path, argv, "igbm_paths.csv", 31)
+
+
+@pytest.mark.parametrize("name, rows_per_path", [("paths.csv", 7), ("path_coeffs.csv", 5)])
+def test_paths_do_not_depend_on_path_count(tmp_path, name, rows_per_path):
+    argv = ["paths", "--degree", "5", "--grid", "7", "--seed", "3"]
+    _assert_paths_do_not_depend_on_path_count(tmp_path, argv, name, rows_per_path)
+
+
+def test_failed_run_leaves_the_output_directory_as_found(tmp_path, capsys, monkeypatch):
+    # igbm-paths writes block by block; a failure in the second block leaves
+    # neither a new directory nor a changed or partial file in an old one
+    argv = ["igbm-paths", "--steps", "5", "--paths", "600"]
+    earlier = tmp_path / "earlier"
+    assert run(["igbm-paths", "--steps", "5", "--paths", "3", "--out", str(earlier)]) == 0
+    before = {path.name: path.read_bytes() for path in earlier.iterdir()}
+    assert sorted(before) == ["igbm_paths.csv", "manifest.txt"]
+    simulate, blocks = igbm.simulate, []
+
+    def fail_in_the_second_block(*args, **kwargs):
+        blocks.append(len(args[2]))
+        if len(blocks) == 2:
+            raise ValueError("the log-ode scheme gave non-finite values")
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(igbm, "simulate", fail_in_the_second_block)
+    for out in (tmp_path / "new", earlier):
+        blocks.clear()
+        assert run([*argv, "--out", str(out)]) == 2
+        assert blocks == [512, 88]
+        assert capsys.readouterr().err == "polybrown: error: the log-ode scheme gave non-finite values\n"
+    assert not (tmp_path / "new").exists()
+    assert {path.name: path.read_bytes() for path in earlier.iterdir()} == before
+
+
+def _run_in_1_gib(argv):
+    """Run argv in a child process whose address space is capped at 1 GiB."""
+
+    def limit_address_space():  # runs in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
+    return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60, preexec_fn=limit_address_space)
+
+
+def test_paths_table_beyond_the_address_space_is_refused_before_output(tmp_path):
+    """`paths` sizes its coefficient table before it draws or writes, so a
+    table beyond the address space is one error line and exit 2."""
+    out = tmp_path / "o"
+    argv = ["paths", "--paths", str(harness.MAX_PATHS), "--degree", "4", "--out", str(out)]
+    result = _run_in_1_gib([sys.executable, "-m", "polybrown", *argv])
+    assert result.returncode == 2, result.stderr
+    message = "polybrown: error: Unable to allocate 128. GiB for an array with shape (4294967296, 4)"
+    assert result.stderr.startswith(message) and result.stderr.count("\n") == 1, result.stderr
+    assert not out.exists()
+
+
+def test_path_increments_allocates_before_it_builds_streams():
+    # 2^32 streams would fill the address space over many seconds; the
+    # 64 GiB buffer is refused at once
+    draw = "from polybrown import harness; next(harness.path_increments(0, 1, 0, range(1 << 32), 1, [1.0, 1.0]))"
+    result = _run_in_1_gib([sys.executable, "-c", draw])
+    assert "MemoryError: Unable to allocate 64.0 GiB for an array with shape (4294967296, 1, 2)" in result.stderr
 
 
 CHECK_LINE = re.compile(r"(ok|FAIL) (\S+) (\S+) (<=|>) (\S+)")
@@ -343,12 +412,22 @@ def test_dropped_slopes_are_named_on_stderr(tmp_path):
     assert (tmp_path / "o" / "slopes.csv").read_text() == "scheme,metric,slope,slope_stderr\n"
 
 
-def test_bench_tracer_runs_a_command(tmp_path):
-    """`bench/trace.py` wraps polybrown's functions by name, so removing one
-    of them from `src/` would break `bench/run.py --trace 1`."""
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["basis", "--max-k", "2", "--grid", "3"],
+        ["paths", "--degree", "4", "--paths", "3", "--grid", "5"],
+        ["igbm-paths", "--steps", "4", "--paths", "3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_bench_tracer_runs_a_command(tmp_path, argv):
+    """`bench/trace.py` wraps polybrown's functions by name and calls them as
+    the commands do, so removing one of them from `src/` or changing how it
+    is called would break `bench/run.py --trace 1`."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    argv = ["basis", "--max-k", "2", "--grid", "3", "--out", str(tmp_path / "o")]
+    argv = [*argv, "--out", str(tmp_path / "o")]
     tracer = [sys.executable, str(root / "bench" / "trace.py"), str(tmp_path / "r.json"), str(tmp_path / "s.npz")]
     result = subprocess.run([*tracer, "traced", "--", *argv], env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr

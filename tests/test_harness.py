@@ -90,7 +90,7 @@ def test_path_generator_rejects_out_of_range_keys():
 
 
 def test_path_increments_scale_one_stream_per_path():
-    w, hh = next(harness.path_increments(7, 1, 25, range(2, 5), 6, 0.2))
+    w, hh = next(harness.path_increments(7, 1, 25, range(2, 5), 6, np.sqrt([0.2, 0.2 / 12.0])))
     assert w.shape == hh.shape == (3, 6)
     z = harness.path_generator(7, 1, 25, 3).standard_normal((6, 2))
     np.testing.assert_array_equal(w[1], z[:, 0] * np.sqrt(0.2))
@@ -102,9 +102,10 @@ def test_path_increments_scale_one_stream_per_path():
 def test_chunked_draws_join_to_one_draw(n, paths, seed):
     # every chunk length that divides n gives the single draw's columns, to
     # the bit, in time-major chunks; any other length is refused
-    whole = next(harness.path_increments(seed, 1, 25, range(paths), n, 0.2))
+    scale = np.sqrt([0.2, 0.2 / 12.0])
+    whole = next(harness.path_increments(seed, 1, 25, range(paths), n, scale))
     for chunk in range(1, n + 1):
-        draws = harness.path_increments(seed, 1, 25, range(paths), n, 0.2, chunk)
+        draws = harness.path_increments(seed, 1, 25, range(paths), n, scale, chunk)
         if n % chunk:
             with pytest.raises(ValueError, match="chunk must divide"):
                 next(draws)
@@ -152,7 +153,7 @@ def test_fit_slope_validation():
 
 def test_strong_coupling_identity():
     # fine resolution == coarse resolution for the reference scheme: S = 0
-    fine, coarse = harness._simulate_block(REFERENCE, (SchemeKind.LOG_ODE,), (20,), 20, 99, 0, 400)
+    fine, coarse = harness._simulate_block(REFERENCE, (SchemeKind.LOG_ODE,), (20,), 20, 99, range(400))
     np.testing.assert_array_equal(fine, coarse[20, SchemeKind.LOG_ODE])
     assert harness._strong_stats(fine, coarse[20, SchemeKind.LOG_ODE]) == (0.0, 0.0)
 
@@ -162,7 +163,7 @@ def test_block_memory_does_not_grow_with_the_fine_mesh(step_counts):
     # a 64-path block on 4000 and 8000 fine steps: held as whole arrays its W
     # and H alone would take 4 and 8 MB; streamed it is the same block
     n_fine = harness.fine_steps(step_counts)
-    args = (REFERENCE, tuple(SchemeKind), step_counts, n_fine, 5, 0, 64)
+    args = (REFERENCE, tuple(SchemeKind), step_counts, n_fine, 5, range(64))
     tracemalloc.start()
     try:
         fine, coarse = harness._simulate_block(*args)
@@ -170,14 +171,15 @@ def test_block_memory_does_not_grow_with_the_fine_mesh(step_counts):
     finally:
         tracemalloc.stop()
     assert peak <= 3 << 20
-    w, h_area = next(harness.path_increments(5, harness._DOMAIN_HARNESS, 0, range(64), n_fine, REFERENCE.horizon / n_fine))
+    h = REFERENCE.horizon / n_fine
+    w, h_area = next(harness.path_increments(5, harness._DOMAIN_HARNESS, 0, range(64), n_fine, np.sqrt([h, h / 12.0])))
     expected_fine, expected = oracles.whole_block(REFERENCE, tuple(SchemeKind), step_counts, w, h_area)
     assert fine.tobytes() == expected_fine.tobytes()
     assert all(coarse[key].tobytes() == terminals.tobytes() for key, terminals in expected.items())
 
 
 def test_weak_coupling_identity():
-    fine, coarse = harness._simulate_block(REFERENCE, (SchemeKind.LOG_ODE,), (20,), 20, 99, 0, 400)
+    fine, coarse = harness._simulate_block(REFERENCE, (SchemeKind.LOG_ODE,), (20,), 20, 99, range(400))
     err, se = harness._weak_stats(fine, coarse[20, SchemeKind.LOG_ODE], REFERENCE.b)
     assert err == 0.0
 

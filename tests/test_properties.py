@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from polybrown import brownian as bm
-from polybrown import harness, igbm, levy, orthopoly
+from polybrown import cli, harness, igbm, levy, orthopoly
 
 # Derandomized, so that a run of the suite is reproducible.
 PROPERTY = settings(deadline=None, derandomize=True, max_examples=200)
@@ -130,8 +130,8 @@ def test_block_split_does_not_change_terminals(step_counts, n, data, seed):
     k = data.draw(st.integers(1, n - 1))
     schemes = tuple(igbm.SchemeKind)
     args = (igbm.REFERENCE, schemes, step_counts, harness.fine_steps(step_counts), seed)
-    fine, coarse = harness._simulate_block(*args, 0, n)
-    parts = [harness._simulate_block(*args, lo, hi) for lo, hi in ((0, k), (k, n))]
+    fine, coarse = harness._simulate_block(*args, range(n))
+    parts = [harness._simulate_block(*args, paths) for paths in (range(k), range(k, n))]
     assert fine.tobytes() == np.concatenate([part_fine for part_fine, _ in parts]).tobytes()
     assert coarse.keys() == {(n_steps, scheme) for n_steps in step_counts for scheme in schemes}
     for key, terminals in coarse.items():
@@ -145,11 +145,12 @@ def test_streamed_block_is_the_whole_array_block(step_counts, n, seed):
     # the whole horizon all give the whole-array block's terminals, to the bit
     schemes = tuple(igbm.SchemeKind)
     n_fine = harness.fine_steps(step_counts)
-    draws = harness.path_increments(seed, harness._DOMAIN_HARNESS, 0, range(n), n_fine, igbm.REFERENCE.horizon / n_fine)
+    h = igbm.REFERENCE.horizon / n_fine
+    draws = harness.path_increments(seed, harness._DOMAIN_HARNESS, 0, range(n), n_fine, np.sqrt([h, h / 12.0]))
     fine, coarse = oracles.whole_block(igbm.REFERENCE, schemes, step_counts, *next(draws))
     for chunk in (1, 320, n_fine):
         with mock.patch.object(harness, "_CHUNK", chunk):
-            streamed_fine, streamed = harness._simulate_block(igbm.REFERENCE, schemes, step_counts, n_fine, seed, 0, n)
+            streamed_fine, streamed = harness._simulate_block(igbm.REFERENCE, schemes, step_counts, n_fine, seed, range(n))
         assert streamed_fine.tobytes() == fine.tobytes()
         assert streamed.keys() == coarse.keys()
         assert all(streamed[key].tobytes() == terminals.tobytes() for key, terminals in coarse.items())
@@ -165,3 +166,29 @@ def test_basis_rows_are_the_single_evaluations(k, inner):
     assert row.tobytes() == orthopoly.basis_e_eval(k, t).tobytes()
     assert row[0] == 0.0 and row[-1] == 0.0
     assert orthopoly.basis_e_eval(k, t[len(t) // 2]) == row[len(t) // 2]
+
+
+@PROPERTY
+@given(st.integers(0, 2**64 - 1), st.integers(1, 300), st.integers(0, 2**32 - 3))
+def test_paths_block_draw_is_the_single_path_draw(seed, degree, index):
+    # `paths` draws a block's (w1, I_1, ..., I_{n-1}) as one interval of
+    # `path_increments` scaled by (1, sqrt(lambda_k)): each row is, bitwise,
+    # that path's own draw from its stream at (domain 2, level = degree)
+    block = cli._kl_block(seed, degree, range(index, index + 3))
+    for i, row in enumerate(block, index):
+        w1, coeffs = bm.sample_kl_coefficients(degree, harness.path_generator(seed, 2, degree, i))
+        assert row[0] == w1
+        assert row[1:].tobytes() == coeffs.tobytes()
+
+
+@PROPERTY
+@given(st.integers(2, 120), st.integers(0, 2**64 - 1))
+def test_polynomial_path_area_is_the_first_coefficient(degree, seed):
+    # the space-time area of W^n on [0, 1], integral of (W_t - t w1) dt, is
+    # I_1 times the integral of e_1, -1/sqrt(6), since every e_k with k >= 2
+    # integrates to 0; so Var H = lambda_1 / 6 = 1/12, the harness's scale
+    w1, coeffs = bm.sample_kl_coefficients(degree, np.random.default_rng(seed))
+    t, w = orthopoly.gauss_legendre_01(degree // 2 + 1)  # exact for the degree-n integrand
+    area = float(np.sum(w * (bm.eval_polynomial_path(w1, coeffs, t) - t * w1)))
+    assert abs(area - -coeffs[0] / np.sqrt(6.0)) <= 1e-14
+    assert orthopoly.eigenvalue(1) / 6.0 == 1.0 / 12.0

@@ -11,6 +11,7 @@ import contextlib
 import dataclasses
 import itertools
 import os
+import pathlib
 import sys
 
 import numpy as np
@@ -138,10 +139,10 @@ def _effective_config(command, args):
 @contextlib.contextmanager
 def _output(strings, command):
     """Yield the output directory for the CSVs, then write the manifest.  A
-    failed run writes no manifest and removes the directory if it made it; an
-    OSError is a usage error."""
+    failed run writes no manifest and removes every directory it made for
+    `--out`, leaf first; an OSError is a usage error."""
     out = strings["out"]
-    made = not os.path.isdir(out)
+    made = [path for path in (out, *pathlib.Path(out).absolute().parents) if not os.path.isdir(path)]
     try:
         os.makedirs(out, exist_ok=True)
         yield out
@@ -150,9 +151,9 @@ def _output(strings, command):
         with open(os.path.join(out, "manifest.txt"), "w", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
     except BaseException as exc:
-        if made:
+        for path in made:
             with contextlib.suppress(OSError):
-                os.rmdir(out)
+                os.rmdir(path)
         if isinstance(exc, OSError):
             raise UsageError(f"cannot write to output directory: {exc}") from None
         raise

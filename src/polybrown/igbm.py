@@ -2,10 +2,12 @@
 
     dy = a (b - y) dt + sigma y dW,
 
-as array kernels over per-interval (W, H) increment data, and `simulate`,
-which folds a kernel over a (paths, steps) batch.  The high-order scheme uses
-the closed form that the constant Lie brackets of this equation admit; no
-generic ODE solver is involved.
+over per-interval (W, H) data.  `simulate` folds a scheme over a (paths,
+steps) batch: `prepare` computes its y-independent arrays a slab of steps at a
+time, and `step` advances y a column at a time, in the one-step formula's order
+of operations, so values equal `kernel_fn`'s one-step kernel bit for bit.  The
+high-order scheme uses the closed form that the constant Lie brackets of this
+equation admit; no generic ODE solver is involved.
 """
 
 import enum
@@ -92,13 +94,11 @@ def phi(x):
     return np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0)
 
 
-# Array kernels: one step of each scheme, for ndarray or scalar y / w / h_area.
-
 _GL3_NODES, _GL3_WEIGHTS = gauss_legendre_01(3)
 
 
-def _kernel_log_ode(y, w, h_area, h, a, b, sigma, a_strat, b_strat):
-    """One high-order step:  y e^x + ab (h (1 - sigma H) + sigma^2 E[L | W, H])
+def _prepare_log_ode(w, h_area, h, a, b, sigma, a_strat, b_strat):
+    """The high-order step  y e^x + ab (h (1 - sigma H) + sigma^2 E[L | W, H])
     phi(x), with x = -a~h + sigma W.
 
     The constant Lie brackets -ab*sigma and ab*sigma^2 carry the area H and
@@ -106,51 +106,61 @@ def _kernel_log_ode(y, w, h_area, h, a, b, sigma, a_strat, b_strat):
     """
     x = -a_strat * h + sigma * w
     correction = h * (1.0 - sigma * h_area) + sigma * sigma * levy.cond_mean_L(w, h_area, h)
-    return y * np.exp(x) + a * b * correction * phi(x)
+    return np.exp(x), a * b * correction * phi(x)
 
 
-def _kernel_parabola(y, w, h_area, h, a, b, sigma, a_strat, b_strat):
-    """One parabola-driven step; the drift integral along the parabola is
-    computed by 3-point Gauss-Legendre quadrature."""
-    growth = np.exp(-a_strat * h + sigma * w)
+def _prepare_parabola(w, h_area, h, a, b, sigma, a_strat, b_strat):
+    """The parabola-driven step  growth (y + abh acc), with the drift integral
+    acc along the parabola by 3-point Gauss-Legendre quadrature."""
     acc = 0.0
     for u, v in zip(_GL3_NODES, _GL3_WEIGHTS):
         parab = u * w + 6.0 * u * (1.0 - u) * h_area
         acc = acc + v * np.exp(a_strat * u * h - sigma * parab)
-    return growth * (y + a * b * h * acc)
+    return np.exp(-a_strat * h + sigma * w), a * b * h * acc
 
 
-def _kernel_linear(y, w, h_area, h, a, b, sigma, a_strat, b_strat):
-    """One piecewise-linear (chord-driven) step; ignores the area term."""
+def _prepare_linear(w, h_area, h, a, b, sigma, a_strat, b_strat):
+    """The piecewise-linear (chord-driven) step  y e^x + abh phi(x), which ignores H."""
     x = -a_strat * h + sigma * w
-    return y * np.exp(x) + a * b * h * phi(x)
+    return np.exp(x), a * b * h * phi(x)
 
 
-def _kernel_milstein(y, w, h_area, h, a, b, sigma, a_strat, b_strat):
+def _prepare_taylor(w, h_area, h, a, b, sigma, a_strat, b_strat):
+    return (w,)
+
+
+def _step_affine(y, e, c, h, a, b, sigma, a_strat, b_strat):
+    return y * e + c
+
+
+def _step_parabola(y, growth, c, h, a, b, sigma, a_strat, b_strat):
+    return growth * (y + c)
+
+
+def _step_milstein(y, w, h, a, b, sigma, a_strat, b_strat):
     """One Milstein step, clamped at zero to preserve non-negativity."""
-    step = y + a_strat * (b_strat - y) * h + sigma * y * w + 0.5 * sigma * sigma * y * w * w
-    return np.maximum(step, 0.0)
+    return np.maximum(y + a_strat * (b_strat - y) * h + sigma * y * w + 0.5 * sigma * sigma * y * w * w, 0.0)
 
 
-def _kernel_euler(y, w, h_area, h, a, b, sigma, a_strat, b_strat):
+def _step_euler(y, w, h, a, b, sigma, a_strat, b_strat):
     """One Euler-Maruyama step in Ito form, clamped at zero."""
-    step = y + a * (b - y) * h + sigma * y * w
-    return np.maximum(step, 0.0)
+    return np.maximum(y + a * (b - y) * h + sigma * y * w, 0.0)
 
 
-_KERNELS = {
-    SchemeKind.LOG_ODE: _kernel_log_ode,
-    SchemeKind.PARABOLA_ODE: _kernel_parabola,
-    SchemeKind.PIECEWISE_LINEAR: _kernel_linear,
-    SchemeKind.MILSTEIN: _kernel_milstein,
-    SchemeKind.EULER_MARUYAMA: _kernel_euler,
+_SCHEMES = {
+    SchemeKind.LOG_ODE: (_prepare_log_ode, _step_affine),
+    SchemeKind.PARABOLA_ODE: (_prepare_parabola, _step_parabola),
+    SchemeKind.PIECEWISE_LINEAR: (_prepare_linear, _step_affine),
+    SchemeKind.MILSTEIN: (_prepare_taylor, _step_milstein),
+    SchemeKind.EULER_MARUYAMA: (_prepare_taylor, _step_euler),
 }
+_SLAB = 16  # steps per `prepare` call in `simulate`; never affects values
 
 
 def kernel_fn(kind):
-    """The array kernel implementing a SchemeKind:
-    kernel(y, w, h_area, h, a, b, sigma, a_strat, b_strat) -> next y."""
-    return _KERNELS[kind]
+    """A SchemeKind's one-step kernel(y, w, h_area, h, a, b, sigma, a_strat, b_strat)."""
+    prepare, step = _SCHEMES[kind]
+    return lambda y, w, h_area, h, *par: step(y, *prepare(w, h_area, h, *par), h, *par)
 
 
 def simulate(kind, p, w, h_area, record=False, y=None, h=None):
@@ -170,17 +180,19 @@ def simulate(kind, p, w, h_area, record=False, y=None, h=None):
     paths, steps = w.shape
     if steps == 0:
         raise ValueError("need at least one step")
-    kernel = _KERNELS[kind]
+    prepare, step = _SCHEMES[kind]
     h = p.horizon / steps if h is None else h
     par = (p.a, p.b, p.sigma, p.a_strat, p.b_strat)
     y = np.full(paths, p.y0) if y is None else y
     if record:
         traj = np.empty((paths, steps + 1))
         traj[:, 0] = y
-    for k in range(steps):
-        y = kernel(y, w[:, k], h_area[:, k], h, *par)
-        if record:
-            traj[:, k + 1] = y
+    for k in range(0, steps, _SLAB):
+        slab = prepare(w[:, k : k + _SLAB], h_area[:, k : k + _SLAB], h, *par)
+        for k1, columns in enumerate(zip(*(part.T for part in slab)), k + 1):
+            y = step(y, *columns, h, *par)
+            if record:
+                traj[:, k1] = y
     out = traj if record else y
     if not np.all(np.isfinite(out)):
         raise ValueError(f"the {kind.value} scheme gave non-finite values")

@@ -169,6 +169,21 @@ def test_non_finite_results_refused_without_output(tmp_path, capsys, argv):
     assert not out.exists()  # no NaN table, not even a manifest
 
 
+def test_failed_run_removes_every_directory_it_made_for_out(tmp_path, capsys, monkeypatch):
+    # `--out fx/a/b` in an empty directory makes three directories; a refused
+    # run removes all of them, and keeps a parent that was already there
+    monkeypatch.chdir(tmp_path)
+    argv = ["igbm-paths", "--scheme", "parabola", "--sigma", "100", "--steps", "5", "--paths", "3", "--out"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run([*argv, "fx/a/b"]) == 2
+        assert list(tmp_path.iterdir()) == []
+        (tmp_path / "kept").mkdir()
+        assert run([*argv, "kept/a/b"]) == 2
+    assert [path.name for path in tmp_path.iterdir()] == ["kept"]
+    assert list((tmp_path / "kept").iterdir()) == []
+    assert capsys.readouterr().err.count("the parabola scheme gave non-finite values") == 2
+
+
 TOO_MANY = str(harness.MAX_PATHS + 1)
 TOO_HIGH = str(harness.MAX_LEVEL)
 

@@ -178,6 +178,21 @@ def test_block_memory_does_not_grow_with_the_fine_mesh(step_counts):
     assert all(coarse[key].tobytes() == terminals.tobytes() for key, terminals in expected.items())
 
 
+def test_weak_block_memory_stays_within_its_budget():
+    # one 512-path block on the weak grid peaks at 6.05 MiB; preparing the
+    # schemes over slabs of 16 steps keeps it there (32-step slabs read 6.45)
+    step_counts = (5, 10, 20, 40, 80, 160)
+    args = (REFERENCE, tuple(SchemeKind), step_counts, harness.fine_steps(step_counts), 1)
+    harness._simulate_block(*args, range(1))  # the first block also allocates one-time caches
+    tracemalloc.start()
+    try:
+        harness._simulate_block(*args, range(512))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.15 * (1 << 20)
+
+
 def test_weak_coupling_identity():
     fine, coarse = harness._simulate_block(REFERENCE, (SchemeKind.LOG_ODE,), (20,), 20, 99, range(400))
     err, se = harness._weak_stats(fine, coarse[20, SchemeKind.LOG_ODE], REFERENCE.b)

@@ -76,6 +76,32 @@ def test_simulate_resumes_where_it_stopped(p, data, draw, kind):
     assert np.hstack([first, second[:, 1:]]).tobytes() == whole.tobytes()
 
 
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(
+    params(),
+    st.sampled_from([1, 15, 16, 17, 53]),
+    st.booleans(),
+    st.sampled_from(["one step", "default", "beyond the run"]),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(list(igbm.SchemeKind)),
+)
+def test_simulate_is_the_one_step_kernel_folded(p, steps, record, slab, seed, kind):
+    # however many steps each slab prepares, `simulate` is the column-by-column
+    # fold of the one-step kernel, to the bit
+    g = np.random.default_rng(seed)
+    h = p.horizon / steps
+    w = g.standard_normal((3, steps)) * np.sqrt(h)
+    h_area = g.standard_normal((3, steps)) * np.sqrt(h / 12.0)
+    kernel = igbm.kernel_fn(kind)
+    ys = [np.full(3, p.y0)]
+    for k in range(steps):
+        ys.append(kernel(ys[-1], w[:, k], h_area[:, k], h, p.a, p.b, p.sigma, p.a_strat, p.b_strat))
+    expected = np.stack(ys, axis=1) if record else ys[-1]
+    width = {"one step": 1, "default": igbm._SLAB, "beyond the run": steps + 1}[slab]
+    with mock.patch.object(igbm, "_SLAB", width):
+        assert igbm.simulate(kind, p, w, h_area, record=record).tobytes() == expected.tobytes()
+
+
 @PROPERTY
 @given(
     st.lists(st.tuples(bounded, bounded), min_size=1, max_size=8),

@@ -1,8 +1,8 @@
 """Brownian-path data: (increment, space-time area) pairs, polynomial
 expansion paths, and exact coarsening of fine increments.
 
-All samplers take an explicit numpy Generator and share no mutable state; one
-stream per worker keeps results reproducible.
+All samplers take an explicit numpy Generator and share no mutable state;
+streams are keyed per path by `harness.path_generator`.
 """
 
 from dataclasses import dataclass

@@ -12,15 +12,14 @@ import dataclasses
 import itertools
 import os
 import pathlib
+import shutil
 import sys
+import tempfile
 
 import numpy as np
 
 from . import __version__, brownian, checks, harness, igbm, orthopoly
-from .harness import _blocks, _fmt, _write_csv
-
-_DOMAIN_PATHS = 2
-_DOMAIN_IGBM = 3
+from .harness import _DOMAIN_IGBM, _DOMAIN_PATHS, _blocks, _fmt, _write_csv
 
 
 def _u64(text):
@@ -107,7 +106,7 @@ def _load_config_file(path):
                     continue
                 if "=" not in line:
                     raise UsageError(f"{path}:{lineno}: expected 'key = value'")
-                key, _, value = line.partition("=")
+                key, value = line.split("=", 1)
                 values[key.strip().replace("-", "_")] = value.strip()
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from None
@@ -138,25 +137,31 @@ def _effective_config(command, args):
 
 @contextlib.contextmanager
 def _output(strings, command):
-    """Yield the output directory for the CSVs, then write the manifest.  A
-    failed run writes no manifest and removes every directory it made for
-    `--out`, leaf first; an OSError is a usage error."""
+    """Yield a fresh staging directory for the CSVs.  Once the command
+    returns, the manifest is written there too and every file is renamed into
+    `--out`, manifest last; the staging directory is always removed.  It is
+    made in the deepest existing entry on the path of `--out` (so a file there
+    fails before any work), and a failed run leaves `--out` as it found it
+    and makes no directory.  An OSError is a usage error naming `--out`."""
     out = strings["out"]
-    made = [path for path in (out, *pathlib.Path(out).absolute().parents) if not os.path.isdir(path)]
+    path = pathlib.Path(out).absolute()
+    base = next(entry for entry in (path, *path.parents) if entry.exists())
     try:
-        os.makedirs(out, exist_ok=True)
-        yield out
-        lines = [f"command = {command}", f"artifact_version = {__version__}"]
-        lines += [f"{key} = {strings[key]}" for key in sorted(strings)]
-        with open(os.path.join(out, "manifest.txt"), "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except BaseException as exc:
-        for path in made:
-            with contextlib.suppress(OSError):
-                os.rmdir(path)
-        if isinstance(exc, OSError):
-            raise UsageError(f"cannot write to output directory: {exc}") from None
-        raise
+        staging = tempfile.mkdtemp(prefix=".polybrown-", dir=base)
+        try:
+            yield staging
+            names = [*sorted(os.listdir(staging)), "manifest.txt"]
+            lines = [f"command = {command}", f"artifact_version = {__version__}"]
+            lines += [f"{key} = {strings[key]}" for key in sorted(strings)]
+            with open(os.path.join(staging, "manifest.txt"), "w", newline="\n") as fh:
+                fh.write("\n".join(lines) + "\n")
+            os.makedirs(out, exist_ok=True)
+            for name in names:
+                os.replace(os.path.join(staging, name), os.path.join(out, name))
+        finally:
+            shutil.rmtree(staging, ignore_errors=True)
+    except OSError as exc:
+        raise UsageError(f"cannot write to output directory: {exc.filename2 or out}: {exc.strerror or exc}") from None
 
 
 def _write_long(path, header, labels, rows, first_id=0):

@@ -9,9 +9,7 @@ level 0) and reductions run over arrays in path order, so results are
 bit-identical for any worker count or scheduling.
 """
 
-import contextlib
 import multiprocessing
-import os
 import warnings
 from dataclasses import dataclass
 
@@ -37,7 +35,9 @@ __all__ = [
 
 _BLOCK = 512  # paths per work item; fixed so work decomposition never affects values
 _CHUNK = 320  # fine steps per time chunk, unless one coarsest step is longer; never affects values
-_DOMAIN_HARNESS = 1
+_DOMAIN_HARNESS = 1  # stream-key domains (see `path_generator`): strong and weak,
+_DOMAIN_PATHS = 2  # paths
+_DOMAIN_IGBM = 3  # and igbm-paths
 MAX_PATHS = 1 << 32  # path indices fill 32 bits of the stream key (see `path_generator`)
 MAX_LEVEL = 1 << 16  # stream levels fill 16 bits of it
 
@@ -188,7 +188,7 @@ def fit_slope(points):
     intercept = float(y.mean() - slope * x.mean())
     resid = y - (intercept + slope * x)
     dof = len(pts) - 2
-    stderr = float(np.sqrt(np.sum(resid**2) / dof / np.sum(xc * xc))) if dof > 0 else 0.0
+    stderr = float(np.sqrt(np.sum(resid**2) / dof / np.sum(xc * xc)))
     return slope, stderr
 
 
@@ -245,19 +245,10 @@ _fmt = "%.17g".__mod__  # 17 significant digits, so every float64 reads back exa
 
 
 def _write_csv(path, header, lines):
-    """Write a header line and then `lines`, strings of whole lines, under a
-    temporary name that is renamed to `path` once complete, so a failed write
-    leaves no partial CSV behind."""
-    part = os.fspath(path) + ".part"
-    try:
-        with open(part, "w", newline="\n") as fh:
-            fh.write(header + "\n")
-            fh.writelines(lines)
-        os.replace(part, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(part)
-        raise
+    """Write a header line and then `lines`, strings of whole lines."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        fh.writelines(lines)
 
 
 def write_error_csv(rows, path):

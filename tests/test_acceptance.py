@@ -2,7 +2,8 @@
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines
 as they complete.  The heavy Monte Carlo fixtures (criteria 7-9) are shared
-and desk-scale: the whole suite runs in a few minutes single-threaded.
+and desk-scale, and run on 2 worker processes, which changes no value
+(criterion 10): the whole suite runs in under a minute.
 """
 
 import numpy as np
@@ -157,7 +158,7 @@ def test_criterion_6_levy_algebra():
 @pytest.fixture(scope="module")
 def strong_report():
     cfg = harness.ExperimentConfig(REFERENCE, tuple(SchemeKind), (25, 50, 100, 200, 400), 10_000, SEED)
-    return harness.run_experiment(cfg, "strong")
+    return harness.run_experiment(cfg, "strong", workers=2)
 
 
 STRONG_BANDS = {
@@ -206,7 +207,7 @@ def test_criterion_8_error_ordering(strong_report):
 @pytest.fixture(scope="module")
 def weak_report():
     cfg = harness.ExperimentConfig(REFERENCE, tuple(SchemeKind), (5, 10, 20, 40, 80, 160), 100_000, SEED)
-    return harness.run_experiment(cfg, "weak")
+    return harness.run_experiment(cfg, "weak", workers=2)
 
 
 # (band, fit window): each scheme's slope is fitted on the sub-grid where the

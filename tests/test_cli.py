@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import errno
+import functools
 import hashlib
 import importlib
 import os
@@ -8,13 +10,14 @@ import re
 import resource
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import polybrown
-from polybrown import checks, cli, harness, igbm, orthopoly
+from polybrown import checks, cli, harness, orthopoly
 
 
 def run(argv):
@@ -170,8 +173,8 @@ def test_non_finite_results_refused_without_output(tmp_path, capsys, argv):
 
 
 def test_failed_run_removes_every_directory_it_made_for_out(tmp_path, capsys, monkeypatch):
-    # `--out fx/a/b` in an empty directory makes three directories; a refused
-    # run removes all of them, and keeps a parent that was already there
+    # `--out fx/a/b` in an empty directory needs three directories; a refused
+    # run makes none of them, and keeps a parent that was already there
     monkeypatch.chdir(tmp_path)
     argv = ["igbm-paths", "--scheme", "parabola", "--sigma", "100", "--steps", "5", "--paths", "3", "--out"]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -262,7 +265,34 @@ def test_unwritable_csv_is_a_usage_error(tmp_path, capsys, argv, csv):
     (out / csv).mkdir(parents=True)
     assert run([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("polybrown: error: cannot write to output directory:"), err
+    assert err == [f"polybrown: error: cannot write to output directory: {out / csv}: Is a directory"]
+
+
+def test_unusable_out_is_named_in_the_usage_error(tmp_path, capsys, monkeypatch):
+    # the error names the --out given, never the staging directory, and a
+    # refused run leaves none behind; a file on the path of --out is refused
+    # before any work
+    monkeypatch.chdir(tmp_path)
+    Path("afile").write_text("")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli, "_write_long", no_work)
+    assert run(["basis", "--out", "afile"]) == 2
+    assert run(["basis", "--out", "afile/o"]) == 2
+
+    def read_only(*args, **kwargs):
+        raise OSError(errno.EROFS, os.strerror(errno.EROFS), str(tmp_path / ".polybrown-0eblensp"))
+
+    monkeypatch.setattr(tempfile, "mkdtemp", read_only)
+    assert run(["basis", "--out", "o"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "polybrown: error: cannot write to output directory: afile: Not a directory",
+        "polybrown: error: cannot write to output directory: afile/o: Not a directory",
+        "polybrown: error: cannot write to output directory: o: Read-only file system",
+    ]
+    assert os.listdir() == ["afile"]
 
 
 def test_bad_grid_refused_before_output(tmp_path):
@@ -308,29 +338,46 @@ def test_paths_do_not_depend_on_path_count(tmp_path, name, rows_per_path):
     _assert_paths_do_not_depend_on_path_count(tmp_path, argv, name, rows_per_path)
 
 
-def test_failed_run_leaves_the_output_directory_as_found(tmp_path, capsys, monkeypatch):
-    # igbm-paths writes block by block; a failure in the second block leaves
-    # neither a new directory nor a changed or partial file in an old one
-    argv = ["igbm-paths", "--steps", "5", "--paths", "600"]
+def _no_space_on(name):
+    """An `open` whose files with names starting `name` take one line from
+    `writelines` and then fail as a full disk would."""
+
+    def fail_after_one_line(fh, lines):
+        fh.write(next(iter(lines)))
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def open_(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        if os.path.basename(path).startswith(name):
+            fh.writelines = functools.partial(fail_after_one_line, fh)
+        return fh
+
+    return open_
+
+
+@pytest.mark.parametrize(
+    "argv, failing",
+    [
+        pytest.param(["igbm-paths", "--steps", "5", "--paths", "3"], "igbm_paths.csv", id="igbm-paths"),
+        pytest.param(["paths", "--degree", "4", "--paths", "3", "--grid", "5"], "path_coeffs.csv", id="paths"),
+        pytest.param(["strong", "--paths", "100", "--steps", "5,10,20"], "slopes.csv", id="strong"),
+        pytest.param(["weak", "--paths", "100", "--steps", "5,10,20"], "slopes.csv", id="weak"),
+    ],
+)
+def test_failed_run_leaves_the_output_directory_as_found(tmp_path, capsys, monkeypatch, argv, failing):
+    # a full disk while writing the last CSV leaves neither a new directory
+    # (nor its parents), nor a changed or partial file in an old one, nor a
+    # staging directory in either
     earlier = tmp_path / "earlier"
-    assert run(["igbm-paths", "--steps", "5", "--paths", "3", "--out", str(earlier)]) == 0
+    assert run([*argv, "--seed", "1", "--out", str(earlier)]) == 0
     before = {path.name: path.read_bytes() for path in earlier.iterdir()}
-    assert sorted(before) == ["igbm_paths.csv", "manifest.txt"]
-    simulate, blocks = igbm.simulate, []
-
-    def fail_in_the_second_block(*args, **kwargs):
-        blocks.append(len(args[2]))
-        if len(blocks) == 2:
-            raise ValueError("the log-ode scheme gave non-finite values")
-        return simulate(*args, **kwargs)
-
-    monkeypatch.setattr(igbm, "simulate", fail_in_the_second_block)
-    for out in (tmp_path / "new", earlier):
-        blocks.clear()
-        assert run([*argv, "--out", str(out)]) == 2
-        assert blocks == [512, 88]
-        assert capsys.readouterr().err == "polybrown: error: the log-ode scheme gave non-finite values\n"
-    assert not (tmp_path / "new").exists()
+    assert failing in before and "manifest.txt" in before
+    monkeypatch.setattr(harness, "open", _no_space_on(failing), raising=False)  # every CSV is written by harness
+    for out in (tmp_path / "new" / "nested", earlier):
+        assert run([*argv, "--seed", "2", "--out", str(out)]) == 2
+        message = f"polybrown: error: cannot write to output directory: {out}: No space left on device\n"
+        assert capsys.readouterr().err == message
+    assert list(tmp_path.iterdir()) == [earlier]
     assert {path.name: path.read_bytes() for path in earlier.iterdir()} == before
 
 

@@ -130,7 +130,7 @@ def schemes(g):
     residuals = [igbm.simulate(kind, p, [[0.3]], [[-0.1]]) - flow for kind in kinds]
     r = igbm.REFERENCE
     y = g.uniform(-2.0, 2.0, size=20)
-    bracket = -r.a_strat * (r.sigma * y) - r.sigma * (r.a_strat * (r.b_strat - y))
+    bracket = -r.a_strat * (r.sigma * y) - r.sigma * (r.a * r.b - r.a_strat * y)  # f0 = ab - a~y, f1 = sigma y
     return _worst(residuals + [bracket + r.a * r.b * r.sigma, -r.sigma * bracket - r.a * r.b * r.sigma**2])
 
 

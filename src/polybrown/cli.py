@@ -9,6 +9,7 @@ All randomness flows from the single --seed flag.
 import argparse
 import contextlib
 import dataclasses
+import errno
 import itertools
 import os
 import pathlib
@@ -50,6 +51,12 @@ def _level(text):
     return value
 
 
+def _directory(text):
+    if not text:
+        raise ValueError("expected a directory name, got ''")
+    return text
+
+
 def _steps_list(text):
     return tuple(_level(part) for part in str(text).split(","))
 
@@ -75,7 +82,7 @@ _DEFAULTS = {
 # option -> (converter, help)
 _OPTIONS = {
     "seed": (_u64, "master seed; all randomness derives from it"),
-    "out": (str, "output directory for CSVs and the manifest"),
+    "out": (_directory, "output directory for CSVs and the manifest"),
     "max_k": (_positive_int, "largest eigenfunction index to tabulate"),
     "grid": (_positive_int, "number of grid points on [0, 1]"),
     "degree": (_level, "polynomial path degree"),
@@ -155,6 +162,9 @@ def _output(strings, command):
             lines += [f"{key} = {strings[key]}" for key in sorted(strings)]
             with open(os.path.join(staging, "manifest.txt"), "w", newline="\n") as fh:
                 fh.write("\n".join(lines) + "\n")
+            for name in names:  # a directory in the way is refused before the first rename
+                if os.path.isdir(dest := os.path.join(out, name)):
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), staging, None, dest)
             os.makedirs(out, exist_ok=True)
             for name in names:
                 os.replace(os.path.join(staging, name), os.path.join(out, name))

@@ -2,12 +2,14 @@
 
     dy = a (b - y) dt + sigma y dW,
 
-over per-interval (W, H) data.  `simulate` folds a scheme over a (paths,
-steps) batch: `prepare` computes its y-independent arrays a slab of steps at a
-time, and `step` advances y a column at a time, in the one-step formula's order
-of operations, so values equal `kernel_fn`'s one-step kernel bit for bit.  The
-high-order scheme uses the closed form that the constant Lie brackets of this
-equation admit; no generic ODE solver is involved.
+over per-interval (W, H) data.  The equation is affine in y, so every scheme
+is one affine step  y <- e y + c  with e and c built from (W, H, h) alone;
+Milstein and Euler clamp the result at zero.  `simulate` folds a scheme over a
+(paths, steps) batch: `prepare` computes (e, c) a slab of steps at a time, and
+the step advances y a column at a time, so values equal `kernel_fn`'s one-step
+kernel bit for bit.  The high-order scheme uses the closed form that the
+constant Lie brackets of this equation admit; no generic ODE solver is
+involved.
 """
 
 import enum
@@ -19,14 +21,7 @@ import numpy as np
 from . import levy
 from .orthopoly import gauss_legendre_01
 
-__all__ = [
-    "REFERENCE",
-    "IgbmParams",
-    "SchemeKind",
-    "kernel_fn",
-    "phi",
-    "simulate",
-]
+__all__ = ["REFERENCE", "IgbmParams", "SchemeKind", "kernel_fn", "phi", "simulate"]
 
 
 @dataclass(frozen=True)
@@ -55,15 +50,6 @@ class IgbmParams:
     def a_strat(self):
         """Drift speed in Stratonovich form: a + sigma^2 / 2."""
         return self.a + 0.5 * self.sigma**2
-
-    @property
-    def b_strat(self):
-        """Drift level in Stratonovich form: 2ab / (2a + sigma^2); satisfies
-        a_strat * b_strat = a * b."""
-        denom = 2.0 * self.a + self.sigma**2
-        if denom == 0.0:
-            return self.b
-        return 2.0 * self.a * self.b / denom
 
 
 # The reference experiment's parameters, the defaults of the CLI and harness.
@@ -97,70 +83,64 @@ def phi(x):
 _GL3_NODES, _GL3_WEIGHTS = gauss_legendre_01(3)
 
 
-def _prepare_log_ode(w, h_area, h, a, b, sigma, a_strat, b_strat):
+def _prepare_log_ode(w, h_area, h, p):
     """The high-order step  y e^x + ab (h (1 - sigma H) + sigma^2 E[L | W, H])
-    phi(x), with x = -a~h + sigma W.
-
-    The constant Lie brackets -ab*sigma and ab*sigma^2 carry the area H and
-    the conditional-mean estimate `levy.cond_mean_L` of the third-order area.
-    """
-    x = -a_strat * h + sigma * w
-    correction = h * (1.0 - sigma * h_area) + sigma * sigma * levy.cond_mean_L(w, h_area, h)
-    return np.exp(x), a * b * correction * phi(x)
+    phi(x), with x = -a~h + sigma W: the constant Lie brackets -ab*sigma and
+    ab*sigma^2 carry the area H and the conditional-mean estimate
+    `levy.cond_mean_L` of the third-order area."""
+    x = -p.a_strat * h + p.sigma * w
+    correction = h * (1.0 - p.sigma * h_area) + p.sigma * p.sigma * levy.cond_mean_L(w, h_area, h)
+    return np.exp(x), p.a * p.b * correction * phi(x)
 
 
-def _prepare_parabola(w, h_area, h, a, b, sigma, a_strat, b_strat):
-    """The parabola-driven step  growth (y + abh acc), with the drift integral
-    acc along the parabola by 3-point Gauss-Legendre quadrature."""
+def _prepare_parabola(w, h_area, h, p):
+    """The parabola-driven step  growth y + growth abh acc, with the drift
+    integral acc along the parabola by 3-point Gauss-Legendre quadrature."""
     acc = 0.0
     for u, v in zip(_GL3_NODES, _GL3_WEIGHTS):
         parab = u * w + 6.0 * u * (1.0 - u) * h_area
-        acc = acc + v * np.exp(a_strat * u * h - sigma * parab)
-    return np.exp(-a_strat * h + sigma * w), a * b * h * acc
+        acc = acc + v * np.exp(p.a_strat * u * h - p.sigma * parab)
+    growth = np.exp(-p.a_strat * h + p.sigma * w)
+    return growth, growth * (p.a * p.b * h * acc)
 
 
-def _prepare_linear(w, h_area, h, a, b, sigma, a_strat, b_strat):
+def _prepare_linear(w, h_area, h, p):
     """The piecewise-linear (chord-driven) step  y e^x + abh phi(x), which ignores H."""
-    x = -a_strat * h + sigma * w
-    return np.exp(x), a * b * h * phi(x)
+    x = -p.a_strat * h + p.sigma * w
+    return np.exp(x), p.a * p.b * h * phi(x)
 
 
-def _prepare_taylor(w, h_area, h, a, b, sigma, a_strat, b_strat):
-    return (w,)
+def _prepare_milstein(w, h_area, h, p):
+    """The Milstein step  y + (ab - a~y) h + sigma y W + sigma^2 y W^2 / 2; clamped at zero."""
+    e = 1.0 - p.a_strat * h + p.sigma * w + 0.5 * p.sigma * p.sigma * w * w
+    return e, np.broadcast_to(p.a * p.b * h, np.shape(w))
 
 
-def _step_affine(y, e, c, h, a, b, sigma, a_strat, b_strat):
-    return y * e + c
+def _prepare_euler(w, h_area, h, p):
+    """The Euler-Maruyama step in Ito form  y + a (b - y) h + sigma y W; clamped at zero."""
+    return 1.0 - p.a * h + p.sigma * w, np.broadcast_to(p.a * p.b * h, np.shape(w))
 
 
-def _step_parabola(y, growth, c, h, a, b, sigma, a_strat, b_strat):
-    return growth * (y + c)
-
-
-def _step_milstein(y, w, h, a, b, sigma, a_strat, b_strat):
-    """One Milstein step, clamped at zero to preserve non-negativity."""
-    return np.maximum(y + a_strat * (b_strat - y) * h + sigma * y * w + 0.5 * sigma * sigma * y * w * w, 0.0)
-
-
-def _step_euler(y, w, h, a, b, sigma, a_strat, b_strat):
-    """One Euler-Maruyama step in Ito form, clamped at zero."""
-    return np.maximum(y + a * (b - y) * h + sigma * y * w, 0.0)
-
-
+# kind -> (prepare, clamped): `prepare` gives the (e, c) of the step y <- e y + c
 _SCHEMES = {
-    SchemeKind.LOG_ODE: (_prepare_log_ode, _step_affine),
-    SchemeKind.PARABOLA_ODE: (_prepare_parabola, _step_parabola),
-    SchemeKind.PIECEWISE_LINEAR: (_prepare_linear, _step_affine),
-    SchemeKind.MILSTEIN: (_prepare_taylor, _step_milstein),
-    SchemeKind.EULER_MARUYAMA: (_prepare_taylor, _step_euler),
+    SchemeKind.LOG_ODE: (_prepare_log_ode, False),
+    SchemeKind.PARABOLA_ODE: (_prepare_parabola, False),
+    SchemeKind.PIECEWISE_LINEAR: (_prepare_linear, False),
+    SchemeKind.MILSTEIN: (_prepare_milstein, True),
+    SchemeKind.EULER_MARUYAMA: (_prepare_euler, True),
 }
 _SLAB = 16  # steps per `prepare` call in `simulate`; never affects values
 
 
+def _advance(y, e, c, clamped):
+    y = y * e + c
+    return np.maximum(y, 0.0) if clamped else y
+
+
 def kernel_fn(kind):
-    """A SchemeKind's one-step kernel(y, w, h_area, h, a, b, sigma, a_strat, b_strat)."""
-    prepare, step = _SCHEMES[kind]
-    return lambda y, w, h_area, h, *par: step(y, *prepare(w, h_area, h, *par), h, *par)
+    """A SchemeKind's one-step kernel(y, w, h_area, h, params)."""
+    prepare, clamped = _SCHEMES[kind]
+    return lambda y, w, h_area, h, p: _advance(y, *prepare(w, h_area, h, p), clamped)
 
 
 def simulate(kind, p, w, h_area, record=False, y=None, h=None):
@@ -180,17 +160,16 @@ def simulate(kind, p, w, h_area, record=False, y=None, h=None):
     paths, steps = w.shape
     if steps == 0:
         raise ValueError("need at least one step")
-    prepare, step = _SCHEMES[kind]
+    prepare, clamped = _SCHEMES[kind]
     h = p.horizon / steps if h is None else h
-    par = (p.a, p.b, p.sigma, p.a_strat, p.b_strat)
     y = np.full(paths, p.y0) if y is None else y
     if record:
         traj = np.empty((paths, steps + 1))
         traj[:, 0] = y
     for k in range(0, steps, _SLAB):
-        slab = prepare(w[:, k : k + _SLAB], h_area[:, k : k + _SLAB], h, *par)
-        for k1, columns in enumerate(zip(*(part.T for part in slab)), k + 1):
-            y = step(y, *columns, h, *par)
+        e, c = prepare(w[:, k : k + _SLAB], h_area[:, k : k + _SLAB], h, p)
+        for k1, (e_k, c_k) in enumerate(zip(e.T, c.T), k + 1):
+            y = _advance(y, e_k, c_k, clamped)
             if record:
                 traj[:, k1] = y
     out = traj if record else y

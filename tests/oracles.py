@@ -4,7 +4,9 @@ The derivative of the basis and its quotient by the bridge weight, dense
 Brownian paths, trapezoidal extraction of expansion coefficients, the
 weighted inner product of the basis one pair at a time, the Brownian parabola
 and arch, the prefix-sum coarsening of (W, H) pairs, direct discretisations
-of the iterated integrals, and a harness block simulated on whole arrays.
+of the iterated integrals, a harness block simulated on whole arrays, and the
+Milstein, Euler and parabola steps in their one-step formulas' own order of
+operations.
 Nothing in `polybrown` runs them; they check the closed forms and the exact
 algebra it does run.
 A path is the pair of plain arrays `(grid, values)`, with values along the
@@ -80,6 +82,36 @@ def parabola_eval(start, w, h_area, u):
     if np.any(u < 0.0) or np.any(u > 1.0):
         raise ValueError("u out of range [0, 1]")
     return start + u * w + 6.0 * u * (1.0 - u) * h_area
+
+
+def milstein_step(y, w, h_area, h, p):
+    """One Milstein step in Taylor form, y + a~(b~ - y) h + sigma y W +
+    sigma^2 y W^2 / 2 clamped at zero, with the Stratonovich level
+    b~ = 2ab / (2a + sigma^2) (b when a = sigma = 0).  Returns the step and
+    its terms y, abh, a~yh, sigma y W and sigma^2 y W^2 / 2."""
+    denom = 2.0 * p.a + p.sigma**2
+    b_strat = p.b if denom == 0.0 else 2.0 * p.a * p.b / denom
+    value = np.maximum(y + p.a_strat * (b_strat - y) * h + p.sigma * y * w + 0.5 * p.sigma * p.sigma * y * w * w, 0.0)
+    return value, (y, p.a * p.b * h, p.a_strat * y * h, p.sigma * y * w, 0.5 * p.sigma * p.sigma * y * w * w)
+
+
+def euler_step(y, w, h_area, h, p):
+    """One Euler-Maruyama step in Ito form, y + a (b - y) h + sigma y W
+    clamped at zero.  Returns the step and its terms y, abh, ayh and sigma y W."""
+    value = np.maximum(y + p.a * (p.b - y) * h + p.sigma * y * w, 0.0)
+    return value, (y, p.a * p.b * h, p.a * y * h, p.sigma * y * w)
+
+
+def parabola_step(y, w, h_area, h, p):
+    """One parabola-driven step as growth (y + abh acc), with acc the 3-point
+    Gauss-Legendre integral of exp(a~uh - sigma parabola(u)) over u in [0, 1].
+    Returns the step and its terms growth y and growth abh acc."""
+    acc = 0.0
+    for u, v in zip(*orthopoly.gauss_legendre_01(3)):
+        acc = acc + v * np.exp(p.a_strat * u * h - p.sigma * parabola_eval(0.0, w, h_area, u))
+    growth = np.exp(-p.a_strat * h + p.sigma * w)
+    c = p.a * p.b * h * acc
+    return growth * (y + c), (growth * y, growth * c)
 
 
 def arch_covariance(s, t):

@@ -236,18 +236,26 @@ def test_paths_beyond_the_coefficient_tables(tmp_path):
 
 
 # SHA-256 of CSVs written at the commit before the basis moved to one
-# recurrence pass (NumPy 2.4.6): rewriting an evaluation route must not
-# change a byte of them.
+# recurrence pass, and of log-ODE and linear trajectories written at the
+# commit before every scheme became one affine step y <- e y + c (NumPy
+# 2.4.6): rewriting an evaluation route or a step must not change a byte of
+# them.
 _DIGESTS = {
     ("basis",): {"basis.csv": "35e8a071ee8cf031c65b86728166c7df907db733eb55e89275c01b1ea5558e19"},
     ("paths", "--degree", "20", "--paths", "3", "--grid", "11", "--seed", "1"): {
         "paths.csv": "486df5083adf2300e6c5a29a4f863a224af3698d1c68faafb5f9503dc82598c3",
         "path_coeffs.csv": "fc86dec532137dd874a37aadac3a36fdeae59331aebdc129d67f4af75fc6524a",
     },
+    ("igbm-paths", "--scheme", "log-ode", "--steps", "37", "--paths", "13", "--seed", "4"): {
+        "igbm_paths.csv": "d0ab66ebf19ac3e019c80bbe85163d9186c2c235c3f20d030fa68525a3ef9dcc",
+    },
+    ("igbm-paths", "--scheme", "linear", "--steps", "37", "--paths", "13", "--seed", "4"): {
+        "igbm_paths.csv": "3b4fa9ac3e12941d21e3b3f9f55714498320cb5e1f05481516a722e3ac7cece8",
+    },
 }
 
 
-@pytest.mark.parametrize("argv", list(_DIGESTS), ids=lambda argv: argv[0])
+@pytest.mark.parametrize("argv", list(_DIGESTS), ids=lambda argv: f"{argv[0]}-{argv[2]}" if "--scheme" in argv else argv[0])
 def test_basis_and_paths_keep_their_bytes(tmp_path, argv):
     out = tmp_path / "o"
     assert run([*argv, "--out", str(out)]) == 0
@@ -293,6 +301,38 @@ def test_unusable_out_is_named_in_the_usage_error(tmp_path, capsys, monkeypatch)
         "polybrown: error: cannot write to output directory: o: Read-only file system",
     ]
     assert os.listdir() == ["afile"]
+
+
+def test_directory_in_the_way_leaves_the_earlier_run_as_found(tmp_path, capsys):
+    # every destination is checked before the first rename, so a directory
+    # named like one output file keeps the other files of the earlier run
+    out = tmp_path / "o"
+    argv = ["strong", "--paths", "100", "--steps", "5,10,20", "--out", str(out)]
+    assert run([*argv, "--seed", "1"]) == 0
+    (out / "strong.csv").unlink()
+    (out / "strong.csv").mkdir()
+    before = {path.name: path.read_bytes() for path in out.iterdir() if path.is_file()}
+    assert run([*argv, "--seed", "2"]) == 2
+    message = f"polybrown: error: cannot write to output directory: {out / 'strong.csv'}: Is a directory\n"
+    assert capsys.readouterr().err == message
+    assert {path.name: path.read_bytes() for path in out.iterdir() if path.is_file()} == before
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["o"]  # no staging directory left
+
+
+@pytest.mark.parametrize("command", ["basis", "paths", "igbm-paths", "strong", "weak"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_empty_out_is_a_usage_error_before_any_work(tmp_path, capsys, monkeypatch, command, source):
+    monkeypatch.chdir(tmp_path)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(harness, "path_increments", no_work)
+    monkeypatch.setattr(cli, "_write_long", no_work)
+    Path("empty.cfg").write_text("out =\n")
+    assert run([command, *(["--out", ""] if source == "flag" else ["--config", "empty.cfg"])]) == 2
+    assert capsys.readouterr().err == "polybrown: error: invalid value for out: expected a directory name, got ''\n"
+    assert os.listdir() == ["empty.cfg"]
 
 
 def test_bad_grid_refused_before_output(tmp_path):

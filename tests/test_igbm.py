@@ -16,7 +16,7 @@ def rng(seed=0):
 
 def step(kind, y, p, w, hh, h):
     """One step of a scheme's kernel over an interval of length h."""
-    return igbm.kernel_fn(kind)(y, w, hh, h, p.a, p.b, p.sigma, p.a_strat, p.b_strat)
+    return igbm.kernel_fn(kind)(y, w, hh, h, p)
 
 
 LOG_ODE = igbm.SchemeKind.LOG_ODE
@@ -32,11 +32,6 @@ EULER = igbm.SchemeKind.EULER_MARUYAMA
 
 def test_adjusted_parameters():
     assert BENCH.a_strat == pytest.approx(0.28, rel=1e-15)
-    assert BENCH.b_strat == pytest.approx(0.008 / 0.56, rel=1e-15)
-    assert BENCH.a_strat * BENCH.b_strat == pytest.approx(BENCH.a * BENCH.b, rel=1e-14)
-    flat = igbm.IgbmParams(a=0.0, b=0.04, sigma=0.0, y0=0.06, horizon=1.0)
-    assert flat.b_strat == 0.04  # 0/0 limit pinned to b
-    assert flat.a_strat * flat.b_strat == flat.a * flat.b
 
 
 def test_param_validation():
@@ -137,7 +132,6 @@ def test_log_ode_one_step_self_consistency():
     # single coarse step vs a fine chain over the same coarsened data is
     # O(h^2): halving h shrinks the mean defect by roughly 4.
     n, substeps = 2000, 1000
-    par = (BENCH.a, BENCH.b, BENCH.sigma, BENCH.a_strat, BENCH.b_strat)
     log_ode = igbm.kernel_fn(LOG_ODE)
     defects = {}
     for h in (0.1, 0.05):
@@ -149,8 +143,8 @@ def test_log_ode_one_step_self_consistency():
         wc, hc = bm.coarsen_arrays(wf, hf)
         y_fine = np.full(n, 0.06)
         for k in range(substeps):
-            y_fine = log_ode(y_fine, wf[:, k], hf[:, k], d, *par)
-        y_one = log_ode(np.full(n, 0.06), wc, hc, h, *par)
+            y_fine = log_ode(y_fine, wf[:, k], hf[:, k], d, BENCH)
+        y_one = log_ode(np.full(n, 0.06), wc, hc, h, BENCH)
         defects[h] = np.mean(np.abs(y_one - y_fine))
     ratio = defects[0.1] / defects[0.05]
     assert 2.0 < ratio < 8.0, defects
@@ -211,7 +205,7 @@ def test_parabola_quadrature_adequacy():
 
 
 def test_milstein_step_arithmetic():
-    # direct arithmetic with the adjusted parameters (a~ = 0.28, b~ = 1/70)
+    # direct arithmetic with the Stratonovich drift ab - a~y (a~ = 0.28)
     got = step(MILSTEIN, 0.06, BENCH, 0.0, 0.0, 0.05)
     assert got == pytest.approx(0.05936, rel=1e-12)
     # large negative W forces the clamp
@@ -223,8 +217,9 @@ def test_milstein_step_arithmetic():
 
 
 def test_milstein_clamp_hits_zero_exactly():
-    # a = 0, b = 0, sigma = 1: a~ = 1/2, b~ = 0, so W = -1, h = 1 lands the
-    # unclamped step exactly on zero; Euler clamps for any larger kick.
+    # a = 0, b = 0, sigma = 1: a~ = 1/2 and ab = 0, so W = -1, h = 1 gives
+    # e = 1 - 1/2 - 1 + 1/2 = 0 and c = 0, and the unclamped step lands
+    # exactly on zero; Euler clamps for any larger kick.
     p = igbm.IgbmParams(a=0.0, b=0.0, sigma=1.0, y0=1.0, horizon=1.0)
     assert step(MILSTEIN, 1.0, p, -1.0, 0.0, 1.0) == 0.0
     assert step(MILSTEIN, 1.0, p, -2.0, 0.0, 1.0) >= 0.0
@@ -240,10 +235,10 @@ def test_euler_step_arithmetic():
 
 def test_lie_bracket_constants():
     # [f1, f0] = f0' f1 - f1' f0 and the iterated bracket, with
-    # f0(y) = a~(b~ - y), f1(y) = sigma y: both collapse to constants.
+    # f0(y) = ab - a~y, f1(y) = sigma y: both collapse to constants.
     g = rng(5)
     p = BENCH
-    f0 = lambda y: p.a_strat * (p.b_strat - y)
+    f0 = lambda y: p.a * p.b - p.a_strat * y
     f1 = lambda y: p.sigma * y
     f0p, f1p = -p.a_strat, p.sigma
     for y in g.uniform(-2.0, 2.0, size=20):
@@ -350,14 +345,13 @@ def test_one_step_weak_defect_ordering():
     wf = z[..., 0] * np.sqrt(d)
     hf = z[..., 1] * np.sqrt(d / 12.0)
     wc, hc = bm.coarsen_arrays(wf, hf)
-    par = (BENCH.a, BENCH.b, BENCH.sigma, BENCH.a_strat, BENCH.b_strat)
     log_ode = igbm.kernel_fn(LOG_ODE)
     y_fine = np.full(n, BENCH.y0)
     for k in range(substeps):
-        y_fine = log_ode(y_fine, wf[:, k], hf[:, k], d, *par)
+        y_fine = log_ode(y_fine, wf[:, k], hf[:, k], d, BENCH)
     defects = {}
     for kind in igbm.SchemeKind:
-        y1 = igbm.kernel_fn(kind)(np.full(n, BENCH.y0), wc, hc, h, *par)
+        y1 = igbm.kernel_fn(kind)(np.full(n, BENCH.y0), wc, hc, h, BENCH)
         defects[kind] = abs(np.mean(y1 - y_fine))
     log_defect = defects.pop(igbm.SchemeKind.LOG_ODE)
     assert all(log_defect < v for v in defects.values()), (log_defect, defects)

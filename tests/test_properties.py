@@ -95,11 +95,22 @@ def test_simulate_is_the_one_step_kernel_folded(p, steps, record, slab, seed, ki
     kernel = igbm.kernel_fn(kind)
     ys = [np.full(3, p.y0)]
     for k in range(steps):
-        ys.append(kernel(ys[-1], w[:, k], h_area[:, k], h, p.a, p.b, p.sigma, p.a_strat, p.b_strat))
+        ys.append(kernel(ys[-1], w[:, k], h_area[:, k], h, p))
     expected = np.stack(ys, axis=1) if record else ys[-1]
     width = {"one step": 1, "default": igbm._SLAB, "beyond the run": steps + 1}[slab]
     with mock.patch.object(igbm, "_SLAB", width):
         assert igbm.simulate(kind, p, w, h_area, record=record).tobytes() == expected.tobytes()
+
+
+@PROPERTY
+@given(params(), bounded, bounded, bounded, st.floats(1e-6, 10.0), st.sampled_from(["milstein", "euler", "parabola"]))
+def test_affine_steps_are_their_one_step_formulas_regrouped(p, y, w, h_area, h, name):
+    # y <- e y + c regroups the terms of each formula, so it moves a step by
+    # rounding only: by at most 8 eps times the sum of the terms' magnitudes
+    oracle = {"milstein": oracles.milstein_step, "euler": oracles.euler_step, "parabola": oracles.parabola_step}[name]
+    expected, terms = oracle(y, w, h_area, h, p)
+    got = igbm.kernel_fn(igbm.SchemeKind.from_name(name))(y, w, h_area, h, p)
+    assert abs(got - expected) <= 8.0 * np.finfo(float).eps * sum(abs(term) for term in terms)
 
 
 @PROPERTY

@@ -99,10 +99,6 @@ _OPTIONS = {
 }
 
 
-class UsageError(Exception):
-    pass
-
-
 def _load_config_file(path):
     values = {}
     try:
@@ -112,11 +108,11 @@ def _load_config_file(path):
                 if not line:
                     continue
                 if "=" not in line:
-                    raise UsageError(f"{path}:{lineno}: expected 'key = value'")
+                    raise ValueError(f"{path}:{lineno}: expected 'key = value'")
                 key, value = line.split("=", 1)
                 values[key.strip().replace("-", "_")] = value.strip()
     except OSError as exc:
-        raise UsageError(f"cannot read config file: {exc}") from None
+        raise ValueError(f"cannot read config file: {exc}") from None
     return values
 
 
@@ -127,7 +123,7 @@ def _effective_config(command, args):
         file_values = _load_config_file(config_path)
         unknown = sorted(set(file_values) - set(merged))
         if unknown:
-            raise UsageError(f"unknown config keys for '{command}': {', '.join(unknown)}")
+            raise ValueError(f"unknown config keys for '{command}': {', '.join(unknown)}")
         merged.update(file_values)
     for key in merged:
         flag = getattr(args, key, None)
@@ -138,18 +134,19 @@ def _effective_config(command, args):
         try:
             typed[key] = _OPTIONS[key][0](raw)
         except ValueError as exc:
-            raise UsageError(f"invalid value for {key}: {exc}") from None
+            raise ValueError(f"invalid value for {key}: {exc}") from None
     return merged, typed
 
 
 @contextlib.contextmanager
 def _output(strings, command):
-    """Yield a fresh staging directory for the CSVs.  Once the command
-    returns, the manifest is written there too and every file is renamed into
-    `--out`, manifest last; the staging directory is always removed.  It is
-    made in the deepest existing entry on the path of `--out` (so a file there
-    fails before any work), and a failed run leaves `--out` as it found it
-    and makes no directory.  An OSError is a usage error naming `--out`."""
+    """Yield a fresh staging directory for the CSVs.  `main` enters it before
+    the command works, in the deepest existing entry on the path of `--out`,
+    so a file there is refused first.  Once the command returns, the manifest
+    is written there too and every file is renamed into `--out`, manifest
+    last; the staging directory is always removed.  A failed run leaves
+    `--out` as it found it and makes no directory.  An OSError, here or in
+    the command, is a usage error naming `--out`."""
     out = strings["out"]
     path = pathlib.Path(out).absolute()
     base = next(entry for entry in (path, *path.parents) if entry.exists())
@@ -171,7 +168,7 @@ def _output(strings, command):
         finally:
             shutil.rmtree(staging, ignore_errors=True)
     except OSError as exc:
-        raise UsageError(f"cannot write to output directory: {exc.filename2 or out}: {exc.strerror or exc}") from None
+        raise ValueError(f"cannot write to output directory: {exc.filename2 or out}: {exc.strerror or exc}") from None
 
 
 def _write_long(path, header, labels, rows, first_id=0):
@@ -194,12 +191,10 @@ def _igbm_params(cfg):
 # Subcommands
 
 
-def cmd_basis(strings, cfg):
+def cmd_basis(cfg, out):
     ts = np.linspace(0.0, 1.0, cfg["grid"])
     rows = itertools.islice(orthopoly.basis_e_rows(ts), cfg["max_k"])
-    with _output(strings, "basis") as out:
-        _write_long(os.path.join(out, "basis.csv"), "k,t,e_k(t)", ts, rows, first_id=1)
-    return 0
+    _write_long(os.path.join(out, "basis.csv"), "k,t,e_k(t)", ts, rows, first_id=1)
 
 
 def _kl_block(seed, degree, paths):
@@ -210,17 +205,15 @@ def _kl_block(seed, degree, paths):
     return draws[:, :, 0].T
 
 
-def cmd_paths(strings, cfg):
+def cmd_paths(cfg, out):
     table = np.empty((cfg["paths"], cfg["degree"]))  # the k = 0 column carries the increment
     for paths in _blocks(len(table)):
         table[paths] = _kl_block(cfg["seed"], cfg["degree"], paths)
     ts = np.linspace(0.0, 1.0, cfg["grid"])
     blocks = (table[paths] for paths in _blocks(len(table)))
     values = (row for block in blocks for row in brownian.eval_polynomial_path(block[:, 0], block[:, 1:], ts))
-    with _output(strings, "paths") as out:
-        _write_long(os.path.join(out, "paths.csv"), "path_id,t,kl_value", ts, values)
-        _write_long(os.path.join(out, "path_coeffs.csv"), "path_id,k,I_k", np.arange(cfg["degree"]), table)
-    return 0
+    _write_long(os.path.join(out, "paths.csv"), "path_id,t,kl_value", ts, values)
+    _write_long(os.path.join(out, "path_coeffs.csv"), "path_id,k,I_k", np.arange(cfg["degree"]), table)
 
 
 def _igbm_block(cfg, params, paths):
@@ -232,18 +225,16 @@ def _igbm_block(cfg, params, paths):
     return igbm.simulate(cfg["scheme"], params, *draws, record=True)
 
 
-def cmd_igbm_paths(strings, cfg):
+def cmd_igbm_paths(cfg, out):
     if len(cfg["steps"]) != 1:
-        raise UsageError("igbm-paths expects a single --steps value")
+        raise ValueError("igbm-paths expects a single --steps value")
     params = _igbm_params(cfg)
     rows = (row for paths in _blocks(cfg["paths"]) for row in _igbm_block(cfg, params, paths))
     ts = np.linspace(0.0, params.horizon, cfg["steps"][0] + 1)
-    with _output(strings, "igbm-paths") as out:
-        _write_long(os.path.join(out, "igbm_paths.csv"), "path_id,t,value", ts, rows)
-    return 0
+    _write_long(os.path.join(out, "igbm_paths.csv"), "path_id,t,value", ts, rows)
 
 
-def _run_benchmark(strings, cfg, metric):
+def _run_benchmark(cfg, out, metric):
     config = harness.ExperimentConfig(
         params=_igbm_params(cfg),
         schemes=cfg["schemes"],
@@ -252,13 +243,11 @@ def _run_benchmark(strings, cfg, metric):
         seed=cfg["seed"],
     )
     rows, slopes = harness.run_experiment(config, metric, workers=cfg["workers"])
-    with _output(strings, metric) as out:
-        harness.write_error_csv(rows, os.path.join(out, f"{metric}.csv"))
-        harness.write_slopes_csv(slopes, os.path.join(out, "slopes.csv"))
-    return 0
+    harness.write_error_csv(rows, os.path.join(out, f"{metric}.csv"))
+    harness.write_slopes_csv(slopes, os.path.join(out, "slopes.csv"))
 
 
-def cmd_check(strings, cfg):
+def cmd_check(cfg):
     failed = False
     for name, invariant, bound in checks.SUITES:
         worst = invariant(np.random.default_rng(cfg["seed"]))
@@ -272,13 +261,12 @@ def cmd_check(strings, cfg):
 # Argument parsing
 
 
-_HANDLERS = {
+_WRITERS = {
     "basis": cmd_basis,
     "paths": cmd_paths,
     "igbm-paths": cmd_igbm_paths,
-    "strong": lambda strings, cfg: _run_benchmark(strings, cfg, "strong"),
-    "weak": lambda strings, cfg: _run_benchmark(strings, cfg, "weak"),
-    "check": cmd_check,
+    "strong": lambda cfg, out: _run_benchmark(cfg, out, "strong"),
+    "weak": lambda cfg, out: _run_benchmark(cfg, out, "weak"),
 }
 
 
@@ -301,8 +289,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         strings, typed = _effective_config(args.command, args)
-        return _HANDLERS[args.command](strings, typed)
-    except (UsageError, ValueError, MemoryError) as exc:
+        if args.command == "check":
+            return cmd_check(typed)
+        with _output(strings, args.command) as out:
+            _WRITERS[args.command](typed, out)
+        return 0
+    except (ValueError, MemoryError) as exc:
         print(f"polybrown: error: {exc}", file=sys.stderr)
         return 2
 

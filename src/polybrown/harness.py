@@ -69,6 +69,8 @@ class ExperimentConfig:
             raise ValueError("seed must be in [0, 2^64)")
         if not self.schemes:
             raise ValueError("need at least one scheme")
+        if not self.step_counts:
+            raise ValueError("need at least one step count")
         if len(set(self.schemes)) < len(self.schemes):
             raise ValueError(f"schemes must be distinct: {','.join(scheme.value for scheme in self.schemes)}")
 

@@ -37,7 +37,6 @@ def _check_positive_length(length):
 
 def cond_mean_sq_integral(w, h_area, length):
     """E[ integral of (W_{s,u})^2 du | W, H ] = hW^2/3 + hWH + 2 E[L | W, H]."""
-    _check_positive_length(length)
     return length * w * w / 3.0 + length * w * h_area + 2.0 * cond_mean_L(w, h_area, length)
 
 

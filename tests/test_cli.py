@@ -276,31 +276,37 @@ def test_unwritable_csv_is_a_usage_error(tmp_path, capsys, argv, csv):
     assert err == [f"polybrown: error: cannot write to output directory: {out / csv}: Is a directory"]
 
 
-def test_unusable_out_is_named_in_the_usage_error(tmp_path, capsys, monkeypatch):
-    # the error names the --out given, never the staging directory, and a
-    # refused run leaves none behind; a file on the path of --out is refused
-    # before any work
+def _no_work(*args, **kwargs):
+    raise AssertionError("the command ran")
+
+
+@pytest.mark.parametrize("out", ["afile", "afile/o"])
+@pytest.mark.parametrize("command", ["basis", "paths", "igbm-paths", "strong", "weak"])
+def test_file_on_the_out_path_is_refused_before_any_work(tmp_path, capsys, monkeypatch, command, out):
+    # main claims --out before the command starts, so no command draws,
+    # simulates or writes when a file stands on the path of --out
     monkeypatch.chdir(tmp_path)
     Path("afile").write_text("")
+    for name in ("path_increments", "run_experiment"):
+        monkeypatch.setattr(harness, name, _no_work)
+    monkeypatch.setattr(cli, "_write_long", _no_work)
+    assert run([command, "--out", out]) == 2
+    assert capsys.readouterr().err == f"polybrown: error: cannot write to output directory: {out}: Not a directory\n"
+    assert os.listdir() == ["afile"]
 
-    def no_work(*args, **kwargs):
-        raise AssertionError("the command ran")
 
-    monkeypatch.setattr(cli, "_write_long", no_work)
-    assert run(["basis", "--out", "afile"]) == 2
-    assert run(["basis", "--out", "afile/o"]) == 2
+def test_unusable_out_is_named_in_the_usage_error(tmp_path, capsys, monkeypatch):
+    # the error names the --out given, never the staging directory, and a
+    # refused run leaves none behind
+    monkeypatch.chdir(tmp_path)
 
     def read_only(*args, **kwargs):
         raise OSError(errno.EROFS, os.strerror(errno.EROFS), str(tmp_path / ".polybrown-0eblensp"))
 
     monkeypatch.setattr(tempfile, "mkdtemp", read_only)
     assert run(["basis", "--out", "o"]) == 2
-    assert capsys.readouterr().err.splitlines() == [
-        "polybrown: error: cannot write to output directory: afile: Not a directory",
-        "polybrown: error: cannot write to output directory: afile/o: Not a directory",
-        "polybrown: error: cannot write to output directory: o: Read-only file system",
-    ]
-    assert os.listdir() == ["afile"]
+    assert capsys.readouterr().err == "polybrown: error: cannot write to output directory: o: Read-only file system\n"
+    assert os.listdir() == []
 
 
 def test_directory_in_the_way_leaves_the_earlier_run_as_found(tmp_path, capsys):
@@ -323,12 +329,8 @@ def test_directory_in_the_way_leaves_the_earlier_run_as_found(tmp_path, capsys):
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_empty_out_is_a_usage_error_before_any_work(tmp_path, capsys, monkeypatch, command, source):
     monkeypatch.chdir(tmp_path)
-
-    def no_work(*args, **kwargs):
-        raise AssertionError("the command ran")
-
-    monkeypatch.setattr(harness, "path_increments", no_work)
-    monkeypatch.setattr(cli, "_write_long", no_work)
+    monkeypatch.setattr(harness, "path_increments", _no_work)
+    monkeypatch.setattr(cli, "_write_long", _no_work)
     Path("empty.cfg").write_text("out =\n")
     assert run([command, *(["--out", ""] if source == "flag" else ["--config", "empty.cfg"])]) == 2
     assert capsys.readouterr().err == "polybrown: error: invalid value for out: expected a directory name, got ''\n"
@@ -520,6 +522,8 @@ def test_dropped_slopes_are_named_on_stderr(tmp_path):
         ["basis", "--max-k", "2", "--grid", "3"],
         ["paths", "--degree", "4", "--paths", "3", "--grid", "5"],
         ["igbm-paths", "--steps", "4", "--paths", "3"],
+        ["strong", "--paths", "100", "--steps", "5,10,20"],
+        ["check"],
     ],
     ids=lambda argv: argv[0],
 )
@@ -529,7 +533,8 @@ def test_bench_tracer_runs_a_command(tmp_path, argv):
     is called would break `bench/run.py --trace 1`."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    argv = [*argv, "--out", str(tmp_path / "o")]
+    if argv != ["check"]:  # check writes no files and takes no --out
+        argv = [*argv, "--out", str(tmp_path / "o")]
     tracer = [sys.executable, str(root / "bench" / "trace.py"), str(tmp_path / "r.json"), str(tmp_path / "s.npz")]
     result = subprocess.run([*tracer, "traced", "--", *argv], env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr

@@ -31,6 +31,8 @@ def test_config_validation():
         small_config(num_paths=50)
     with pytest.raises(ValueError):
         small_config(schemes=())
+    with pytest.raises(ValueError, match="need at least one step count"):
+        small_config(step_counts=())
     with pytest.raises(ValueError, match="each step count must divide the next: 10,15,30"):
         small_config(step_counts=(10, 15, 30))
     with pytest.raises(ValueError, match="schemes must be distinct: linear,linear"):

@@ -20,7 +20,7 @@ import tempfile
 import numpy as np
 
 from . import __version__, brownian, checks, harness, igbm, orthopoly
-from .harness import _DOMAIN_IGBM, _DOMAIN_PATHS, _blocks, _fmt, _write_csv
+from .harness import _DOMAIN_IGBM, _DOMAIN_PATHS, _FLOAT, _blocks, _fmt, _write_csv
 
 
 def _u64(text):
@@ -172,14 +172,11 @@ def _output(strings, command):
 
 
 def _write_long(path, header, labels, rows, first_id=0):
-    """Write the long table `id,label,value` of 1-D `rows`: one line per
-    value, with ids numbering the rows from `first_id` and `labels` the
-    shared column, formatted once."""
-    labels = [_fmt(label) for label in labels.tolist()]
-    lines = (
-        "".join([f"{i},{label},{_fmt(v)}\n" for label, v in zip(labels, row.tolist())])
-        for i, row in enumerate(rows, first_id)
-    )
+    """Write the long table `id,label,value` of 1-D `rows`, one line per value
+    and ids from `first_id`.  The shared `labels` fill one row template with a
+    `%.17g` slot per value, so each row is one `%` call on its id's copy."""
+    template = "".join(f"\0,{_fmt(label)},{_FLOAT}\n" for label in labels.tolist())
+    lines = (template.replace("\0", str(i)) % tuple(row.tolist()) for i, row in enumerate(rows, first_id))
     _write_csv(path, header, lines)
 
 

@@ -138,13 +138,14 @@ def _simulate_block(params, schemes, step_counts, n_fine, seed, paths):
 
 def _terminals(config, workers):
     """`_simulate_block` over all paths, joined in path order.  One task per
-    block and at most one pool process per block; one block runs in-process."""
+    block, handed out singly (`chunksize=1`) so no worker idles behind a
+    batch, and at most one pool process per block; one block runs in-process."""
     common = (config.params, config.schemes, config.step_counts, fine_steps(config.step_counts), config.seed)
     tasks = [(*common, paths) for paths in _blocks(config.num_paths)]
     processes = min(workers, len(tasks))
     if processes > 1:
         with multiprocessing.Pool(processes=processes) as pool:
-            blocks = pool.starmap(_simulate_block, tasks)
+            blocks = pool.starmap(_simulate_block, tasks, chunksize=1)
     else:
         blocks = [_simulate_block(*task) for task in tasks]
     fine = np.concatenate([fine_block for fine_block, _ in blocks])
@@ -243,7 +244,8 @@ def run_experiment(config, metric, workers=1):
     return tuple(rows), tuple(slopes)
 
 
-_fmt = "%.17g".__mod__  # 17 significant digits, so every float64 reads back exactly
+_FLOAT = "%.17g"  # 17 significant digits, so every float64 reads back exactly
+_fmt = _FLOAT.__mod__
 
 
 def _write_csv(path, header, lines):

@@ -4,9 +4,9 @@ The derivative of the basis and its quotient by the bridge weight, dense
 Brownian paths, trapezoidal extraction of expansion coefficients, the
 weighted inner product of the basis one pair at a time, the Brownian parabola
 and arch, the prefix-sum coarsening of (W, H) pairs, direct discretisations
-of the iterated integrals, a harness block simulated on whole arrays, and the
+of the iterated integrals, a harness block simulated on whole arrays, the
 Milstein, Euler and parabola steps in their one-step formulas' own order of
-operations.
+operations, and the lines of a long CSV table formatted one value at a time.
 Nothing in `polybrown` runs them; they check the closed forms and the exact
 algebra it does run.
 A path is the pair of plain arrays `(grid, values)`, with values along the
@@ -190,3 +190,13 @@ def whole_block(params, schemes, step_counts, w, h_area):
         w, h_area = brownian.coarsen_arrays(w.reshape(shape), h_area.reshape(shape))
         coarse.update({(n_steps, scheme): igbm.simulate(scheme, params, w, h_area) for scheme in schemes})
     return fine, coarse
+
+
+def long_table_lines(labels, rows, first_id=0):
+    """The `id,label,value` lines of 1-D `rows` over the shared `labels`, one
+    value at a time: 17 significant digits, ids from `first_id`."""
+    return "".join(
+        f"{i},{'%.17g' % label},{'%.17g' % v}\n"
+        for i, row in enumerate(rows, first_id)
+        for label, v in zip(labels.tolist(), row.tolist())
+    )

@@ -15,7 +15,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import oracles
 import polybrown
 from polybrown import checks, cli, harness, orthopoly
 
@@ -74,6 +78,28 @@ def test_igbm_paths_csv(tmp_path):
 
 def test_igbm_paths_rejects_step_lists(tmp_path):
     assert run(["igbm-paths", "--steps", "10,20", "--out", str(tmp_path / "o")]) == 2
+
+
+_EDGE_FLOATS = (-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308)
+_CSV_FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())
+
+
+@st.composite
+def _long_tables(draw):
+    """(labels, rows): float labels, or integer ones as `path_coeffs.csv`
+    uses, over a (rows, labels) float table."""
+    width = draw(st.integers(0, 5))
+    labels = draw(st.one_of(st.just(np.arange(width)), hnp.arrays(float, width, elements=_CSV_FLOATS)))
+    return labels, draw(hnp.arrays(float, (draw(st.integers(0, 4)), width), elements=_CSV_FLOATS))
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(_long_tables(), st.sampled_from([0, 1]))
+def test_long_table_writes_the_per_value_lines(tmp_path_factory, table, first_id):
+    labels, rows = table
+    path = tmp_path_factory.mktemp("long") / "table.csv"
+    cli._write_long(path, "id,label,value", labels, (row for row in rows), first_id)
+    assert path.read_text() == "id,label,value\n" + oracles.long_table_lines(labels, rows, first_id)
 
 
 # ---------------------------------------------------------------------------

@@ -273,10 +273,11 @@ def test_non_finite_terminals_raise_through_the_pool(monkeypatch):
 
 
 def test_no_more_pool_processes_than_blocks(monkeypatch):
-    sizes = []
+    sizes, starmaps = [], []
 
     class RecordingPool:
-        """Stands in for multiprocessing.Pool: records its size, runs in-process."""
+        """Stands in for multiprocessing.Pool: records its size and each
+        `starmap`'s tasks and chunk size, runs in-process."""
 
         def __init__(self, processes):
             sizes.append(processes)
@@ -287,7 +288,8 @@ def test_no_more_pool_processes_than_blocks(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def starmap(self, fn, tasks):
+        def starmap(self, fn, tasks, chunksize=None):
+            starmaps.append(([task[-1] for task in tasks], chunksize))
             return list(itertools.starmap(fn, tasks))
 
     monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
@@ -299,6 +301,8 @@ def test_no_more_pool_processes_than_blocks(monkeypatch):
     for workers in (8, 2):
         assert harness.run_experiment(three_blocks, "strong", workers=workers) == expected
     assert sizes == [3, 2]
+    # one block per task, in block order, handed out singly so no worker idles behind a batch
+    assert starmaps == 2 * [([range(0, 512), range(512, 1024), range(1024, 1100)], 1)]
 
 
 def test_worker_count_invariance():

@@ -2,8 +2,9 @@
 
 Subcommands: basis, paths, igbm-paths, strong, weak, check.  Flag values
 override an optional plain-text `key = value` configuration file; every run
-echoes its effective configuration into a manifest next to the CSV outputs.
-All randomness flows from the single --seed flag.
+echoes its effective configuration, the Python and NumPy versions and the
+OpenBLAS thread count into a manifest next to the CSV outputs.  All randomness
+flows from the single --seed flag.
 """
 
 import argparse
@@ -17,10 +18,13 @@ import shutil
 import sys
 import tempfile
 
-import numpy as np
+# before NumPy loads: polybrown calls no BLAS, so one OpenBLAS thread spares a core and keeps fork() safe
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import __version__, brownian, checks, harness, igbm, orthopoly
-from .harness import _DOMAIN_IGBM, _DOMAIN_PATHS, _FLOAT, _blocks, _fmt, _write_csv
+import numpy as np  # noqa: E402
+
+from . import __version__, brownian, checks, harness, igbm, orthopoly  # noqa: E402
+from .harness import _DOMAIN_IGBM, _DOMAIN_PATHS, _FLOAT, _blocks, _fmt, _write_csv  # noqa: E402
 
 
 def _u64(text):
@@ -155,7 +159,8 @@ def _output(strings, command):
         try:
             yield staging
             names = [*sorted(os.listdir(staging)), "manifest.txt"]
-            lines = [f"command = {command}", f"artifact_version = {__version__}"]
+            lines = [f"command = {command}", f"artifact_version = {__version__}", f"python = {sys.version.split()[0]}"]
+            lines += [f"numpy = {np.__version__}", f"openblas_num_threads = {os.environ.get('OPENBLAS_NUM_THREADS')}"]
             lines += [f"{key} = {strings[key]}" for key in sorted(strings)]
             with open(os.path.join(staging, "manifest.txt"), "w", newline="\n") as fh:
                 fh.write("\n".join(lines) + "\n")

@@ -9,7 +9,6 @@ level 0) and reductions run over arrays in path order, so results are
 bit-identical for any worker count or scheduling.
 """
 
-import multiprocessing
 import warnings
 from dataclasses import dataclass
 
@@ -144,6 +143,7 @@ def _terminals(config, workers):
     tasks = [(*common, paths) for paths in _blocks(config.num_paths)]
     processes = min(workers, len(tasks))
     if processes > 1:
+        import multiprocessing  # only here: most commands never pool
         with multiprocessing.Pool(processes=processes) as pool:
             blocks = pool.starmap(_simulate_block, tasks, chunksize=1)
     else:

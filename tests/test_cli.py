@@ -45,6 +45,9 @@ def test_basis_csv_matches_library(tmp_path):
     assert "command = basis" in manifest
     assert "artifact_version" in manifest
     assert "seed" not in manifest  # the table is deterministic
+    threads = os.environ["OPENBLAS_NUM_THREADS"]  # importing cli set it, unless it was set already
+    versions = f"python = {sys.version.split()[0]}\nnumpy = {np.__version__}\nopenblas_num_threads = {threads}\n"
+    assert f"artifact_version = {polybrown.__version__}\n{versions}" in manifest
     with pytest.raises(SystemExit):
         run(["basis", "--seed", "5", "--out", str(out)])
 
@@ -455,6 +458,9 @@ def _run_in_1_gib(argv):
     def limit_address_space():  # runs in the child only
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
+    # set here, not left to cli: a `python -c "from polybrown import harness ..."`
+    # child never imports cli, and on a many-core host the stack and buffer of
+    # every OpenBLAS thread would count against the 1 GiB
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
     return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60, preexec_fn=limit_address_space)
 
@@ -540,6 +546,41 @@ def test_dropped_slopes_are_named_on_stderr(tmp_path):
     zeros = "error 0 at N=5, error 0 at N=10, error 0 at N=20"
     assert f"UserWarning: no weak slope for linear, euler ({zeros})\n" in result.stderr
     assert (tmp_path / "o" / "slopes.csv").read_text() == "scheme,metric,slope,slope_stderr\n"
+
+
+def _run_python(code, **env):
+    """Run `python -c code` on this checkout's sources; OPENBLAS_NUM_THREADS
+    is removed from the child's environment unless given in `env`."""
+    base = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env = dict(base, PYTHONPATH=str(Path(cli.__file__).parents[1]), **env)
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task (Linux)")
+def test_cli_process_starts_with_one_thread():
+    """The CLI pins OpenBLAS to one thread before NumPy loads, unless the
+    user has set a count; `import polybrown` alone loads no NumPy."""
+    code = (
+        "import os, sys; import polybrown; print('numpy' in sys.modules); import polybrown.cli; "
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'), len(os.listdir('/proc/self/task')))"
+    )
+    assert _run_python(code) == "False\n1 1\n"
+    assert _run_python(code, OPENBLAS_NUM_THREADS="2").split()[:2] == ["False", "2"]
+
+
+def test_commands_without_a_pool_never_import_multiprocessing(tmp_path):
+    commands = [
+        ["igbm-paths", "--steps", "4", "--paths", "3", "--out", str(tmp_path / "i")],
+        ["paths", "--degree", "4", "--paths", "3", "--grid", "5", "--out", str(tmp_path / "p")],
+        ["basis", "--max-k", "2", "--grid", "3", "--out", str(tmp_path / "b")],
+        ["strong", "--paths", "100", "--steps", "5,10,20", "--workers", "2", "--out", str(tmp_path / "s")],  # one block
+        ["check"],
+    ]
+    code = f"import sys; from polybrown import cli; codes = [cli.main(argv) for argv in {commands!r}]; "
+    code += "print(codes, 'multiprocessing' in sys.modules)"
+    assert _run_python(code).splitlines()[-1] == "[0, 0, 0, 0, 0] False"
 
 
 @pytest.mark.parametrize(

@@ -14,11 +14,12 @@ import errno
 import itertools
 import os
 import pathlib
-import shutil
 import sys
 import tempfile
 
-# before NumPy loads: polybrown calls no BLAS, so one OpenBLAS thread spares a core and keeps fork() safe
+# before NumPy loads: polybrown calls no BLAS, so one OpenBLAS thread spares a core and keeps fork() safe.
+# The manifest records the count OpenBLAS reads, which is not this default if NumPy has loaded already.
+_OPENBLAS_THREADS = os.environ.get("OPENBLAS_NUM_THREADS", None if "numpy" in sys.modules else "1")
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402
@@ -155,23 +156,19 @@ def _output(strings, command):
     path = pathlib.Path(out).absolute()
     base = next(entry for entry in (path, *path.parents) if entry.exists())
     try:
-        staging = tempfile.mkdtemp(prefix=".polybrown-", dir=base)
-        try:
+        with tempfile.TemporaryDirectory(prefix=".polybrown-", dir=base, ignore_cleanup_errors=True) as staging:
             yield staging
             names = [*sorted(os.listdir(staging)), "manifest.txt"]
-            lines = [f"command = {command}", f"artifact_version = {__version__}", f"python = {sys.version.split()[0]}"]
-            lines += [f"numpy = {np.__version__}", f"openblas_num_threads = {os.environ.get('OPENBLAS_NUM_THREADS')}"]
-            lines += [f"{key} = {strings[key]}" for key in sorted(strings)]
-            with open(os.path.join(staging, "manifest.txt"), "w", newline="\n") as fh:
-                fh.write("\n".join(lines) + "\n")
+            lines = [f"artifact_version = {__version__}\n", f"python = {sys.version.split()[0]}\n"]
+            lines += [f"numpy = {np.__version__}\n", f"openblas_num_threads = {_OPENBLAS_THREADS}\n"]
+            lines += [f"{key} = {strings[key]}\n" for key in sorted(strings)]
+            _write_csv(os.path.join(staging, "manifest.txt"), f"command = {command}", lines)
             for name in names:  # a directory in the way is refused before the first rename
                 if os.path.isdir(dest := os.path.join(out, name)):
                     raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), staging, None, dest)
             os.makedirs(out, exist_ok=True)
             for name in names:
                 os.replace(os.path.join(staging, name), os.path.join(out, name))
-        finally:
-            shutil.rmtree(staging, ignore_errors=True)
     except OSError as exc:
         raise ValueError(f"cannot write to output directory: {exc.filename2 or out}: {exc.strerror or exc}") from None
 

@@ -45,7 +45,7 @@ def test_basis_csv_matches_library(tmp_path):
     assert "command = basis" in manifest
     assert "artifact_version" in manifest
     assert "seed" not in manifest  # the table is deterministic
-    threads = os.environ["OPENBLAS_NUM_THREADS"]  # importing cli set it, unless it was set already
+    threads = cli._OPENBLAS_THREADS  # its value is tested in fresh processes below
     versions = f"python = {sys.version.split()[0]}\nnumpy = {np.__version__}\nopenblas_num_threads = {threads}\n"
     assert f"artifact_version = {polybrown.__version__}\n{versions}" in manifest
     with pytest.raises(SystemExit):
@@ -198,7 +198,7 @@ def test_non_finite_results_refused_without_output(tmp_path, capsys, argv):
     with np.errstate(over="ignore", invalid="ignore"):
         assert run(argv + ["--out", str(out)]) == 2
     assert "polybrown: error: the parabola scheme gave non-finite values" in capsys.readouterr().err
-    assert not out.exists()  # no NaN table, not even a manifest
+    assert list(tmp_path.iterdir()) == []  # no NaN table, not even a manifest, and no staging directory
 
 
 def test_failed_run_removes_every_directory_it_made_for_out(tmp_path, capsys, monkeypatch):
@@ -248,7 +248,7 @@ def test_out_of_memory_refused_before_output(tmp_path, capsys, monkeypatch):
     out = tmp_path / "o"
     assert run(["igbm-paths", "--paths", str(harness.MAX_PATHS), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"polybrown: error: {message}\n"
-    assert not out.exists()
+    assert list(tmp_path.iterdir()) == []  # neither --out nor a staging directory
 
 
 def test_paths_beyond_the_coefficient_tables(tmp_path):
@@ -433,17 +433,18 @@ def _no_space_on(name):
         pytest.param(["paths", "--degree", "4", "--paths", "3", "--grid", "5"], "path_coeffs.csv", id="paths"),
         pytest.param(["strong", "--paths", "100", "--steps", "5,10,20"], "slopes.csv", id="strong"),
         pytest.param(["weak", "--paths", "100", "--steps", "5,10,20"], "slopes.csv", id="weak"),
+        pytest.param(["igbm-paths", "--steps", "5", "--paths", "3"], "manifest.txt", id="manifest"),
     ],
 )
 def test_failed_run_leaves_the_output_directory_as_found(tmp_path, capsys, monkeypatch, argv, failing):
-    # a full disk while writing the last CSV leaves neither a new directory
-    # (nor its parents), nor a changed or partial file in an old one, nor a
-    # staging directory in either
+    # a full disk while writing the last CSV, or the manifest, leaves neither
+    # a new directory (nor its parents), nor a changed or partial file in an
+    # old one, nor a staging directory in either
     earlier = tmp_path / "earlier"
     assert run([*argv, "--seed", "1", "--out", str(earlier)]) == 0
     before = {path.name: path.read_bytes() for path in earlier.iterdir()}
     assert failing in before and "manifest.txt" in before
-    monkeypatch.setattr(harness, "open", _no_space_on(failing), raising=False)  # every CSV is written by harness
+    monkeypatch.setattr(harness, "open", _no_space_on(failing), raising=False)  # every file is written by harness
     for out in (tmp_path / "new" / "nested", earlier):
         assert run([*argv, "--seed", "2", "--out", str(out)]) == 2
         message = f"polybrown: error: cannot write to output directory: {out}: No space left on device\n"
@@ -548,12 +549,12 @@ def test_dropped_slopes_are_named_on_stderr(tmp_path):
     assert (tmp_path / "o" / "slopes.csv").read_text() == "scheme,metric,slope,slope_stderr\n"
 
 
-def _run_python(code, **env):
-    """Run `python -c code` on this checkout's sources; OPENBLAS_NUM_THREADS
+def _run_python(*argv, **env):
+    """Run `python *argv` on this checkout's sources; OPENBLAS_NUM_THREADS
     is removed from the child's environment unless given in `env`."""
     base = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
     env = dict(base, PYTHONPATH=str(Path(cli.__file__).parents[1]), **env)
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    result = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     return result.stdout
 
@@ -566,8 +567,23 @@ def test_cli_process_starts_with_one_thread():
         "import os, sys; import polybrown; print('numpy' in sys.modules); import polybrown.cli; "
         "print(os.environ.get('OPENBLAS_NUM_THREADS'), len(os.listdir('/proc/self/task')))"
     )
-    assert _run_python(code) == "False\n1 1\n"
-    assert _run_python(code, OPENBLAS_NUM_THREADS="2").split()[:2] == ["False", "2"]
+    assert _run_python("-c", code) == "False\n1 1\n"
+    assert _run_python("-c", code, OPENBLAS_NUM_THREADS="2").split()[:2] == ["False", "2"]
+
+
+@pytest.mark.parametrize(
+    "entry, env, threads",
+    [
+        # NumPy loaded first, so OpenBLAS read no count, whatever cli sets later
+        (["-c", "import sys, numpy, polybrown.cli; sys.exit(polybrown.cli.main(sys.argv[1:]))"], {}, "None"),
+        (["-m", "polybrown"], {}, "1"),
+        (["-m", "polybrown"], {"OPENBLAS_NUM_THREADS": "2"}, "2"),
+    ],
+    ids=["numpy-first", "cli", "user-set"],
+)
+def test_manifest_records_the_thread_count_openblas_read(tmp_path, entry, env, threads):
+    _run_python(*entry, "basis", "--max-k", "1", "--grid", "2", "--out", str(tmp_path / "o"), **env)
+    assert f"\nopenblas_num_threads = {threads}\n" in (tmp_path / "o" / "manifest.txt").read_text()
 
 
 def test_commands_without_a_pool_never_import_multiprocessing(tmp_path):
@@ -580,7 +596,7 @@ def test_commands_without_a_pool_never_import_multiprocessing(tmp_path):
     ]
     code = f"import sys; from polybrown import cli; codes = [cli.main(argv) for argv in {commands!r}]; "
     code += "print(codes, 'multiprocessing' in sys.modules)"
-    assert _run_python(code).splitlines()[-1] == "[0, 0, 0, 0, 0] False"
+    assert _run_python("-c", code).splitlines()[-1] == "[0, 0, 0, 0, 0] False"
 
 
 @pytest.mark.parametrize(

@@ -213,7 +213,7 @@ def test_paths_block_draw_is_the_single_path_draw(seed, degree, index):
     # that path's own draw from its stream at (domain 2, level = degree)
     block = cli._kl_block(seed, degree, range(index, index + 3))
     for i, row in enumerate(block, index):
-        w1, coeffs = bm.sample_kl_coefficients(degree, harness.path_generator(seed, 2, degree, i))
+        (w1,), (coeffs,) = bm.sample_kl_batch(degree, 1, harness.path_generator(seed, 2, degree, i))
         assert row[0] == w1
         assert row[1:].tobytes() == coeffs.tobytes()
 
@@ -224,7 +224,7 @@ def test_polynomial_path_area_is_the_first_coefficient(degree, seed):
     # the space-time area of W^n on [0, 1], integral of (W_t - t w1) dt, is
     # I_1 times the integral of e_1, -1/sqrt(6), since every e_k with k >= 2
     # integrates to 0; so Var H = lambda_1 / 6 = 1/12, the harness's scale
-    w1, coeffs = bm.sample_kl_coefficients(degree, np.random.default_rng(seed))
+    (w1,), (coeffs,) = bm.sample_kl_batch(degree, 1, np.random.default_rng(seed))
     t, w = orthopoly.gauss_legendre_01(degree // 2 + 1)  # exact for the degree-n integrand
     area = float(np.sum(w * (bm.eval_polynomial_path(w1, coeffs, t) - t * w1)))
     assert abs(area - -coeffs[0] / np.sqrt(6.0)) <= 1e-14

@@ -25,7 +25,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 
 from . import __version__, brownian, checks, harness, igbm, orthopoly  # noqa: E402
-from .harness import _DOMAIN_IGBM, _DOMAIN_PATHS, _FLOAT, _blocks, _fmt, _write_csv  # noqa: E402
+from .harness import _DOMAIN_IGBM, _DOMAIN_PATHS, _FLOAT, _fmt, _write_csv  # noqa: E402
 
 
 def _u64(text):
@@ -206,11 +206,13 @@ def _kl_block(seed, degree, paths):
 
 def cmd_paths(cfg, out):
     table = np.empty((cfg["paths"], cfg["degree"]))  # the k = 0 column carries the increment
-    for paths in _blocks(len(table)):
-        table[paths] = _kl_block(cfg["seed"], cfg["degree"], paths)
     ts = np.linspace(0.0, 1.0, cfg["grid"])
-    blocks = (table[paths] for paths in _blocks(len(table)))
-    values = (row for block in blocks for row in brownian.eval_polynomial_path(block[:, 0], block[:, 1:], ts))
+
+    def block_values(paths):  # draws the block's rows of the table, then evaluates its paths
+        block = table[paths.start : paths.stop] = _kl_block(cfg["seed"], cfg["degree"], paths)
+        return brownian.eval_polynomial_path(block[:, 0], block[:, 1:], ts)
+
+    values = itertools.chain.from_iterable(harness._map_blocks(block_values, (), len(table)))
     _write_long(os.path.join(out, "paths.csv"), "path_id,t,kl_value", ts, values)
     _write_long(os.path.join(out, "path_coeffs.csv"), "path_id,k,I_k", np.arange(cfg["degree"]), table)
 
@@ -228,7 +230,7 @@ def cmd_igbm_paths(cfg, out):
     if len(cfg["steps"]) != 1:
         raise ValueError("igbm-paths expects a single --steps value")
     params = _igbm_params(cfg)
-    rows = (row for paths in _blocks(cfg["paths"]) for row in _igbm_block(cfg, params, paths))
+    rows = itertools.chain.from_iterable(harness._map_blocks(_igbm_block, (cfg, params), cfg["paths"]))
     ts = np.linspace(0.0, params.horizon, cfg["steps"][0] + 1)
     _write_long(os.path.join(out, "igbm_paths.csv"), "path_id,t,value", ts, rows)
 

@@ -4,9 +4,10 @@ with log-log slope fitting and CSV emission.
 Each path's Brownian increments are drawn once, on one fine mesh for the
 whole grid (`fine_steps`) that also carries the log-ODE reference, and every
 level is the exact coarsening of the next finer one: the nested coupling of
-multilevel Monte Carlo.  Streams are keyed per path (`path_generator`, at
-level 0) and reductions run over arrays in path order, so results are
-bit-identical for any worker count or scheduling.
+multilevel Monte Carlo.  `_map_blocks` is the one place where the paths of
+every command are cut into blocks and pooled.  Streams are keyed per path
+(`path_generator`, at level 0) and reductions run over arrays in path order,
+so results are bit-identical for any worker count or block size.
 """
 
 import warnings
@@ -109,9 +110,19 @@ def path_increments(seed, domain, level, indices, n_intervals, scale, chunk=None
         yield np.multiply(z.transpose(2, 1, 0), np.reshape(scale, (-1, 1, 1)), order="C").transpose(0, 2, 1)
 
 
-def _blocks(n_paths):
-    """The path ranges of the `_BLOCK`-path work items, in path order."""
-    return (range(lo, min(lo + _BLOCK, n_paths)) for lo in range(0, n_paths, _BLOCK))
+def _map_blocks(fn, common, n_paths, workers=1):
+    """`fn(*common, paths)` for each `_BLOCK`-path range of `range(n_paths)`,
+    in path order: the one place where paths are cut into blocks and pooled.
+    One worker or one block runs in-process and lazily.  Otherwise a pool of
+    at most one process per block takes the blocks singly (`chunksize=1`), so
+    no worker idles behind a batch, and returns every result at once."""
+    ranges = (range(lo, min(lo + _BLOCK, n_paths)) for lo in range(0, n_paths, _BLOCK))
+    processes = min(workers, -(-n_paths // _BLOCK))
+    if processes <= 1:
+        return (fn(*common, paths) for paths in ranges)
+    import multiprocessing  # only here: most commands never pool
+    with multiprocessing.Pool(processes=processes) as pool:
+        return pool.starmap(fn, [(*common, paths) for paths in ranges], chunksize=1)
 
 
 def _simulate_block(params, schemes, step_counts, n_fine, seed, paths):
@@ -133,23 +144,6 @@ def _simulate_block(params, schemes, step_counts, n_fine, seed, paths):
             for scheme in schemes:
                 coarse[n_steps, scheme] = igbm.simulate(scheme, params, w, h_area, y=coarse[n_steps, scheme], h=h)
     return fine, coarse
-
-
-def _terminals(config, workers):
-    """`_simulate_block` over all paths, joined in path order.  One task per
-    block, handed out singly (`chunksize=1`) so no worker idles behind a
-    batch, and at most one pool process per block; one block runs in-process."""
-    common = (config.params, config.schemes, config.step_counts, fine_steps(config.step_counts), config.seed)
-    tasks = [(*common, paths) for paths in _blocks(config.num_paths)]
-    processes = min(workers, len(tasks))
-    if processes > 1:
-        import multiprocessing  # only here: most commands never pool
-        with multiprocessing.Pool(processes=processes) as pool:
-            blocks = pool.starmap(_simulate_block, tasks, chunksize=1)
-    else:
-        blocks = [_simulate_block(*task) for task in tasks]
-    fine = np.concatenate([fine_block for fine_block, _ in blocks])
-    return fine, {key: np.concatenate([block[key] for _, block in blocks]) for key in blocks[0][1]}
 
 
 def _strong_stats(fine, approx):
@@ -223,7 +217,10 @@ def run_experiment(config, metric, workers=1):
     """
     if metric not in ("strong", "weak"):
         raise ValueError(f"metric must be strong or weak: {metric!r}")
-    fine, coarse = _terminals(config, workers)
+    common = (config.params, config.schemes, config.step_counts, fine_steps(config.step_counts), config.seed)
+    fine_blocks, coarse_blocks = zip(*_map_blocks(_simulate_block, common, config.num_paths, workers))
+    fine = np.concatenate(fine_blocks)
+    coarse = {key: np.concatenate([block[key] for block in coarse_blocks]) for key in coarse_blocks[0]}
     stats = _strong_stats if metric == "strong" else lambda fine, approx: _weak_stats(fine, approx, config.params.b)
     rows, slopes, unfitted = [], [], {}  # unfitted: reason -> scheme names
     for scheme in config.schemes:

@@ -409,6 +409,19 @@ def test_paths_do_not_depend_on_path_count(tmp_path, name, rows_per_path):
     _assert_paths_do_not_depend_on_path_count(tmp_path, argv, name, rows_per_path)
 
 
+@pytest.mark.parametrize("command", ["paths", "igbm-paths"])
+def test_block_size_does_not_change_the_trajectories(tmp_path, monkeypatch, command):
+    # the trajectory commands' counterpart of test_block_size_does_not_change_the_report:
+    # a patched block size reaches every command, and 20 paths in blocks of 7 keep every byte
+    def csvs(out):
+        assert run([command, "--paths", "20", "--seed", "5", "--out", str(out)]) == 0
+        return {path.name: path.read_bytes() for path in out.glob("*.csv")}
+
+    expected = csvs(tmp_path / "one-block")
+    monkeypatch.setattr(harness, "_BLOCK", 7)
+    assert csvs(tmp_path / "three-blocks") == expected
+
+
 def _no_space_on(name):
     """An `open` whose files with names starting `name` take one line from
     `writelines` and then fail as a full disk would."""

@@ -306,6 +306,15 @@ def test_no_more_pool_processes_than_blocks(monkeypatch):
     assert starmaps == 2 * [([range(0, 512), range(512, 1024), range(1024, 1100)], 1)]
 
 
+def test_pool_under_spawn_equals_the_in_process_run(monkeypatch):
+    # spawned workers start from a fresh import, not a copy of the parent: macOS
+    # spawns, and from Python 3.14 Linux starts workers from a forkserver
+    cfg = small_config(num_paths=600, step_counts=(5, 10, 20))  # two blocks
+    expected = harness.run_experiment(cfg, "strong")
+    monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context("spawn").Pool)
+    assert harness.run_experiment(cfg, "strong", workers=2) == expected
+
+
 def test_worker_count_invariance():
     cfg = small_config(num_paths=600, step_counts=(10, 20, 40))
     assert harness.run_experiment(cfg, "strong", workers=1) == harness.run_experiment(cfg, "strong", workers=2)

@@ -1,6 +1,9 @@
 """Property-based tests of the simulation and coarsening algebra."""
 
 import itertools
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -229,3 +232,28 @@ def test_polynomial_path_area_is_the_first_coefficient(degree, seed):
     area = float(np.sum(w * (bm.eval_polynomial_path(w1, coeffs, t) - t * w1)))
     assert abs(area - -coeffs[0] / np.sqrt(6.0)) <= 1e-14
     assert orthopoly.eigenvalue(1) / 6.0 == 1.0 / 12.0
+
+
+_TWO_TESTS = """
+from hypothesis import given
+from hypothesis import strategies as st
+
+
+@given(st.integers())
+def test_failing_property(x):
+    assert x != x
+
+
+def test_passing():
+    pass
+"""
+
+
+def test_a_failing_property_does_not_stop_the_session(tmp_path):
+    # under the repo's pytest settings, where a warning is an error, a failing
+    # property is one failure and the tests after it still run
+    (tmp_path / "test_two.py").write_text(_TWO_TESTS)
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(pyproject), "--rootdir", "."]
+    result = subprocess.run([*argv, "test_two.py"], cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert "1 failed, 1 passed" in result.stdout.splitlines()[-1], result.stdout

@@ -75,7 +75,7 @@ def eval_polynomial_path(w1, coeffs, t):
     once for the whole batch, so a degree-n path costs O(n * size(t)).
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0) or np.any(t > 1.0):
+    if not np.all((t >= 0.0) & (t <= 1.0)):  # NaN fails both
         raise ValueError("t out of domain [0, 1]")
     out = np.multiply.outer(w1, t)
     for column, e_k in zip(np.moveaxis(np.asarray(coeffs, dtype=float), -1, 0), orthopoly.basis_e_rows(t)):

@@ -205,16 +205,13 @@ def _kl_block(seed, degree, paths):
 
 
 def cmd_paths(cfg, out):
-    table = np.empty((cfg["paths"], cfg["degree"]))  # the k = 0 column carries the increment
+    # each file walks the blocks anew, redrawn from their keyed streams, so no array outlives its block
+    walk = (_kl_block, (cfg["seed"], cfg["degree"]), cfg["paths"])
     ts = np.linspace(0.0, 1.0, cfg["grid"])
-
-    def block_values(paths):  # draws the block's rows of the table, then evaluates its paths
-        block = table[paths.start : paths.stop] = _kl_block(cfg["seed"], cfg["degree"], paths)
-        return brownian.eval_polynomial_path(block[:, 0], block[:, 1:], ts)
-
-    values = itertools.chain.from_iterable(harness._map_blocks(block_values, (), len(table)))
-    _write_long(os.path.join(out, "paths.csv"), "path_id,t,kl_value", ts, values)
-    _write_long(os.path.join(out, "path_coeffs.csv"), "path_id,k,I_k", np.arange(cfg["degree"]), table)
+    values = (brownian.eval_polynomial_path(block[:, 0], block[:, 1:], ts) for block in harness._map_blocks(*walk))
+    _write_long(os.path.join(out, "paths.csv"), "path_id,t,kl_value", ts, itertools.chain.from_iterable(values))
+    coeffs = itertools.chain.from_iterable(harness._map_blocks(*walk))  # the k = 0 column carries the increment
+    _write_long(os.path.join(out, "path_coeffs.csv"), "path_id,k,I_k", np.arange(cfg["degree"]), coeffs)
 
 
 def _igbm_block(cfg, params, paths):

@@ -170,16 +170,18 @@ def _weak_stats(fine, approx, strike):
 def fit_slope(points):
     """Ordinary least squares of log(error) against log(h).
 
-    `points` is a sequence of (h, error) with positive entries; returns the
-    fitted slope and its OLS standard error.
+    `points` is a sequence of (h, error) with positive finite entries and at
+    least two distinct h; returns the fitted slope and its OLS standard error.
     """
     pts = [(float(h), float(e)) for h, e in points]
     if len(pts) < 3:
         raise ValueError("need at least 3 points")
-    if any(h <= 0 or e <= 0 for h, e in pts):
-        raise ValueError("nonpositive inputs")
+    if not all(0 < v < np.inf for pt in pts for v in pt):
+        raise ValueError("nonpositive or non-finite inputs")
     x = np.log([h for h, _ in pts])
     y = np.log([e for _, e in pts])
+    if np.all(x == x[0]):
+        raise ValueError("need at least 2 distinct h")
     xc = x - x.mean()
     slope = float(np.sum(xc * y) / np.sum(xc * xc))
     intercept = float(y.mean() - slope * x.mean())

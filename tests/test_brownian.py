@@ -69,8 +69,9 @@ def test_eval_polynomial_path_pins():
     assert bm.eval_polynomial_path(w1, coeffs, 1.0) == pytest.approx(w1, abs=1e-14)
     bump = bm.eval_polynomial_path(0.0, np.array([1.0]), 0.5)
     assert bump == pytest.approx(-SQRT6 / 4.0, rel=1e-14)
-    with pytest.raises(ValueError):
-        bm.eval_polynomial_path(w1, coeffs, 1.5)
+    for t in (1.5, np.nan, [0.5, np.nan]):
+        with pytest.raises(ValueError, match=r"t out of domain \[0, 1\]"):
+            bm.eval_polynomial_path(w1, coeffs, t)
 
 
 def test_eval_polynomial_path_batch_matches_single_paths():

@@ -11,6 +11,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -246,9 +247,10 @@ def test_out_of_memory_refused_before_output(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(harness, "path_increments", out_of_memory)
     out = tmp_path / "o"
-    assert run(["igbm-paths", "--paths", str(harness.MAX_PATHS), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"polybrown: error: {message}\n"
-    assert list(tmp_path.iterdir()) == []  # neither --out nor a staging directory
+    for command in ("igbm-paths", "paths"):
+        assert run([command, "--paths", str(harness.MAX_PATHS), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"polybrown: error: {message}\n"
+        assert list(tmp_path.iterdir()) == []  # neither --out nor a staging directory
 
 
 def test_paths_beyond_the_coefficient_tables(tmp_path):
@@ -265,15 +267,20 @@ def test_paths_beyond_the_coefficient_tables(tmp_path):
 
 
 # SHA-256 of CSVs written at the commit before the basis moved to one
-# recurrence pass, and of log-ODE and linear trajectories written at the
-# commit before every scheme became one affine step y <- e y + c (NumPy
-# 2.4.6): rewriting an evaluation route or a step must not change a byte of
-# them.
+# recurrence pass, of log-ODE and linear trajectories written at the commit
+# before every scheme became one affine step y <- e y + c, and of three-block
+# `paths` CSVs written at the commit before `paths` dropped its whole-run
+# coefficient table (NumPy 2.4.6): rewriting an evaluation route, a step or
+# a walk over the blocks must not change a byte of them.
 _DIGESTS = {
     ("basis",): {"basis.csv": "35e8a071ee8cf031c65b86728166c7df907db733eb55e89275c01b1ea5558e19"},
     ("paths", "--degree", "20", "--paths", "3", "--grid", "11", "--seed", "1"): {
         "paths.csv": "486df5083adf2300e6c5a29a4f863a224af3698d1c68faafb5f9503dc82598c3",
         "path_coeffs.csv": "fc86dec532137dd874a37aadac3a36fdeae59331aebdc129d67f4af75fc6524a",
+    },
+    ("paths", "--degree", "7", "--paths", "1100", "--grid", "11", "--seed", "2"): {
+        "paths.csv": "019b22d9a5014a1916b044ff9120709a60fb51dc849c4bc20eb8f84d105629bf",
+        "path_coeffs.csv": "17a0616ab409b1c584ced9890db0ffeb00b1e075125e6147eb6479c0fa271206",
     },
     ("igbm-paths", "--scheme", "log-ode", "--steps", "37", "--paths", "13", "--seed", "4"): {
         "igbm_paths.csv": "d0ab66ebf19ac3e019c80bbe85163d9186c2c235c3f20d030fa68525a3ef9dcc",
@@ -284,7 +291,9 @@ _DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("argv", list(_DIGESTS), ids=lambda argv: f"{argv[0]}-{argv[2]}" if "--scheme" in argv else argv[0])
+@pytest.mark.parametrize(
+    "argv", list(_DIGESTS), ids=["basis", "paths", "paths-three-blocks", "igbm-paths-log-ode", "igbm-paths-linear"]
+)
 def test_basis_and_paths_keep_their_bytes(tmp_path, argv):
     out = tmp_path / "o"
     assert run([*argv, "--out", str(out)]) == 0
@@ -409,6 +418,22 @@ def test_paths_do_not_depend_on_path_count(tmp_path, name, rows_per_path):
     _assert_paths_do_not_depend_on_path_count(tmp_path, argv, name, rows_per_path)
 
 
+def test_paths_memory_does_not_grow_with_the_path_count(tmp_path):
+    # each file redraws its blocks, so 12 blocks peak no higher than 3 would
+    # (a whole-run coefficient table read 11.2 against 4.6 MiB)
+    def peak(paths):
+        argv = ["paths", "--degree", "200", "--grid", "3", "--paths", str(paths), "--out", str(tmp_path / str(paths))]
+        tracemalloc.start()
+        try:
+            assert run(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # the first run also allocates one-time caches
+    assert peak(6000) <= 1.1 * peak(1100)
+
+
 @pytest.mark.parametrize("command", ["paths", "igbm-paths"])
 def test_block_size_does_not_change_the_trajectories(tmp_path, monkeypatch, command):
     # the trajectory commands' counterpart of test_block_size_does_not_change_the_report:
@@ -477,18 +502,6 @@ def _run_in_1_gib(argv):
     # every OpenBLAS thread would count against the 1 GiB
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
     return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60, preexec_fn=limit_address_space)
-
-
-def test_paths_table_beyond_the_address_space_is_refused_before_output(tmp_path):
-    """`paths` sizes its coefficient table before it draws or writes, so a
-    table beyond the address space is one error line and exit 2."""
-    out = tmp_path / "o"
-    argv = ["paths", "--paths", str(harness.MAX_PATHS), "--degree", "4", "--out", str(out)]
-    result = _run_in_1_gib([sys.executable, "-m", "polybrown", *argv])
-    assert result.returncode == 2, result.stderr
-    message = "polybrown: error: Unable to allocate 128. GiB for an array with shape (4294967296, 4)"
-    assert result.stderr.startswith(message) and result.stderr.count("\n") == 1, result.stderr
-    assert not out.exists()
 
 
 def test_path_increments_allocates_before_it_builds_streams():

@@ -147,6 +147,13 @@ def test_fit_slope_validation():
         harness.fit_slope([(0.1, 1.0), (0.05, 0.5), (0.02, -0.1)])
     with pytest.raises(ValueError):
         harness.fit_slope([(0.1, 1.0), (0.0, 0.5), (0.02, 0.1)])
+    # a slope from non-finite values or a single h would be NaN or infinite
+    for bad in (np.nan, np.inf):
+        for points in ([(1, bad), (2, 1), (4, 2)], [(bad, 1), (2, 1), (4, 2)]):
+            with pytest.raises(ValueError, match="non-finite"):
+                harness.fit_slope(points)
+    with pytest.raises(ValueError, match="distinct h"):
+        harness.fit_slope([(0.1, 1.0), (0.1, 0.5), (0.1, 0.2)])
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ __all__ = [
 
 _BLOCK = 512  # paths per work item; fixed so work decomposition never affects values
 _CHUNK = 320  # fine steps per time chunk, unless one coarsest step is longer; never affects values
+_GROUP = 64  # paths drawn at a time into a chunk; never affects values
 _DOMAIN_HARNESS = 1  # stream-key domains (see `path_generator`): strong and weak,
 _DOMAIN_PATHS = 2  # paths
 _DOMAIN_IGBM = 3  # and igbm-paths
@@ -93,36 +94,45 @@ def path_generator(seed, domain, level, index):
 
 
 def path_increments(seed, domain, level, indices, n_intervals, scale, chunk=None):
-    """Yield arrays of shape (len(scale), len(indices), chunk) in time order,
-    for n_intervals intervals in all (one chunk by default).  Entry j of an
-    interval is a standard normal times scale[j], so scale (sqrt(h),
-    sqrt(h/12)) gives the (W, H) of intervals of length h.  The buffer is
-    allocated before the streams are built; they stay open, so the chunks
-    joined are one draw.  Each (paths, chunk) array's columns are contiguous."""
+    """Yield (len(scale), len(indices), chunk) arrays in time order, n_intervals
+    intervals in all (one chunk by default).  Entry j of an interval is a standard
+    normal times scale[j], so scale (sqrt(h), sqrt(h/12)) gives the (W, H) of
+    steps h.  Only one chunk is held, time-major, filled `_GROUP` paths at a time;
+    the first is allocated before the streams, which stay open: one draw in all."""
     chunk = n_intervals if chunk is None else chunk
-    if n_intervals % chunk:
+    if not 0 < chunk <= n_intervals or n_intervals % chunk:
         raise ValueError("chunk must divide n_intervals")
-    z = np.empty((len(indices), chunk, len(scale)))
-    generators = [path_generator(seed, domain, level, index) for index in indices]
+    z, generators = np.empty((min(_GROUP, len(indices)), chunk, len(scale))), None
     for _ in range(n_intervals // chunk):
-        for row, generator in zip(z, generators):
-            generator.standard_normal(row.shape, out=row)
-        yield np.multiply(z.transpose(2, 1, 0), np.reshape(scale, (-1, 1, 1)), order="C").transpose(0, 2, 1)
+        out = np.empty((len(scale), chunk, len(indices)))
+        generators = generators or [path_generator(seed, domain, level, index) for index in indices]
+        for lo in range(0, len(indices), _GROUP):
+            for row, generator in zip(z, generators[lo : lo + _GROUP]):
+                generator.standard_normal(row.shape, out=row)
+            np.multiply(z[: len(indices) - lo].T, np.reshape(scale, (-1, 1, 1)), out=out[:, :, lo : lo + _GROUP])
+        yield out.transpose(0, 2, 1)
+        del out  # so the next chunk is never allocated while this one is held here
 
 
 def _map_blocks(fn, common, n_paths, workers=1):
     """`fn(*common, paths)` for each `_BLOCK`-path range of `range(n_paths)`,
-    in path order: the one place where paths are cut into blocks and pooled.
-    One worker or one block runs in-process and lazily.  Otherwise a pool of
-    at most one process per block takes the blocks singly (`chunksize=1`), so
-    no worker idles behind a batch, and returns every result at once."""
+    yielded lazily in path order: the one place where paths are cut into
+    blocks and pooled.  One worker or one block runs in-process; otherwise a
+    pool of at most one process per block has at most two tasks per process
+    in flight, so no worker idles and few results wait to be consumed."""
     ranges = (range(lo, min(lo + _BLOCK, n_paths)) for lo in range(0, n_paths, _BLOCK))
     processes = min(workers, -(-n_paths // _BLOCK))
     if processes <= 1:
-        return (fn(*common, paths) for paths in ranges)
+        yield from (fn(*common, paths) for paths in ranges)
+        return
     import multiprocessing  # only here: most commands never pool
     with multiprocessing.Pool(processes=processes) as pool:
-        return pool.starmap(fn, [(*common, paths) for paths in ranges], chunksize=1)
+        pending = []  # tasks in flight, in block order
+        for paths in ranges:
+            pending.append(pool.apply_async(fn, (*common, paths)))
+            if len(pending) == 2 * processes:
+                yield pending.pop(0).get()
+        yield from (task.get() for task in pending)
 
 
 def _simulate_block(params, schemes, step_counts, n_fine, seed, paths):
@@ -170,7 +180,7 @@ def _weak_stats(fine, approx, strike):
 def fit_slope(points):
     """Ordinary least squares of log(error) against log(h).
 
-    `points` is a sequence of (h, error) with positive finite entries and at
+    `points` holds at least 3 (h, error) with positive finite entries and at
     least two distinct h; returns the fitted slope and its OLS standard error.
     """
     pts = [(float(h), float(e)) for h, e in points]
@@ -209,20 +219,22 @@ class SlopeRow:
 
 
 def run_experiment(config, metric, workers=1):
-    """Error rows over (scheme, N) for one metric, "strong" or "weak", and
-    the fitted log-log slope rows.
-
-    One fine path and reference per sample serve every level and scheme, so
-    the errors of different levels are correlated.  Deterministic given the
-    seed.  A slope needs at least 3 step counts and positive errors; the
-    schemes left without one are named in one UserWarning.
+    """Error rows over (scheme, N) for one metric, "strong" or "weak", and the
+    fitted log-log slope rows.  One fine path and reference per sample serve
+    every level and scheme, so the errors of different levels are correlated;
+    each block's terminals are copied into whole-run arrays as it arrives.
+    Deterministic given the seed.  A slope needs at least 3 step counts and
+    positive errors; the schemes left without one are named in one UserWarning.
     """
     if metric not in ("strong", "weak"):
         raise ValueError(f"metric must be strong or weak: {metric!r}")
     common = (config.params, config.schemes, config.step_counts, fine_steps(config.step_counts), config.seed)
-    fine_blocks, coarse_blocks = zip(*_map_blocks(_simulate_block, common, config.num_paths, workers))
-    fine = np.concatenate(fine_blocks)
-    coarse = {key: np.concatenate([block[key] for block in coarse_blocks]) for key in coarse_blocks[0]}
+    fine = np.empty(n := config.num_paths)
+    coarse = {(steps, scheme): np.empty(n) for steps in config.step_counts for scheme in config.schemes}
+    for lo, (fine_block, coarse_block) in zip(range(0, n, _BLOCK), _map_blocks(_simulate_block, common, n, workers)):
+        fine[lo : lo + _BLOCK] = fine_block
+        for key, terminals in coarse_block.items():
+            coarse[key][lo : lo + _BLOCK] = terminals
     stats = _strong_stats if metric == "strong" else lambda fine, approx: _weak_stats(fine, approx, config.params.b)
     rows, slopes, unfitted = [], [], {}  # unfitted: reason -> scheme names
     for scheme in config.schemes:

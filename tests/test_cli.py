@@ -4,6 +4,7 @@ import errno
 import functools
 import hashlib
 import importlib
+import multiprocessing
 import os
 import pkgutil
 import re
@@ -200,6 +201,22 @@ def test_non_finite_results_refused_without_output(tmp_path, capsys, argv):
         assert run(argv + ["--out", str(out)]) == 2
     assert "polybrown: error: the parabola scheme gave non-finite values" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []  # no NaN table, not even a manifest, and no staging directory
+
+
+def test_failing_worker_ends_the_pool_and_leaves_out_as_found(tmp_path, capsys):
+    # three blocks on two workers: the pool lives in the generator the run
+    # walks, and a worker's error closes it with no process left behind
+    out = tmp_path / "o"
+    argv = ["strong", "--paths", "1100", "--steps", "5,10,20", "--workers", "2", "--out", str(out)]
+    assert run(argv) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    capsys.readouterr()
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run([*argv, "--sigma", "100"]) == 2
+    assert capsys.readouterr().err == "polybrown: error: the parabola scheme gave non-finite values\n"
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["o"]  # no staging directory left
+    assert multiprocessing.active_children() == []
 
 
 def test_failed_run_removes_every_directory_it_made_for_out(tmp_path, capsys, monkeypatch):
@@ -506,10 +523,10 @@ def _run_in_1_gib(argv):
 
 def test_path_increments_allocates_before_it_builds_streams():
     # 2^32 streams would fill the address space over many seconds; the
-    # 64 GiB buffer is refused at once
+    # 64 GiB time-major chunk is refused at once
     draw = "from polybrown import harness; next(harness.path_increments(0, 1, 0, range(1 << 32), 1, [1.0, 1.0]))"
     result = _run_in_1_gib([sys.executable, "-c", draw])
-    assert "MemoryError: Unable to allocate 64.0 GiB for an array with shape (4294967296, 1, 2)" in result.stderr
+    assert "MemoryError: Unable to allocate 64.0 GiB for an array with shape (2, 1, 4294967296)" in result.stderr
 
 
 CHECK_LINE = re.compile(r"(ok|FAIL) (\S+) (\S+) (<=|>) (\S+)")

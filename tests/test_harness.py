@@ -118,6 +118,38 @@ def test_chunked_draws_join_to_one_draw(n, paths, seed):
             assert joined.tobytes() == expected.tobytes()
 
 
+def test_path_increments_refuses_empty_chunks():
+    # a zero or negative length is refused like a chunk that does not divide, not with a ZeroDivisionError
+    for n_intervals, chunk in ((0, None), (0, 1), (6, 0), (-3, None), (6, -2), (-6, -2)):
+        with pytest.raises(ValueError, match="chunk must divide"):
+            next(harness.path_increments(7, 1, 25, range(3), n_intervals, [1.0], chunk))
+
+
+def test_group_size_does_not_change_the_draw(monkeypatch):
+    scale = np.sqrt([0.2, 0.2 / 12.0])
+
+    def draw():
+        return [a.tobytes() for pair in harness.path_increments(7, 1, 25, range(130), 6, scale, 2) for a in pair]
+
+    expected = draw()
+    monkeypatch.setattr(harness, "_GROUP", 7)  # does not divide the 130 paths
+    assert draw() == expected
+
+
+def test_a_long_draw_holds_its_chunk_once():
+    # one chunk of 512 paths x 2000 intervals is 16 MB of (W, H); the 64-path
+    # group buffer adds an eighth, where a whole-block draw buffer beside the
+    # time-major chunk held it twice
+    tracemalloc.start()
+    try:
+        for draws in harness.path_increments(1, 1, 0, range(512), 2000, [1.0, 1.0]):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * draws.nbytes
+
+
 # ---------------------------------------------------------------------------
 # Slope fitting
 
@@ -188,8 +220,9 @@ def test_block_memory_does_not_grow_with_the_fine_mesh(step_counts):
 
 
 def test_weak_block_memory_stays_within_its_budget():
-    # one 512-path block on the weak grid peaks at 6.05 MiB; preparing the
-    # schemes over slabs of 16 steps keeps it there (32-step slabs read 6.45)
+    # one 512-path block on the weak grid peaks at 4.00 MiB: its draws are
+    # held once, as the time-major chunk (6.05 MiB beside a whole-block draw
+    # buffer), and the schemes are prepared over slabs of 16 steps
     step_counts = (5, 10, 20, 40, 80, 160)
     args = (REFERENCE, tuple(SchemeKind), step_counts, harness.fine_steps(step_counts), 1)
     harness._simulate_block(*args, range(1))  # the first block also allocates one-time caches
@@ -199,7 +232,7 @@ def test_weak_block_memory_stays_within_its_budget():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 6.15 * (1 << 20)
+    assert peak <= 4.2 * (1 << 20)
 
 
 def test_weak_coupling_identity():
@@ -281,14 +314,15 @@ def test_non_finite_terminals_raise_through_the_pool(monkeypatch):
 
 
 def test_no_more_pool_processes_than_blocks(monkeypatch):
-    sizes, starmaps = [], []
+    sizes, runs = [], []
 
     class RecordingPool:
-        """Stands in for multiprocessing.Pool: records its size and each
-        `starmap`'s tasks and chunk size, runs in-process."""
+        """Stands in for multiprocessing.Pool: records its size, each task
+        submitted and each result consumed, and runs the tasks in-process."""
 
         def __init__(self, processes):
             sizes.append(processes)
+            runs.append([])
 
         def __enter__(self):
             return self
@@ -296,9 +330,16 @@ def test_no_more_pool_processes_than_blocks(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def starmap(self, fn, tasks, chunksize=None):
-            starmaps.append(([task[-1] for task in tasks], chunksize))
-            return list(itertools.starmap(fn, tasks))
+        def apply_async(self, fn, args):
+            events, paths, result = runs[-1], args[-1], fn(*args)
+            events.append(("submit", paths))
+
+            class Task:
+                def get(self):
+                    events.append(("get", paths))
+                    return result
+
+            return Task()
 
     monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     one_block = small_config(num_paths=100, schemes=(SchemeKind.EULER_MARUYAMA,))
@@ -308,9 +349,18 @@ def test_no_more_pool_processes_than_blocks(monkeypatch):
     expected = harness.run_experiment(three_blocks, "strong")
     for workers in (8, 2):
         assert harness.run_experiment(three_blocks, "strong", workers=workers) == expected
-    assert sizes == [3, 2]
-    # one block per task, in block order, handed out singly so no worker idles behind a batch
-    assert starmaps == 2 * [([range(0, 512), range(512, 1024), range(1024, 1100)], 1)]
+    monkeypatch.setattr(harness, "_BLOCK", 100)  # eleven blocks: more than two per process
+    assert harness.run_experiment(three_blocks, "strong", workers=2) == expected
+    assert sizes == [3, 2, 2]
+    eleven = [range(lo, min(lo + 100, 1100)) for lo in range(0, 1100, 100)]
+    blocks = [[range(0, 512), range(512, 1024), range(1024, 1100)]] * 2 + [eleven]
+    for events, processes, block_ranges in zip(runs, sizes, blocks):
+        # one block per task, submitted and consumed in block order, at most two per process in flight
+        assert [paths for kind, paths in events if kind == "submit"] == block_ranges
+        assert [paths for kind, paths in events if kind == "get"] == block_ranges
+        assert max(itertools.accumulate(1 if kind == "submit" else -1 for kind, _ in events)) <= 2 * processes
+    # results are consumed as they come, not after every task is handed out
+    assert runs[-1].index(("get", range(0, 100))) < runs[-1].index(("submit", range(1000, 1100)))
 
 
 def test_pool_under_spawn_equals_the_in_process_run(monkeypatch):

@@ -83,15 +83,24 @@ def eval_polynomial_path(w1, coeffs, t):
     return out
 
 
-def coarsen_arrays(w_fine, h_fine):
-    """Exact (W, H) of intervals made of n equal-length pieces along the last
-    axis, (..., n) -> (...,), in the weighted form w = sum_i w_i and
-    h_area = mean_i h_area_i + sum_i (n-1-2i)/(2n) w_i, accumulated piece by
-    piece: no full-size temporaries, and each element uses its own row only."""
-    n = w_fine.shape[-1]
-    w, h_sum, tilt = (np.zeros(w_fine.shape[:-1]) for _ in range(3))
-    for i in range(n):
-        w += w_fine[..., i]
-        h_sum += h_fine[..., i]
-        tilt += (n - 1 - 2 * i) / (2 * n) * w_fine[..., i]
-    return w, h_sum / n + tilt
+def coarsen_arrays(w_fine, h_fine, carry=None):
+    """Exact (W, H) of steps of n equal pieces along the last axis, (..., n) ->
+    (...,): w = sum_i w_i, h_area = mean_i h_area_i + sum_i (n-1-2i)/(2n) w_i,
+    summed in ascending i without full-size temporaries.  With `carry` = [n,
+    seen, *sums], pieces run in time order along the first axis, (pieces, ...)
+    -> (whole steps, ...), and the partial last step's sums carry to the next call."""
+    if carry is None:
+        return tuple(a[0].T for a in coarsen_arrays(w_fine.T, h_fine.T, [w_fine.shape[-1], 0]))
+    (n, seen, *sums), pieces = carry, len(w_fine)
+    w, h_sum, tilt = (np.zeros((-(-(seen + pieces) // n),) + w_fine.shape[1:]) for _ in range(3))
+    for acc, partial in zip((w, h_sum, tilt), sums):
+        acc[: len(partial)] = partial
+    for i in sorted({(seen + k) % n for k in range(min(n, pieces))}):  # the positions held, ascending as in one call
+        j = (i - seen) % n  # the first piece at position i, which falls in step int(i < seen)
+        steps = slice(int(i < seen), int(i < seen) + len(range(j, pieces, n)))
+        w[steps] += w_fine[j::n]
+        h_sum[steps] += h_fine[j::n]
+        tilt[steps] += (n - 1 - 2 * i) / (2 * n) * w_fine[j::n]
+    done, carry[1] = divmod(seen + pieces, n)
+    carry[2:] = (a[done:].copy() for a in (w, h_sum, tilt))  # copies, so the whole-step sums are not kept
+    return w[:done], h_sum[:done] / n + tilt[:done]

@@ -95,7 +95,7 @@ _OPTIONS = {
     "scheme": (igbm.SchemeKind.from_name, "scheme name for trajectory output"),
     "schemes": (_schemes_list, "comma-separated scheme names"),
     "steps": (_steps_list, "comma-separated step counts"),
-    "workers": (_positive_int, "worker processes (outputs are invariant to this)"),
+    "workers": (_positive_int, "worker processes, at most one per CPU (outputs are invariant to this)"),
     "a": (float, "mean-reversion speed"),
     "b": (float, "mean-reversion level"),
     "sigma": (float, "volatility"),

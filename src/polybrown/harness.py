@@ -10,6 +10,7 @@ every command are cut into blocks and pooled.  Streams are keyed per path
 so results are bit-identical for any worker count or block size.
 """
 
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -34,7 +35,7 @@ __all__ = [
 ]
 
 _BLOCK = 512  # paths per work item; fixed so work decomposition never affects values
-_CHUNK = 320  # fine steps per time chunk, unless one coarsest step is longer; never affects values
+_CHUNK = 320  # budget of fine steps per time chunk (see `_simulate_block`); never affects values
 _GROUP = 64  # paths drawn at a time into a chunk; never affects values
 _DOMAIN_HARNESS = 1  # stream-key domains (see `path_generator`): strong and weak,
 _DOMAIN_PATHS = 2  # paths
@@ -117,11 +118,11 @@ def path_increments(seed, domain, level, indices, n_intervals, scale, chunk=None
 def _map_blocks(fn, common, n_paths, workers=1):
     """`fn(*common, paths)` for each `_BLOCK`-path range of `range(n_paths)`,
     yielded lazily in path order: the one place where paths are cut into
-    blocks and pooled.  One worker or one block runs in-process; otherwise a
-    pool of at most one process per block has at most two tasks per process
-    in flight, so no worker idles and few results wait to be consumed."""
+    blocks and pooled.  One worker, block or CPU runs in-process; otherwise a
+    pool of at most one process per block and per CPU has at most two tasks
+    per process in flight, so no worker idles and few results wait."""
     ranges = (range(lo, min(lo + _BLOCK, n_paths)) for lo in range(0, n_paths, _BLOCK))
-    processes = min(workers, -(-n_paths // _BLOCK))
+    processes = min(workers, -(-n_paths // _BLOCK), os.cpu_count() or 1)
     if processes <= 1:
         yield from (fn(*common, paths) for paths in ranges)
         return
@@ -138,21 +139,23 @@ def _map_blocks(fn, common, n_paths, workers=1):
 def _simulate_block(params, schemes, step_counts, n_fine, seed, paths):
     """Terminal values for the range `paths`: the log-ODE reference on `n_fine`
     steps, and {(step count, scheme): terminals} on the same increments,
-    coarsened exactly from the finest level down, streamed through time in
-    chunks of whole coarsest steps (the most, dividing their count, within
-    `_CHUNK`), so memory does not grow with `n_fine`."""
-    per_step = n_fine // step_counts[0]
-    chunk = per_step * max(g for g in range(1, max(1, _CHUNK // per_step) + 1) if step_counts[0] % g == 0)
+    coarsened exactly from the finest level down, time-major.  Time streams in
+    chunks of the largest divisor of `n_fine` within `_CHUNK`, and each level
+    carries its partial step across chunks, so memory does not grow with
+    `n_fine` or with the coarsest step."""
+    chunk = max(c for c in range(1, _CHUNK + 1) if n_fine % c == 0)
     fine = np.full(len(paths), params.y0)
     coarse = {(n_steps, scheme): fine for n_steps in step_counts for scheme in schemes}
+    carries = {n_steps: [finer // n_steps, 0] for n_steps, finer in zip(step_counts, (*step_counts[1:], n_fine))}
     h_fine = params.horizon / n_fine
     for w, h_area in path_increments(seed, _DOMAIN_HARNESS, 0, paths, n_fine, np.sqrt([h_fine, h_fine / 12.0]), chunk):
         fine = igbm.simulate(igbm.SchemeKind.LOG_ODE, params, w, h_area, y=fine, h=h_fine)
+        w, h_area = w.T, h_area.T  # (steps, paths), contiguous per step
         for n_steps in reversed(step_counts):
-            w, h_area = coarsen_arrays(*(a.reshape(len(paths), n_steps * chunk // n_fine, -1) for a in (w, h_area)))
+            w, h_area = coarsen_arrays(w, h_area, carries[n_steps])
             h = params.horizon / n_steps
-            for scheme in schemes:
-                coarse[n_steps, scheme] = igbm.simulate(scheme, params, w, h_area, y=coarse[n_steps, scheme], h=h)
+            for scheme in schemes if len(w) else ():  # a chunk may end no step of this level
+                coarse[n_steps, scheme] = igbm.simulate(scheme, params, w.T, h_area.T, y=coarse[n_steps, scheme], h=h)
     return fine, coarse
 
 

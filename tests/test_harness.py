@@ -2,6 +2,7 @@
 
 import itertools
 import multiprocessing
+import os
 import tracemalloc
 
 import numpy as np
@@ -219,6 +220,23 @@ def test_block_memory_does_not_grow_with_the_fine_mesh(step_counts):
     assert all(coarse[key].tobytes() == terminals.tobytes() for key, terminals in expected.items())
 
 
+def test_block_memory_does_not_grow_with_the_coarsest_step():
+    # one coarsest step of 20 000 fine steps is streamed in chunks like the
+    # 10-step coarsest step of the large-N grid, not held whole (20 MB per
+    # 64 paths for its W and H alone)
+    peaks = []
+    for step_counts in ((800, 1600, 3200), (1, 2000)):
+        args = (REFERENCE, tuple(SchemeKind), step_counts, harness.fine_steps(step_counts), 1, range(64))
+        harness._simulate_block(*args[:-1], range(1))  # the first block also allocates one-time caches
+        tracemalloc.start()
+        try:
+            harness._simulate_block(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
+
+
 def test_weak_block_memory_stays_within_its_budget():
     # one 512-path block on the weak grid peaks at 4.00 MiB: its draws are
     # held once, as the time-major chunk (6.05 MiB beside a whole-block draw
@@ -342,6 +360,7 @@ def test_no_more_pool_processes_than_blocks(monkeypatch):
             return Task()
 
     monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # more CPUs than blocks or workers
     one_block = small_config(num_paths=100, schemes=(SchemeKind.EULER_MARUYAMA,))
     assert harness.run_experiment(one_block, "strong", workers=8) == harness.run_experiment(one_block, "strong")
     assert sizes == []  # a single block runs in-process
@@ -361,6 +380,12 @@ def test_no_more_pool_processes_than_blocks(monkeypatch):
         assert max(itertools.accumulate(1 if kind == "submit" else -1 for kind, _ in events)) <= 2 * processes
     # results are consumed as they come, not after every task is handed out
     assert runs[-1].index(("get", range(0, 100))) < runs[-1].index(("submit", range(1000, 1100)))
+    # the pool has no more processes than CPUs, and one CPU (or an unknown count) runs in-process
+    for cpus, pools in ((2, [2]), (1, []), (None, [])):
+        sizes.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+        assert harness.run_experiment(three_blocks, "strong", workers=8) == expected
+        assert sizes == pools
 
 
 def test_pool_under_spawn_equals_the_in_process_run(monkeypatch):

@@ -154,6 +154,24 @@ def test_coarsen_arrays_two_levels_equal_one(paths, groups, substeps, seed, leng
     np.testing.assert_allclose(h_two, h_one, rtol=0, atol=scale)
 
 
+@PROPERTY
+@given(st.integers(1, 3), st.integers(1, 12), st.integers(1, 5), st.data(), st.integers(0, 2**32 - 1))
+def test_carried_coarsening_over_any_split_is_one_call(paths, n, steps, data, seed):
+    # the pieces of `steps` steps of n, fed in time-major runs of any lengths,
+    # some shorter than a step, give one whole call's (W, H) to the bit
+    g = np.random.default_rng(seed)
+    w, h_area = g.standard_normal((2, paths, steps, n))
+    cuts = sorted(data.draw(st.lists(st.integers(0, steps * n), max_size=6)))
+    carry, parts = [n, 0], []
+    for lo, hi in zip([0, *cuts], [*cuts, steps * n]):
+        runs = (a.reshape(paths, -1).T[lo:hi] for a in (w, h_area))
+        parts.append(bm.coarsen_arrays(*runs, carry))
+    assert carry[1] == 0
+    whole = bm.coarsen_arrays(w, h_area)
+    for carried, expected in zip(zip(*parts), whole):
+        assert np.concatenate(carried).T.tobytes() == expected.tobytes()
+
+
 @st.composite
 def divisor_chains(draw):
     """Small strictly ascending step-count grids, each count dividing the next."""
@@ -181,14 +199,15 @@ def test_block_split_does_not_change_terminals(step_counts, n, data, seed):
 @settings(deadline=None, derandomize=True, max_examples=20)
 @given(divisor_chains(), st.integers(1, 5), st.integers(0, 2**64 - 1))
 def test_streamed_block_is_the_whole_array_block(step_counts, n, seed):
-    # one coarsest step per chunk, the default chunk bound and one chunk for
-    # the whole horizon all give the whole-array block's terminals, to the bit
+    # one fine step per chunk, chunks shorter than one coarsest step, the
+    # default budget and one chunk for the whole horizon all give the
+    # whole-array block's terminals, to the bit
     schemes = tuple(igbm.SchemeKind)
     n_fine = harness.fine_steps(step_counts)
     h = igbm.REFERENCE.horizon / n_fine
     draws = harness.path_increments(seed, harness._DOMAIN_HARNESS, 0, range(n), n_fine, np.sqrt([h, h / 12.0]))
     fine, coarse = oracles.whole_block(igbm.REFERENCE, schemes, step_counts, *next(draws))
-    for chunk in (1, 320, n_fine):
+    for chunk in (1, n_fine // step_counts[0] - 1, 320, n_fine):
         with mock.patch.object(harness, "_CHUNK", chunk):
             streamed_fine, streamed = harness._simulate_block(igbm.REFERENCE, schemes, step_counts, n_fine, seed, range(n))
         assert streamed_fine.tobytes() == fine.tobytes()

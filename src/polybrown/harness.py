@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 _BLOCK = 512  # paths per work item; fixed so work decomposition never affects values
-_CHUNK = 320  # budget of fine steps per time chunk (see `_simulate_block`); never affects values
+_CHUNK = 320  # fine steps per time chunk, the last may be shorter (see `_simulate_block`); never affects values
 _GROUP = 64  # paths drawn at a time into a chunk; never affects values
 _DOMAIN_HARNESS = 1  # stream-key domains (see `path_generator`): strong and weak,
 _DOMAIN_PATHS = 2  # paths
@@ -95,17 +95,19 @@ def path_generator(seed, domain, level, index):
 
 
 def path_increments(seed, domain, level, indices, n_intervals, scale, chunk=None):
-    """Yield (len(scale), len(indices), chunk) arrays in time order, n_intervals
-    intervals in all (one chunk by default).  Entry j of an interval is a standard
-    normal times scale[j], so scale (sqrt(h), sqrt(h/12)) gives the (W, H) of
-    steps h.  Only one chunk is held, time-major, filled `_GROUP` paths at a time;
-    the first is allocated before the streams, which stay open: one draw in all."""
-    chunk = n_intervals if chunk is None else chunk
-    if not 0 < chunk <= n_intervals or n_intervals % chunk:
-        raise ValueError("chunk must divide n_intervals")
-    z, generators = np.empty((min(_GROUP, len(indices)), chunk, len(scale))), None
-    for _ in range(n_intervals // chunk):
-        out = np.empty((len(scale), chunk, len(indices)))
+    """Yield (len(scale), len(indices), width) arrays in time order, n_intervals
+    intervals in all, `chunk` wide (at most n_intervals, the default) but the last,
+    which may be shorter.  Entry j of an interval is a standard normal times
+    scale[j], so scale (sqrt(h), sqrt(h/12)) gives the (W, H) of steps h.  Only one
+    chunk is held, time-major, filled `_GROUP` paths at a time; the first is
+    allocated before the streams, which stay open: one draw in all."""
+    chunk = min(n_intervals if chunk is None else chunk, n_intervals)
+    if chunk < 1:
+        raise ValueError("chunk and n_intervals must be positive")
+    buffer, generators = np.empty((min(_GROUP, len(indices)), chunk, len(scale))), None
+    for start in range(0, n_intervals, chunk):
+        z = buffer[:, : n_intervals - start]  # the last chunk may be shorter
+        out = np.empty((len(scale), z.shape[1], len(indices)))
         generators = generators or [path_generator(seed, domain, level, index) for index in indices]
         for lo in range(0, len(indices), _GROUP):
             for row, generator in zip(z, generators[lo : lo + _GROUP]):
@@ -122,7 +124,8 @@ def _map_blocks(fn, common, n_paths, workers=1):
     pool of at most one process per block and per CPU has at most two tasks
     per process in flight, so no worker idles and few results wait."""
     ranges = (range(lo, min(lo + _BLOCK, n_paths)) for lo in range(0, n_paths, _BLOCK))
-    processes = min(workers, -(-n_paths // _BLOCK), os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    processes = min(workers, -(-n_paths // _BLOCK), cpus)
     if processes <= 1:
         yield from (fn(*common, paths) for paths in ranges)
         return
@@ -140,15 +143,13 @@ def _simulate_block(params, schemes, step_counts, n_fine, seed, paths):
     """Terminal values for the range `paths`: the log-ODE reference on `n_fine`
     steps, and {(step count, scheme): terminals} on the same increments,
     coarsened exactly from the finest level down, time-major.  Time streams in
-    chunks of the largest divisor of `n_fine` within `_CHUNK`, and each level
-    carries its partial step across chunks, so memory does not grow with
-    `n_fine` or with the coarsest step."""
-    chunk = max(c for c in range(1, _CHUNK + 1) if n_fine % c == 0)
+    chunks of `_CHUNK` fine steps, and each level carries its partial step
+    across chunks, so memory does not grow with `n_fine` or the coarsest step."""
     fine = np.full(len(paths), params.y0)
     coarse = {(n_steps, scheme): fine for n_steps in step_counts for scheme in schemes}
     carries = {n_steps: [finer // n_steps, 0] for n_steps, finer in zip(step_counts, (*step_counts[1:], n_fine))}
     h_fine = params.horizon / n_fine
-    for w, h_area in path_increments(seed, _DOMAIN_HARNESS, 0, paths, n_fine, np.sqrt([h_fine, h_fine / 12.0]), chunk):
+    for w, h_area in path_increments(seed, _DOMAIN_HARNESS, 0, paths, n_fine, np.sqrt([h_fine, h_fine / 12.0]), _CHUNK):
         fine = igbm.simulate(igbm.SchemeKind.LOG_ODE, params, w, h_area, y=fine, h=h_fine)
         w, h_area = w.T, h_area.T  # (steps, paths), contiguous per step
         for n_steps in reversed(step_counts):

@@ -103,26 +103,24 @@ def test_path_increments_scale_one_stream_per_path():
 @settings(deadline=None, derandomize=True, max_examples=50)
 @given(st.integers(1, 60), st.integers(1, 4), st.integers(0, 2**64 - 1))
 def test_chunked_draws_join_to_one_draw(n, paths, seed):
-    # every chunk length that divides n gives the single draw's columns, to
-    # the bit, in time-major chunks; any other length is refused
+    # every chunk length gives the single draw's columns, to the bit, in
+    # time-major chunks of that length but the last, which holds what is left;
+    # a length past n is one chunk of n
     scale = np.sqrt([0.2, 0.2 / 12.0])
     whole = next(harness.path_increments(seed, 1, 25, range(paths), n, scale))
-    for chunk in range(1, n + 1):
-        draws = harness.path_increments(seed, 1, 25, range(paths), n, scale, chunk)
-        if n % chunk:
-            with pytest.raises(ValueError, match="chunk must divide"):
-                next(draws)
-            continue
-        chunks = list(draws)
-        assert all(a.shape == (paths, chunk) and a.flags.f_contiguous for pair in chunks for a in pair)
+    for chunk in range(1, n + 2):
+        chunks = list(harness.path_increments(seed, 1, 25, range(paths), n, scale, chunk))
+        widths = [chunk] * (n // chunk) + [n % chunk] * (n % chunk > 0)  # [n] for chunk n + 1
+        assert [w.shape[1] for w, _ in chunks] == widths
+        assert all(a.shape[0] == paths and a.flags.f_contiguous for pair in chunks for a in pair)
         for joined, expected in zip(map(np.hstack, zip(*chunks)), whole):
             assert joined.tobytes() == expected.tobytes()
 
 
 def test_path_increments_refuses_empty_chunks():
-    # a zero or negative length is refused like a chunk that does not divide, not with a ZeroDivisionError
+    # a zero or negative length is refused, not met with a ZeroDivisionError or an empty draw
     for n_intervals, chunk in ((0, None), (0, 1), (6, 0), (-3, None), (6, -2), (-6, -2)):
-        with pytest.raises(ValueError, match="chunk must divide"):
+        with pytest.raises(ValueError, match="must be positive"):
             next(harness.path_increments(7, 1, 25, range(3), n_intervals, [1.0], chunk))
 
 
@@ -215,6 +213,29 @@ def test_block_memory_does_not_grow_with_the_fine_mesh(step_counts):
     assert peak <= 3 << 20
     h = REFERENCE.horizon / n_fine
     w, h_area = next(harness.path_increments(5, harness._DOMAIN_HARNESS, 0, range(64), n_fine, np.sqrt([h, h / 12.0])))
+    expected_fine, expected = oracles.whole_block(REFERENCE, tuple(SchemeKind), step_counts, w, h_area)
+    assert fine.tobytes() == expected_fine.tobytes()
+    assert all(coarse[key].tobytes() == terminals.tobytes() for key, terminals in expected.items())
+
+
+def test_chunks_keep_their_length_when_the_fine_mesh_has_no_divisor_near_it(monkeypatch):
+    # M = 49 990 = 2 * 5 * 4999 has no divisor from 11 to 320: its chunks are
+    # still `_CHUNK` fine steps but the last, not 10 (where a normal costs
+    # about four times as much), and the block is the whole-array block
+    step_counts, draw, widths = (4999,), harness.path_increments, []
+    n_fine = harness.fine_steps(step_counts)
+
+    def recording_draw(*args):
+        for w, h_area in draw(*args):
+            widths.append(w.shape[1])
+            yield w, h_area
+
+    monkeypatch.setattr(harness, "path_increments", recording_draw)
+    fine, coarse = harness._simulate_block(REFERENCE, tuple(SchemeKind), step_counts, n_fine, 5, range(64))
+    assert n_fine == 49990 and sum(widths) == n_fine
+    assert set(widths[:-1]) == {harness._CHUNK}
+    h = REFERENCE.horizon / n_fine
+    w, h_area = next(draw(5, harness._DOMAIN_HARNESS, 0, range(64), n_fine, np.sqrt([h, h / 12.0])))
     expected_fine, expected = oracles.whole_block(REFERENCE, tuple(SchemeKind), step_counts, w, h_area)
     assert fine.tobytes() == expected_fine.tobytes()
     assert all(coarse[key].tobytes() == terminals.tobytes() for key, terminals in expected.items())
@@ -361,6 +382,7 @@ def test_no_more_pool_processes_than_blocks(monkeypatch):
 
     monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)  # more CPUs than blocks or workers
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     one_block = small_config(num_paths=100, schemes=(SchemeKind.EULER_MARUYAMA,))
     assert harness.run_experiment(one_block, "strong", workers=8) == harness.run_experiment(one_block, "strong")
     assert sizes == []  # a single block runs in-process
@@ -380,7 +402,15 @@ def test_no_more_pool_processes_than_blocks(monkeypatch):
         assert max(itertools.accumulate(1 if kind == "submit" else -1 for kind, _ in events)) <= 2 * processes
     # results are consumed as they come, not after every task is handed out
     assert runs[-1].index(("get", range(0, 100))) < runs[-1].index(("submit", range(1000, 1100)))
-    # the pool has no more processes than CPUs, and one CPU (or an unknown count) runs in-process
+    # the pool has no more processes than the CPUs this process may run on,
+    # and a one-CPU affinity mask on a larger machine runs in-process
+    for mask, pools in (({0, 1}, [2]), ({3}, [])):
+        sizes.clear()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, mask=mask: mask)
+        assert harness.run_experiment(three_blocks, "strong", workers=8) == expected
+        assert sizes == pools
+    # without affinity masks the CPU count caps it: one CPU (or an unknown count) runs in-process
+    monkeypatch.delattr(os, "sched_getaffinity")
     for cpus, pools in ((2, [2]), (1, []), (None, [])):
         sizes.clear()
         monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)

@@ -200,14 +200,15 @@ def test_block_split_does_not_change_terminals(step_counts, n, data, seed):
 @given(divisor_chains(), st.integers(1, 5), st.integers(0, 2**64 - 1))
 def test_streamed_block_is_the_whole_array_block(step_counts, n, seed):
     # one fine step per chunk, chunks shorter than one coarsest step, the
-    # default budget and one chunk for the whole horizon all give the
-    # whole-array block's terminals, to the bit
+    # default length, a length that leaves a one-step last chunk and one
+    # chunk for the whole horizon all give the whole-array block's
+    # terminals, to the bit
     schemes = tuple(igbm.SchemeKind)
     n_fine = harness.fine_steps(step_counts)
     h = igbm.REFERENCE.horizon / n_fine
     draws = harness.path_increments(seed, harness._DOMAIN_HARNESS, 0, range(n), n_fine, np.sqrt([h, h / 12.0]))
     fine, coarse = oracles.whole_block(igbm.REFERENCE, schemes, step_counts, *next(draws))
-    for chunk in (1, n_fine // step_counts[0] - 1, 320, n_fine):
+    for chunk in (1, n_fine // step_counts[0] - 1, 320, n_fine - 1, n_fine):
         with mock.patch.object(harness, "_CHUNK", chunk):
             streamed_fine, streamed = harness._simulate_block(igbm.REFERENCE, schemes, step_counts, n_fine, seed, range(n))
         assert streamed_fine.tobytes() == fine.tobytes()

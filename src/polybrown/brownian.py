@@ -84,13 +84,13 @@ def eval_polynomial_path(w1, coeffs, t):
 
 
 def coarsen_arrays(w_fine, h_fine, carry=None):
-    """Exact (W, H) of steps of n equal pieces along the last axis, (..., n) ->
-    (...,): w = sum_i w_i, h_area = mean_i h_area_i + sum_i (n-1-2i)/(2n) w_i,
-    summed in ascending i without full-size temporaries.  With `carry` = [n,
-    seen, *sums], pieces run in time order along the first axis, (pieces, ...)
-    -> (whole steps, ...), and the partial last step's sums carry to the next call."""
+    """Exact (W, H) of steps of n equal pieces in time order along axis 0: w =
+    sum_i w_i, h_area = mean_i h_area_i + sum_i (n-1-2i)/(2n) w_i, summed in
+    ascending i without full-size temporaries.  Without `carry`, (n, ...) -> (...);
+    with `carry` = [n, seen, *sums], (pieces, ...) -> (whole steps, ...), and the
+    partial last step's sums carry to the next call."""
     if carry is None:
-        return tuple(a[0].T for a in coarsen_arrays(w_fine.T, h_fine.T, [w_fine.shape[-1], 0]))
+        return tuple(a[0] for a in coarsen_arrays(w_fine, h_fine, [len(w_fine), 0]))
     (n, seen, *sums), pieces = carry, len(w_fine)
     w, h_sum, tilt = (np.zeros((-(-(seen + pieces) // n),) + w_fine.shape[1:]) for _ in range(3))
     for acc, partial in zip((w, h_sum, tilt), sums):

@@ -106,10 +106,10 @@ def levy_algebra(g):
 def coarsen_associativity(g):
     """`coarsen_arrays` of four quarter intervals at once against coarsening
     the two halves first, on 100 draws."""
-    z = g.standard_normal((100, 4, 2))
-    w, h_area = np.sqrt(0.25) * z[..., 0], np.sqrt(0.25 / 12.0) * z[..., 1]
+    z = g.standard_normal((100, 4, 2)).T
+    w, h_area = np.sqrt(0.25) * z[0], np.sqrt(0.25 / 12.0) * z[1]
     direct = brownian.coarsen_arrays(w, h_area)
-    paired = brownian.coarsen_arrays(*brownian.coarsen_arrays(w.reshape(100, 2, 2), h_area.reshape(100, 2, 2)))
+    paired = brownian.coarsen_arrays(*brownian.coarsen_arrays(w, h_area, [2, 0]))
     return _worst(a - b for a, b in zip(direct, paired))
 
 

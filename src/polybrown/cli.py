@@ -201,7 +201,7 @@ def _kl_block(seed, degree, paths):
     drawn as one interval with scale (1, sqrt(lambda_1), ...)."""
     scale = np.sqrt(np.concatenate(([1.0], orthopoly.eigenvalue(np.arange(1, degree)))))
     (draws,) = harness.path_increments(seed, _DOMAIN_PATHS, degree, paths, 1, scale)
-    return draws[:, :, 0].T
+    return draws[:, 0].T
 
 
 def cmd_paths(cfg, out):
@@ -215,12 +215,16 @@ def cmd_paths(cfg, out):
 
 
 def _igbm_block(cfg, params, paths):
-    """Trajectories (paths, steps + 1) of the paths in the range `paths`.  The
-    one-chunk draw is unpacked, which ends it and frees its buffer early."""
+    """Trajectories (paths, steps + 1) of the range `paths`: a time-major array advanced chunk by chunk, transposed."""
     n_steps = cfg["steps"][0]
-    scale = np.sqrt([params.horizon / n_steps, params.horizon / n_steps / 12.0])
-    (draws,) = harness.path_increments(cfg["seed"], _DOMAIN_IGBM, n_steps, paths, n_steps, scale)
-    return igbm.simulate(cfg["scheme"], params, *draws, record=True)
+    h = params.horizon / n_steps
+    traj, k = np.empty((n_steps + 1, len(paths))), 0
+    traj[0] = params.y0
+    draws = harness.path_increments(cfg["seed"], _DOMAIN_IGBM, n_steps, paths, n_steps, np.sqrt([h, h / 12.0]))
+    for w, h_area in draws:
+        igbm.simulate(cfg["scheme"], params, w, h_area, out=traj[k + 1 : k + 1 + len(w)], y=traj[k], h=h)
+        k += len(w)
+    return traj.T
 
 
 def cmd_igbm_paths(cfg, out):

@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 _BLOCK = 512  # paths per work item; fixed so work decomposition never affects values
-_CHUNK = 320  # fine steps per time chunk, the last may be shorter (see `_simulate_block`); never affects values
+_CHUNK = 320  # intervals per time chunk of `path_increments`, the last may be shorter; never affects values
 _GROUP = 64  # paths drawn at a time into a chunk; never affects values
 _DOMAIN_HARNESS = 1  # stream-key domains (see `path_generator`): strong and weak,
 _DOMAIN_PATHS = 2  # paths
@@ -94,16 +94,16 @@ def path_generator(seed, domain, level, index):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def path_increments(seed, domain, level, indices, n_intervals, scale, chunk=None):
-    """Yield (len(scale), len(indices), width) arrays in time order, n_intervals
-    intervals in all, `chunk` wide (at most n_intervals, the default) but the last,
-    which may be shorter.  Entry j of an interval is a standard normal times
+def path_increments(seed, domain, level, indices, n_intervals, scale):
+    """Yield time-major (len(scale), width, len(indices)) arrays in time order,
+    n_intervals intervals in all, in chunks of min(`_CHUNK`, n_intervals) but the
+    last, which may be shorter.  Entry j of an interval is a standard normal times
     scale[j], so scale (sqrt(h), sqrt(h/12)) gives the (W, H) of steps h.  Only one
-    chunk is held, time-major, filled `_GROUP` paths at a time; the first is
-    allocated before the streams, which stay open: one draw in all."""
-    chunk = min(n_intervals if chunk is None else chunk, n_intervals)
+    chunk is held, filled `_GROUP` paths at a time; the first is allocated before
+    the streams, which stay open: one draw in all."""
+    chunk = min(_CHUNK, n_intervals)
     if chunk < 1:
-        raise ValueError("chunk and n_intervals must be positive")
+        raise ValueError("n_intervals must be positive")
     buffer, generators = np.empty((min(_GROUP, len(indices)), chunk, len(scale))), None
     for start in range(0, n_intervals, chunk):
         z = buffer[:, : n_intervals - start]  # the last chunk may be shorter
@@ -113,7 +113,7 @@ def path_increments(seed, domain, level, indices, n_intervals, scale, chunk=None
             for row, generator in zip(z, generators[lo : lo + _GROUP]):
                 generator.standard_normal(row.shape, out=row)
             np.multiply(z[: len(indices) - lo].T, np.reshape(scale, (-1, 1, 1)), out=out[:, :, lo : lo + _GROUP])
-        yield out.transpose(0, 2, 1)
+        yield out
         del out  # so the next chunk is never allocated while this one is held here
 
 
@@ -149,14 +149,13 @@ def _simulate_block(params, schemes, step_counts, n_fine, seed, paths):
     coarse = {(n_steps, scheme): fine for n_steps in step_counts for scheme in schemes}
     carries = {n_steps: [finer // n_steps, 0] for n_steps, finer in zip(step_counts, (*step_counts[1:], n_fine))}
     h_fine = params.horizon / n_fine
-    for w, h_area in path_increments(seed, _DOMAIN_HARNESS, 0, paths, n_fine, np.sqrt([h_fine, h_fine / 12.0]), _CHUNK):
+    for w, h_area in path_increments(seed, _DOMAIN_HARNESS, 0, paths, n_fine, np.sqrt([h_fine, h_fine / 12.0])):
         fine = igbm.simulate(igbm.SchemeKind.LOG_ODE, params, w, h_area, y=fine, h=h_fine)
-        w, h_area = w.T, h_area.T  # (steps, paths), contiguous per step
         for n_steps in reversed(step_counts):
             w, h_area = coarsen_arrays(w, h_area, carries[n_steps])
             h = params.horizon / n_steps
             for scheme in schemes if len(w) else ():  # a chunk may end no step of this level
-                coarse[n_steps, scheme] = igbm.simulate(scheme, params, w.T, h_area.T, y=coarse[n_steps, scheme], h=h)
+                coarse[n_steps, scheme] = igbm.simulate(scheme, params, w, h_area, y=coarse[n_steps, scheme], h=h)
     return fine, coarse
 
 
@@ -228,7 +227,8 @@ def run_experiment(config, metric, workers=1):
     every level and scheme, so the errors of different levels are correlated;
     each block's terminals are copied into whole-run arrays as it arrives.
     Deterministic given the seed.  A slope needs at least 3 step counts and
-    positive errors; the schemes left without one are named in one UserWarning.
+    errors above the rounding floor of M fine steps, M eps rms(reference); the
+    schemes left without one are named in one UserWarning.
     """
     if metric not in ("strong", "weak"):
         raise ValueError(f"metric must be strong or weak: {metric!r}")
@@ -240,6 +240,7 @@ def run_experiment(config, metric, workers=1):
         for key, terminals in coarse_block.items():
             coarse[key][lo : lo + _BLOCK] = terminals
     stats = _strong_stats if metric == "strong" else lambda fine, approx: _weak_stats(fine, approx, config.params.b)
+    floor = common[3] * np.finfo(float).eps * np.sqrt(np.mean(fine**2))
     rows, slopes, unfitted = [], [], {}  # unfitted: reason -> scheme names
     for scheme in config.schemes:
         grid = [
@@ -247,7 +248,7 @@ def run_experiment(config, metric, workers=1):
             for n_steps in config.step_counts
         ]
         rows += grid
-        unusable = ", ".join(f"error {r.error:g} at N={r.n_steps}" for r in grid if not r.error > 0)
+        unusable = ", ".join(f"error {r.error:g} at N={r.n_steps}" for r in grid if not r.error > floor)
         reason = "fewer than 3 step counts" if len(grid) < 3 else unusable
         if reason:
             unfitted.setdefault(reason, []).append(scheme.value)

@@ -5,9 +5,9 @@
 over per-interval (W, H) data.  The equation is affine in y, so every scheme
 is one affine step  y <- e y + c  with e and c built from (W, H, h) alone;
 Milstein and Euler clamp the result at zero.  `simulate` folds a scheme over a
-(paths, steps) batch: `prepare` computes (e, c) a slab of steps at a time, and
-the step advances y a column at a time, so values equal `kernel_fn`'s one-step
-kernel bit for bit.  The high-order scheme uses the closed form that the
+time-major (steps, paths) batch: `prepare` computes (e, c) a slab of steps at a
+time, and the step advances y a row at a time, so values equal `kernel_fn`'s
+one-step kernel bit for bit.  The high-order scheme uses the closed form that the
 constant Lie brackets of this equation admit; no generic ODE solver is
 involved.
 """
@@ -143,36 +143,31 @@ def kernel_fn(kind):
     return lambda y, w, h_area, h, p: _advance(y, *prepare(w, h_area, h, p), clamped)
 
 
-def simulate(kind, p, w, h_area, record=False, y=None, h=None):
-    """Fold the chosen scheme over the columns of (paths, steps) arrays of
-    per-interval increments W and space-time areas H, from `y` (y0) with step
-    length `h` (horizon / steps), so a run cut into pieces can resume.
+def simulate(kind, p, w, h_area, out=None, y=None, h=None):
+    """Fold the chosen scheme over the rows of time-major (steps, paths) arrays
+    of per-interval increments W and space-time areas H, from `y` (y0) with
+    step length `h` (horizon / steps), so a run cut into pieces can resume.
 
-    Returns the terminal values (paths,), or with `record` the trajectories
-    (paths, steps + 1) including the start.  Each row depends on its own row
-    of data only, so a path's values do not depend on the batch it is in.
-    Raises ValueError, naming the scheme, if any returned value is not finite.
+    Returns the terminal values (paths,); a (steps, paths) `out` also receives
+    y after every step.  Each path depends on its own column of data only, so
+    its values do not depend on the batch it is in.  Raises ValueError, naming
+    the scheme, if any returned or written value is not finite.
     """
     w = np.asarray(w, dtype=float)
     h_area = np.asarray(h_area, dtype=float)
-    if w.ndim != 2 or w.shape != h_area.shape:
-        raise ValueError("w and h_area must be (paths, steps) arrays of one shape")
-    paths, steps = w.shape
-    if steps == 0:
+    if w.ndim != 2 or w.shape != h_area.shape or (out is not None and out.shape != w.shape):
+        raise ValueError("w, h_area and out must be (steps, paths) arrays of one shape")
+    if len(w) == 0:
         raise ValueError("need at least one step")
     prepare, clamped = _SCHEMES[kind]
-    h = p.horizon / steps if h is None else h
-    y = np.full(paths, p.y0) if y is None else y
-    if record:
-        traj = np.empty((paths, steps + 1))
-        traj[:, 0] = y
-    for k in range(0, steps, _SLAB):
-        e, c = prepare(w[:, k : k + _SLAB], h_area[:, k : k + _SLAB], h, p)
-        for k1, (e_k, c_k) in enumerate(zip(e.T, c.T), k + 1):
+    h = p.horizon / len(w) if h is None else h
+    y = np.full(w.shape[1], p.y0) if y is None else y
+    for k in range(0, len(w), _SLAB):
+        e, c = prepare(w[k : k + _SLAB], h_area[k : k + _SLAB], h, p)
+        for k1, (e_k, c_k) in enumerate(zip(e, c), k):
             y = _advance(y, e_k, c_k, clamped)
-            if record:
-                traj[:, k1] = y
-    out = traj if record else y
-    if not np.all(np.isfinite(out)):
+            if out is not None:
+                out[k1] = y
+    if not np.all(np.isfinite(y if out is None else out)):
         raise ValueError(f"the {kind.value} scheme gave non-finite values")
-    return out
+    return y

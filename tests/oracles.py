@@ -179,15 +179,15 @@ def discrete_integrals(grid, values):
 
 
 def whole_block(params, schemes, step_counts, w, h_area):
-    """The harness's block on whole (paths, fine steps) arrays W and H: the
-    log-ODE reference over every fine step, then each level coarsened from
-    the next finer one over the whole horizon.  Returns the reference
-    terminals and {(step count, scheme): terminals}."""
+    """The harness's block on whole time-major (fine steps, paths) arrays W
+    and H: the log-ODE reference over every fine step, then each level
+    coarsened from the next finer one over the whole horizon.  Returns the
+    reference terminals and {(step count, scheme): terminals}."""
     fine = igbm.simulate(igbm.SchemeKind.LOG_ODE, params, w, h_area)
     coarse = {}
     for n_steps in reversed(step_counts):
-        shape = (w.shape[0], n_steps, w.shape[1] // n_steps)
-        w, h_area = brownian.coarsen_arrays(w.reshape(shape), h_area.reshape(shape))
+        shape = (n_steps, len(w) // n_steps, w.shape[1])  # (step, piece, path), pieces then moved to axis 0
+        w, h_area = brownian.coarsen_arrays(w.reshape(shape).swapaxes(0, 1), h_area.reshape(shape).swapaxes(0, 1))
         coarse.update({(n_steps, scheme): igbm.simulate(scheme, params, w, h_area) for scheme in schemes})
     return fine, coarse
 

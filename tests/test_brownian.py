@@ -243,7 +243,7 @@ def test_coarsen_arrays_matches_scalar():
     g = rng(15)
     w = g.standard_normal((3, 8)) * 0.1
     hh = g.standard_normal((3, 8)) * 0.05
-    wv, hv = bm.coarsen_arrays(w, hh)
+    wv, hv = bm.coarsen_arrays(w.T, hh.T)  # the 8 pieces of each of 3 paths, time-major
     for row in range(3):
         out_w, out_h = oracles.coarsen(w[row], hh[row])
         assert wv[row] == pytest.approx(out_w, abs=1e-14)

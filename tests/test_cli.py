@@ -4,6 +4,7 @@ import errno
 import functools
 import hashlib
 import importlib
+import json
 import multiprocessing
 import os
 import pkgutil
@@ -20,10 +21,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from numpy.lib.introspect import opt_func_info
 
 import oracles
 import polybrown
-from polybrown import checks, cli, harness, orthopoly
+from polybrown import checks, cli, harness, igbm, orthopoly
 
 
 def run(argv):
@@ -285,11 +287,16 @@ def test_paths_beyond_the_coefficient_tables(tmp_path):
 
 # SHA-256 of CSVs written at the commit before the basis moved to one
 # recurrence pass, of log-ODE and linear trajectories written at the commit
-# before every scheme became one affine step y <- e y + c, and of three-block
+# before every scheme became one affine step y <- e y + c, of three-block
 # `paths` CSVs written at the commit before `paths` dropped its whole-run
-# coefficient table (NumPy 2.4.6): rewriting an evaluation route, a step or
-# a walk over the blocks must not change a byte of them.
-_DIGESTS = {
+# coefficient table, and of 700-step trajectories (three time chunks) written
+# at the commit before `igbm-paths` streamed its draws: rewriting an evaluation
+# route, a step or a walk over the blocks or through time must not change a
+# byte of them.  The trajectories depend on the SIMD target NumPy dispatches
+# float64 `exp` to, so the table is keyed by it (NumPy 2.4.6; X86_V3 recorded
+# under NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR").
+_TARGET = opt_func_info(func_name="exp")["exp"]["dd"]["current"]
+_SAME_ON_BOTH_TARGETS = {
     ("basis",): {"basis.csv": "35e8a071ee8cf031c65b86728166c7df907db733eb55e89275c01b1ea5558e19"},
     ("paths", "--degree", "20", "--paths", "3", "--grid", "11", "--seed", "1"): {
         "paths.csv": "486df5083adf2300e6c5a29a4f863a224af3698d1c68faafb5f9503dc82598c3",
@@ -299,23 +306,52 @@ _DIGESTS = {
         "paths.csv": "019b22d9a5014a1916b044ff9120709a60fb51dc849c4bc20eb8f84d105629bf",
         "path_coeffs.csv": "17a0616ab409b1c584ced9890db0ffeb00b1e075125e6147eb6479c0fa271206",
     },
-    ("igbm-paths", "--scheme", "log-ode", "--steps", "37", "--paths", "13", "--seed", "4"): {
-        "igbm_paths.csv": "d0ab66ebf19ac3e019c80bbe85163d9186c2c235c3f20d030fa68525a3ef9dcc",
-    },
-    ("igbm-paths", "--scheme", "linear", "--steps", "37", "--paths", "13", "--seed", "4"): {
-        "igbm_paths.csv": "3b4fa9ac3e12941d21e3b3f9f55714498320cb5e1f05481516a722e3ac7cece8",
-    },
+}
+_TRAJECTORIES = (
+    ("igbm-paths", "--scheme", "log-ode", "--steps", "37", "--paths", "13", "--seed", "4"),
+    ("igbm-paths", "--scheme", "linear", "--steps", "37", "--paths", "13", "--seed", "4"),
+    ("igbm-paths", "--scheme", "log-ode", "--steps", "700", "--paths", "13", "--seed", "4"),
+    ("igbm-paths", "--scheme", "parabola", "--steps", "700", "--paths", "13", "--seed", "4"),
+)
+_TRAJECTORY_DIGESTS = {  # target -> the igbm_paths.csv digest of each of _TRAJECTORIES
+    "X86_V4": (
+        "d0ab66ebf19ac3e019c80bbe85163d9186c2c235c3f20d030fa68525a3ef9dcc",
+        "3b4fa9ac3e12941d21e3b3f9f55714498320cb5e1f05481516a722e3ac7cece8",
+        "2868c69e14dd37464e4d8b5e642a2981050704d96948fba8cc6c3db7e051b1ad",
+        "8d14f3b234a5a9c26f0cd9fc468d1290cb102f4e77e510cddb6f0be2049871e1",
+    ),
+    "X86_V3": (
+        "df879ded52e87ab4e7771880eee9b43911a43c7f6d88c833ad0bbc679c831e90",
+        "76facfc02533f7fca5f4a7b6a58a91e1495d79e021e933a0cddeee1d053f12c5",
+        "3ff960068d4a5cf0abf1bfb73de41dd607ac34392c0128aad5780302b00ac53e",
+        "0f14d88c552c6cee8788168ed8e60f48cbef3053e2074434373da891c7fef401",
+    ),
+}
+_DIGESTS = {
+    target: {**_SAME_ON_BOTH_TARGETS, **{argv: {"igbm_paths.csv": d} for argv, d in zip(_TRAJECTORIES, digests)}}
+    for target, digests in _TRAJECTORY_DIGESTS.items()
 }
 
 
 @pytest.mark.parametrize(
-    "argv", list(_DIGESTS), ids=["basis", "paths", "paths-three-blocks", "igbm-paths-log-ode", "igbm-paths-linear"]
+    "argv",
+    [*_SAME_ON_BOTH_TARGETS, *_TRAJECTORIES],
+    ids=[
+        "basis",
+        "paths",
+        "paths-three-blocks",
+        "igbm-paths-log-ode",
+        "igbm-paths-linear",
+        "igbm-paths-log-ode-three-chunks",
+        "igbm-paths-parabola-three-chunks",
+    ],
 )
 def test_basis_and_paths_keep_their_bytes(tmp_path, argv):
+    assert _TARGET in _DIGESTS, f"no bytes recorded for NumPy's {_TARGET} dispatch target"
     out = tmp_path / "o"
     assert run([*argv, "--out", str(out)]) == 0
-    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in _DIGESTS[argv]}
-    assert digests == _DIGESTS[argv], f"bytes differ from those recorded with NumPy 2.4.6 (this is {np.__version__})"
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in _DIGESTS[_TARGET][argv]}
+    assert digests == _DIGESTS[_TARGET][argv], f"bytes differ from those recorded for NumPy's {_TARGET} dispatch target"
 
 
 @pytest.mark.parametrize(
@@ -449,6 +485,21 @@ def test_paths_memory_does_not_grow_with_the_path_count(tmp_path):
 
     peak(1)  # the first run also allocates one-time caches
     assert peak(6000) <= 1.1 * peak(1100)
+
+
+def test_trajectory_memory_is_its_trajectories_and_one_chunk():
+    # 64 paths of 20 000 steps: the trajectories take 10.2 MB, and the draws,
+    # streamed one chunk at a time, add about 1 MiB, where a whole-run draw
+    # added 29 MiB
+    cfg = {"seed": 1, "scheme": igbm.SchemeKind.LOG_ODE, "steps": (20_000,)}
+    cli._igbm_block(cfg, igbm.REFERENCE, range(1))  # the first block also allocates one-time caches
+    tracemalloc.start()
+    try:
+        traj = cli._igbm_block(cfg, igbm.REFERENCE, range(64))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= traj.nbytes + (2 << 20)
 
 
 @pytest.mark.parametrize("command", ["paths", "igbm-paths"])
@@ -656,7 +707,10 @@ def test_commands_without_a_pool_never_import_multiprocessing(tmp_path):
 def test_bench_tracer_runs_a_command(tmp_path, argv):
     """`bench/trace.py` wraps polybrown's functions by name and calls them as
     the commands do, so removing one of them from `src/` or changing how it
-    is called would break `bench/run.py --trace 1`."""
+    is called would break `bench/run.py --trace 1`.  Its `igbm.simulate.steps`
+    counts the steps simulated: --steps for igbm-paths; M + 5 sum(N) for the
+    one block of strong (M = 1000 fine steps, N = 5, 10, 20); one per scheme
+    for the three one-step runs of check."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     if argv != ["check"]:  # check writes no files and takes no --out
@@ -664,6 +718,8 @@ def test_bench_tracer_runs_a_command(tmp_path, argv):
     tracer = [sys.executable, str(root / "bench" / "trace.py"), str(tmp_path / "r.json"), str(tmp_path / "s.npz")]
     result = subprocess.run([*tracer, "traced", "--", *argv], env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+    steps = {"basis": 0, "paths": 0, "igbm-paths": 4, "strong": 1000 + 5 * (5 + 10 + 20), "check": 3}[argv[0]]
+    assert json.loads((tmp_path / "r.json").read_text())["metrics"]["igbm.simulate.steps"] == steps
 
 
 def test_every_exported_name_resolves():

@@ -4,6 +4,7 @@ import itertools
 import multiprocessing
 import os
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -94,51 +95,55 @@ def test_path_generator_rejects_out_of_range_keys():
 
 def test_path_increments_scale_one_stream_per_path():
     w, hh = next(harness.path_increments(7, 1, 25, range(2, 5), 6, np.sqrt([0.2, 0.2 / 12.0])))
-    assert w.shape == hh.shape == (3, 6)
+    assert w.shape == hh.shape == (6, 3)
     z = harness.path_generator(7, 1, 25, 3).standard_normal((6, 2))
-    np.testing.assert_array_equal(w[1], z[:, 0] * np.sqrt(0.2))
-    np.testing.assert_array_equal(hh[1], z[:, 1] * np.sqrt(0.2 / 12.0))
+    np.testing.assert_array_equal(w[:, 1], z[:, 0] * np.sqrt(0.2))
+    np.testing.assert_array_equal(hh[:, 1], z[:, 1] * np.sqrt(0.2 / 12.0))
 
 
 @settings(deadline=None, derandomize=True, max_examples=50)
 @given(st.integers(1, 60), st.integers(1, 4), st.integers(0, 2**64 - 1))
 def test_chunked_draws_join_to_one_draw(n, paths, seed):
-    # every chunk length gives the single draw's columns, to the bit, in
+    # every chunk length gives the single draw's rows, to the bit, in
     # time-major chunks of that length but the last, which holds what is left;
     # a length past n is one chunk of n
     scale = np.sqrt([0.2, 0.2 / 12.0])
-    whole = next(harness.path_increments(seed, 1, 25, range(paths), n, scale))
+    with mock.patch.object(harness, "_CHUNK", n):
+        whole = next(harness.path_increments(seed, 1, 25, range(paths), n, scale))
     for chunk in range(1, n + 2):
-        chunks = list(harness.path_increments(seed, 1, 25, range(paths), n, scale, chunk))
+        with mock.patch.object(harness, "_CHUNK", chunk):
+            chunks = list(harness.path_increments(seed, 1, 25, range(paths), n, scale))
         widths = [chunk] * (n // chunk) + [n % chunk] * (n % chunk > 0)  # [n] for chunk n + 1
-        assert [w.shape[1] for w, _ in chunks] == widths
-        assert all(a.shape[0] == paths and a.flags.f_contiguous for pair in chunks for a in pair)
-        for joined, expected in zip(map(np.hstack, zip(*chunks)), whole):
+        assert [len(w) for w, _ in chunks] == widths
+        assert all(a.shape[1] == paths and a.flags.c_contiguous for pair in chunks for a in pair)
+        for joined, expected in zip(map(np.vstack, zip(*chunks)), whole):
             assert joined.tobytes() == expected.tobytes()
 
 
 def test_path_increments_refuses_empty_chunks():
     # a zero or negative length is refused, not met with a ZeroDivisionError or an empty draw
-    for n_intervals, chunk in ((0, None), (0, 1), (6, 0), (-3, None), (6, -2), (-6, -2)):
+    for n_intervals in (0, -3):
         with pytest.raises(ValueError, match="must be positive"):
-            next(harness.path_increments(7, 1, 25, range(3), n_intervals, [1.0], chunk))
+            next(harness.path_increments(7, 1, 25, range(3), n_intervals, [1.0]))
 
 
 def test_group_size_does_not_change_the_draw(monkeypatch):
     scale = np.sqrt([0.2, 0.2 / 12.0])
 
     def draw():
-        return [a.tobytes() for pair in harness.path_increments(7, 1, 25, range(130), 6, scale, 2) for a in pair]
+        return [a.tobytes() for pair in harness.path_increments(7, 1, 25, range(130), 6, scale) for a in pair]
 
+    monkeypatch.setattr(harness, "_CHUNK", 2)
     expected = draw()
     monkeypatch.setattr(harness, "_GROUP", 7)  # does not divide the 130 paths
     assert draw() == expected
 
 
-def test_a_long_draw_holds_its_chunk_once():
+def test_a_long_draw_holds_its_chunk_once(monkeypatch):
     # one chunk of 512 paths x 2000 intervals is 16 MB of (W, H); the 64-path
     # group buffer adds an eighth, where a whole-block draw buffer beside the
     # time-major chunk held it twice
+    monkeypatch.setattr(harness, "_CHUNK", 2000)
     tracemalloc.start()
     try:
         for draws in harness.path_increments(1, 1, 0, range(512), 2000, [1.0, 1.0]):
@@ -199,7 +204,7 @@ def test_strong_coupling_identity():
 
 
 @pytest.mark.parametrize("step_counts", [(100, 200, 400), (200, 400, 800)])
-def test_block_memory_does_not_grow_with_the_fine_mesh(step_counts):
+def test_block_memory_does_not_grow_with_the_fine_mesh(step_counts, monkeypatch):
     # a 64-path block on 4000 and 8000 fine steps: held as whole arrays its W
     # and H alone would take 4 and 8 MB; streamed it is the same block
     n_fine = harness.fine_steps(step_counts)
@@ -212,6 +217,7 @@ def test_block_memory_does_not_grow_with_the_fine_mesh(step_counts):
         tracemalloc.stop()
     assert peak <= 3 << 20
     h = REFERENCE.horizon / n_fine
+    monkeypatch.setattr(harness, "_CHUNK", n_fine)  # the whole mesh in one draw
     w, h_area = next(harness.path_increments(5, harness._DOMAIN_HARNESS, 0, range(64), n_fine, np.sqrt([h, h / 12.0])))
     expected_fine, expected = oracles.whole_block(REFERENCE, tuple(SchemeKind), step_counts, w, h_area)
     assert fine.tobytes() == expected_fine.tobytes()
@@ -227,7 +233,7 @@ def test_chunks_keep_their_length_when_the_fine_mesh_has_no_divisor_near_it(monk
 
     def recording_draw(*args):
         for w, h_area in draw(*args):
-            widths.append(w.shape[1])
+            widths.append(len(w))
             yield w, h_area
 
     monkeypatch.setattr(harness, "path_increments", recording_draw)
@@ -235,6 +241,7 @@ def test_chunks_keep_their_length_when_the_fine_mesh_has_no_divisor_near_it(monk
     assert n_fine == 49990 and sum(widths) == n_fine
     assert set(widths[:-1]) == {harness._CHUNK}
     h = REFERENCE.horizon / n_fine
+    monkeypatch.setattr(harness, "_CHUNK", n_fine)  # the whole mesh in one draw
     w, h_area = next(draw(5, harness._DOMAIN_HARNESS, 0, range(64), n_fine, np.sqrt([h, h / 12.0])))
     expected_fine, expected = oracles.whole_block(REFERENCE, tuple(SchemeKind), step_counts, w, h_area)
     assert fine.tobytes() == expected_fine.tobytes()
@@ -289,6 +296,23 @@ def test_sigma_zero_is_deterministic():
     assert row.n_steps == 20
     assert row.error > 0.0  # Euler discretizes the ODE inexactly
     assert row.std_err < 1e-12 * row.error  # identical across paths, up to summation residue
+
+
+def test_slopes_of_errors_at_the_rounding_floor_are_left_out():
+    # at sigma = 0 the log-ODE, parabola and linear steps solve the ODE
+    # exactly, so their errors, 2.4e-15 to 1.0e-14, are rounding below the
+    # floor M eps rms(reference) = 1.2e-14 (M = 1000) and a slope through
+    # them is noise; Milstein and Euler err by O(h) and keep slopes near 1
+    still = IgbmParams(a=0.1, b=0.04, sigma=0.0, y0=0.06, horizon=5.0)
+    cfg = harness.ExperimentConfig(still, tuple(SchemeKind), (5, 10, 20), num_paths=200, seed=0)
+    errors = r"\(error \S+ at N=5, error \S+ at N=10, error \S+ at N=20\)"
+    with pytest.warns(UserWarning, match=rf"^no strong slope for log-ode, linear {errors}; parabola {errors}$"):
+        rows, slopes = harness.run_experiment(cfg, "strong")
+    exact = (SchemeKind.LOG_ODE, SchemeKind.PARABOLA_ODE, SchemeKind.PIECEWISE_LINEAR)
+    assert all(0 < row.error < 1.1e-14 for row in rows if row.scheme in exact)
+    assert [row.scheme for row in slopes] == [SchemeKind.MILSTEIN, SchemeKind.EULER_MARUYAMA]
+    assert all(abs(row.slope - 1.0) < 0.05 for row in slopes)
+    assert min(row.error for row in rows if row.scheme not in exact) > 7e-5
 
 
 def test_strong_order_of_magnitude():

@@ -137,13 +137,13 @@ def test_log_ode_one_step_self_consistency():
     for h in (0.1, 0.05):
         g = np.random.default_rng(17)
         d = h / substeps
-        z = g.standard_normal((n, substeps, 2))
-        wf = z[..., 0] * np.sqrt(d)
-        hf = z[..., 1] * np.sqrt(d / 12.0)
+        z = g.standard_normal((n, substeps, 2)).T
+        wf = z[0] * np.sqrt(d)  # (substeps, n), time-major
+        hf = z[1] * np.sqrt(d / 12.0)
         wc, hc = bm.coarsen_arrays(wf, hf)
         y_fine = np.full(n, 0.06)
         for k in range(substeps):
-            y_fine = log_ode(y_fine, wf[:, k], hf[:, k], d, BENCH)
+            y_fine = log_ode(y_fine, wf[k], hf[k], d, BENCH)
         y_one = log_ode(np.full(n, 0.06), wc, hc, h, BENCH)
         defects[h] = np.mean(np.abs(y_one - y_fine))
     ratio = defects[0.1] / defects[0.05]
@@ -254,24 +254,27 @@ def test_lie_bracket_constants():
 
 
 def make_increments(paths, steps, horizon, g):
+    """Time-major (steps, paths) W and H."""
     h = horizon / steps
-    z = g.standard_normal((paths, steps, 2))
-    return z[..., 0] * np.sqrt(h), z[..., 1] * np.sqrt(h / 12.0)
+    z = g.standard_normal((paths, steps, 2)).T
+    return z[0] * np.sqrt(h), z[1] * np.sqrt(h / 12.0)
 
 
 def test_simulate_requires_pairs():
     with pytest.raises(ValueError):
-        igbm.simulate(LOG_ODE, BENCH, np.empty((3, 0)), np.empty((3, 0)))
+        igbm.simulate(LOG_ODE, BENCH, np.empty((0, 3)), np.empty((0, 3)))
 
 
 def test_simulate_checks_coverage():
-    # W and H must cover the same (paths, steps) intervals
+    # W, H and out must cover the same (steps, paths) intervals
     with pytest.raises(ValueError):
         igbm.simulate(LOG_ODE, BENCH, np.zeros((3, 4)), np.zeros((3, 5)))
     with pytest.raises(ValueError):
         igbm.simulate(LOG_ODE, BENCH, np.zeros((3, 4)), np.zeros((2, 4)))
     with pytest.raises(ValueError):
         igbm.simulate(LOG_ODE, BENCH, np.zeros(4), np.zeros(4))
+    with pytest.raises(ValueError):
+        igbm.simulate(LOG_ODE, BENCH, np.zeros((3, 4)), np.zeros((3, 4)), out=np.empty((4, 4)))
 
 
 def test_simulate_folds_kernel_with_step_length_horizon_over_steps():
@@ -279,7 +282,7 @@ def test_simulate_folds_kernel_with_step_length_horizon_over_steps():
     for kind in igbm.SchemeKind:
         y = np.full(4, BENCH.y0)
         for k in range(25):
-            y = step(kind, y, BENCH, w[:, k], hh[:, k], BENCH.horizon / 25)
+            y = step(kind, y, BENCH, w[k], hh[k], BENCH.horizon / 25)
         assert igbm.simulate(kind, BENCH, w, hh).tobytes() == y.tobytes(), kind
 
 
@@ -300,24 +303,27 @@ def test_simulate_determinism():
     np.testing.assert_array_equal(a, b)
 
 
-def test_simulate_record_shape():
+def test_simulate_writes_every_step_to_out():
     w, hh = make_increments(2, 50, 5.0, rng(8))
-    traj = igbm.simulate(MILSTEIN, BENCH, w, hh, record=True)
-    assert traj.shape == (2, 51)
-    assert np.all(traj[:, 0] == BENCH.y0)
-    np.testing.assert_array_equal(traj[:, -1], igbm.simulate(MILSTEIN, BENCH, w, hh))
+    out = np.full((50, 2), np.nan)
+    y = igbm.simulate(MILSTEIN, BENCH, w, hh, out=out)
+    np.testing.assert_array_equal(out[-1], y)
+    np.testing.assert_array_equal(y, igbm.simulate(MILSTEIN, BENCH, w, hh))
+    for k in range(1, 50):  # row k - 1 holds y after k steps
+        np.testing.assert_array_equal(out[k - 1], igbm.simulate(MILSTEIN, BENCH, w[:k], hh[:k], h=0.1))
 
 
-@pytest.mark.parametrize("record", [False, True])
-def test_simulate_refuses_non_finite_values(record):
+@pytest.mark.parametrize("with_out", [False, True])
+def test_simulate_refuses_non_finite_values(with_out):
     w, hh = make_increments(3, 5, 5.0, rng(12))
+    out = np.empty_like(w) if with_out else None
     wild = igbm.IgbmParams(a=0.1, b=0.04, sigma=100.0, y0=0.06, horizon=5.0)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="the parabola scheme"):
-        igbm.simulate(PARABOLA, wild, w, hh, record=record)  # exp overflows: 0 * inf
-    w[1, 2] = np.nan
+        igbm.simulate(PARABOLA, wild, w, hh, out=out)  # exp overflows: 0 * inf
+    w[2, 1] = np.nan
     for kind in igbm.SchemeKind:
         with pytest.raises(ValueError, match=f"the {kind.value} scheme gave non-finite values"):
-            igbm.simulate(kind, BENCH, w, hh, record=record)
+            igbm.simulate(kind, BENCH, w, hh, out=out)
 
 
 def test_non_negativity_all_schemes():
@@ -327,10 +333,12 @@ def test_non_negativity_all_schemes():
     n_paths, n_steps = 10_000, 50
     h = BENCH.horizon / n_steps
     z = g.standard_normal((n_steps, n_paths, 2))
-    w = z[..., 0].T * np.sqrt(h)
-    hh = z[..., 1].T * np.sqrt(h / 12.0)
+    w = z[..., 0] * np.sqrt(h)
+    hh = z[..., 1] * np.sqrt(h / 12.0)
+    traj = np.empty_like(w)
     for kind in igbm.SchemeKind:
-        assert igbm.simulate(kind, BENCH, w, hh, record=True).min() >= 0.0, kind
+        igbm.simulate(kind, BENCH, w, hh, out=traj)
+        assert traj.min() >= 0.0, kind
 
 
 def test_one_step_weak_defect_ordering():
@@ -341,14 +349,14 @@ def test_one_step_weak_defect_ordering():
     substeps = 50
     h = 0.1
     d = h / substeps
-    z = g.standard_normal((n, substeps, 2))
-    wf = z[..., 0] * np.sqrt(d)
-    hf = z[..., 1] * np.sqrt(d / 12.0)
+    z = g.standard_normal((n, substeps, 2)).T
+    wf = z[0] * np.sqrt(d)  # (substeps, n), time-major
+    hf = z[1] * np.sqrt(d / 12.0)
     wc, hc = bm.coarsen_arrays(wf, hf)
     log_ode = igbm.kernel_fn(LOG_ODE)
     y_fine = np.full(n, BENCH.y0)
     for k in range(substeps):
-        y_fine = log_ode(y_fine, wf[:, k], hf[:, k], d, BENCH)
+        y_fine = log_ode(y_fine, wf[k], hf[k], d, BENCH)
     defects = {}
     for kind in igbm.SchemeKind:
         y1 = igbm.kernel_fn(kind)(np.full(n, BENCH.y0), wc, hc, h, BENCH)

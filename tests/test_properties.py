@@ -34,11 +34,12 @@ def params(draw):
 
 @st.composite
 def increments(draw, max_paths=4, max_steps=12):
+    """Time-major (steps, paths) W and H."""
     paths = draw(st.integers(1, max_paths))
     steps = draw(st.integers(1, max_steps))
     data = st.lists(bounded, min_size=paths * steps, max_size=paths * steps)
-    w = np.array(draw(data)).reshape(paths, steps)
-    h_area = np.array(draw(data)).reshape(paths, steps)
+    w = np.array(draw(data)).reshape(paths, steps).T
+    h_area = np.array(draw(data)).reshape(paths, steps).T
     return w, h_area
 
 
@@ -49,19 +50,22 @@ def test_multiplicative_schemes_preserve_non_negativity(p, data):
     # negative discriminant in H; parabola and linear add abh times a positive
     # integral to a non-negative multiple of y.
     w, h_area = data
+    traj = np.empty_like(w)
     for kind in (igbm.SchemeKind.LOG_ODE, igbm.SchemeKind.PARABOLA_ODE, igbm.SchemeKind.PIECEWISE_LINEAR):
-        traj = igbm.simulate(kind, p, w, h_area, record=True)
+        igbm.simulate(kind, p, w, h_area, out=traj)
         assert np.all(traj >= 0.0), kind
 
 
 @PROPERTY
 @given(params(), increments(max_paths=6), st.sampled_from(list(igbm.SchemeKind)))
 def test_simulate_rows_do_not_depend_on_the_batch(p, data, kind):
+    # each path, a column of the time-major data, is simulated alone to the bit
     w, h_area = data
-    batch = igbm.simulate(kind, p, w, h_area, record=True)
-    for row in range(w.shape[0]):
-        alone = igbm.simulate(kind, p, w[row : row + 1], h_area[row : row + 1], record=True)
-        assert batch[row].tobytes() == alone[0].tobytes()
+    batch, alone = np.empty_like(w), np.empty((len(w), 1))
+    igbm.simulate(kind, p, w, h_area, out=batch)
+    for path in range(w.shape[1]):
+        igbm.simulate(kind, p, w[:, path : path + 1], h_area[:, path : path + 1], out=alone)
+        assert batch[:, path].tobytes() == alone[:, 0].tobytes()
 
 
 @PROPERTY
@@ -69,14 +73,15 @@ def test_simulate_rows_do_not_depend_on_the_batch(p, data, kind):
 def test_simulate_resumes_where_it_stopped(p, data, draw, kind):
     # two calls chained through y= and h= are one call, to the bit
     w, h_area = data
-    steps = w.shape[1]
+    steps = len(w)
     assume(steps > 1)
     k = draw.draw(st.integers(1, steps - 1))
     h = p.horizon / steps
-    first = igbm.simulate(kind, p, w[:, :k], h_area[:, :k], record=True, h=h)
-    second = igbm.simulate(kind, p, w[:, k:], h_area[:, k:], record=True, y=first[:, -1], h=h)
-    whole = igbm.simulate(kind, p, w, h_area, record=True)
-    assert np.hstack([first, second[:, 1:]]).tobytes() == whole.tobytes()
+    parts, whole = np.empty_like(w), np.empty_like(w)
+    first = igbm.simulate(kind, p, w[:k], h_area[:k], out=parts[:k], h=h)
+    second = igbm.simulate(kind, p, w[k:], h_area[k:], out=parts[k:], y=first, h=h)
+    assert second.tobytes() == igbm.simulate(kind, p, w, h_area, out=whole).tobytes()
+    assert parts.tobytes() == whole.tobytes()
 
 
 @settings(deadline=None, derandomize=True, max_examples=60)
@@ -88,21 +93,22 @@ def test_simulate_resumes_where_it_stopped(p, data, draw, kind):
     st.integers(0, 2**32 - 1),
     st.sampled_from(list(igbm.SchemeKind)),
 )
-def test_simulate_is_the_one_step_kernel_folded(p, steps, record, slab, seed, kind):
-    # however many steps each slab prepares, `simulate` is the column-by-column
+def test_simulate_is_the_one_step_kernel_folded(p, steps, with_out, slab, seed, kind):
+    # however many steps each slab prepares, `simulate` is the row-by-row
     # fold of the one-step kernel, to the bit
     g = np.random.default_rng(seed)
     h = p.horizon / steps
-    w = g.standard_normal((3, steps)) * np.sqrt(h)
-    h_area = g.standard_normal((3, steps)) * np.sqrt(h / 12.0)
+    w = g.standard_normal((3, steps)).T * np.sqrt(h)
+    h_area = g.standard_normal((3, steps)).T * np.sqrt(h / 12.0)
     kernel = igbm.kernel_fn(kind)
     ys = [np.full(3, p.y0)]
     for k in range(steps):
-        ys.append(kernel(ys[-1], w[:, k], h_area[:, k], h, p))
-    expected = np.stack(ys, axis=1) if record else ys[-1]
+        ys.append(kernel(ys[-1], w[k], h_area[k], h, p))
     width = {"one step": 1, "default": igbm._SLAB, "beyond the run": steps + 1}[slab]
+    out = np.empty_like(w) if with_out else None
     with mock.patch.object(igbm, "_SLAB", width):
-        assert igbm.simulate(kind, p, w, h_area, record=record).tobytes() == expected.tobytes()
+        assert igbm.simulate(kind, p, w, h_area, out=out).tobytes() == ys[-1].tobytes()
+    assert not with_out or out.tobytes() == np.stack(ys[1:]).tobytes()
 
 
 @PROPERTY
@@ -144,9 +150,10 @@ def test_coarsen_arrays_two_levels_equal_one(paths, groups, substeps, seed, leng
     # all of them at once
     g = np.random.default_rng(seed)
     n = groups * substeps
-    w = g.standard_normal((paths, n)) * np.sqrt(length / n)
-    h_area = g.standard_normal((paths, n)) * np.sqrt(length / n / 12.0)
-    w_mid, h_mid = bm.coarsen_arrays(w.reshape(paths, groups, substeps), h_area.reshape(paths, groups, substeps))
+    w = g.standard_normal((paths, n)).T * np.sqrt(length / n)
+    h_area = g.standard_normal((paths, n)).T * np.sqrt(length / n / 12.0)
+    shape = (groups, substeps, paths)  # (group, piece, path), pieces then moved to axis 0
+    w_mid, h_mid = bm.coarsen_arrays(w.reshape(shape).swapaxes(0, 1), h_area.reshape(shape).swapaxes(0, 1))
     w_two, h_two = bm.coarsen_arrays(w_mid, h_mid)
     w_one, h_one = bm.coarsen_arrays(w, h_area)
     scale = np.sqrt(length) * 1e-13
@@ -167,9 +174,9 @@ def test_carried_coarsening_over_any_split_is_one_call(paths, n, steps, data, se
         runs = (a.reshape(paths, -1).T[lo:hi] for a in (w, h_area))
         parts.append(bm.coarsen_arrays(*runs, carry))
     assert carry[1] == 0
-    whole = bm.coarsen_arrays(w, h_area)
+    whole = bm.coarsen_arrays(w.T, h_area.T)  # (n, steps, paths): the n pieces of each step on axis 0
     for carried, expected in zip(zip(*parts), whole):
-        assert np.concatenate(carried).T.tobytes() == expected.tobytes()
+        assert np.concatenate(carried).tobytes() == expected.tobytes()
 
 
 @st.composite
@@ -207,7 +214,8 @@ def test_streamed_block_is_the_whole_array_block(step_counts, n, seed):
     n_fine = harness.fine_steps(step_counts)
     h = igbm.REFERENCE.horizon / n_fine
     draws = harness.path_increments(seed, harness._DOMAIN_HARNESS, 0, range(n), n_fine, np.sqrt([h, h / 12.0]))
-    fine, coarse = oracles.whole_block(igbm.REFERENCE, schemes, step_counts, *next(draws))
+    with mock.patch.object(harness, "_CHUNK", n_fine):  # the whole mesh in one draw
+        fine, coarse = oracles.whole_block(igbm.REFERENCE, schemes, step_counts, *next(draws))
     for chunk in (1, n_fine // step_counts[0] - 1, 320, n_fine - 1, n_fine):
         with mock.patch.object(harness, "_CHUNK", chunk):
             streamed_fine, streamed = harness._simulate_block(igbm.REFERENCE, schemes, step_counts, n_fine, seed, range(n))

@@ -83,14 +83,12 @@ def eval_polynomial_path(w1, coeffs, t):
     return out
 
 
-def coarsen_arrays(w_fine, h_fine, carry=None):
-    """Exact (W, H) of steps of n equal pieces in time order along axis 0: w =
-    sum_i w_i, h_area = mean_i h_area_i + sum_i (n-1-2i)/(2n) w_i, summed in
-    ascending i without full-size temporaries.  Without `carry`, (n, ...) -> (...);
-    with `carry` = [n, seen, *sums], (pieces, ...) -> (whole steps, ...), and the
-    partial last step's sums carry to the next call."""
-    if carry is None:
-        return tuple(a[0] for a in coarsen_arrays(w_fine, h_fine, [len(w_fine), 0]))
+def coarsen_arrays(w_fine, h_fine, carry):
+    """Exact (W, H) of steps of n equal pieces, time-major: (pieces, ...) ->
+    (whole steps, ...), with w = sum_i w_i and h_area = mean_i h_area_i +
+    sum_i (n-1-2i)/(2n) w_i summed in ascending i without full-size temporaries.
+    `carry` = [n, seen, *sums], [n, 0] to start, carries the partial last step's
+    sums to the next call, so pieces fed in runs of any length coarsen as one run."""
     (n, seen, *sums), pieces = carry, len(w_fine)
     w, h_sum, tilt = (np.zeros((-(-(seen + pieces) // n),) + w_fine.shape[1:]) for _ in range(3))
     for acc, partial in zip((w, h_sum, tilt), sums):

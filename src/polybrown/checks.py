@@ -108,15 +108,15 @@ def coarsen_associativity(g):
     the two halves first, on 100 draws."""
     z = g.standard_normal((100, 4, 2)).T
     w, h_area = np.sqrt(0.25) * z[0], np.sqrt(0.25 / 12.0) * z[1]
-    direct = brownian.coarsen_arrays(w, h_area)
-    paired = brownian.coarsen_arrays(*brownian.coarsen_arrays(w, h_area, [2, 0]))
+    direct = brownian.coarsen_arrays(w, h_area, [4, 0])
+    paired = brownian.coarsen_arrays(*brownian.coarsen_arrays(w, h_area, [2, 0]), [2, 0])
     return _worst(a - b for a, b in zip(direct, paired))
 
 
 def coarsen_halves(g):
     """A unit increment over the first half and none over the second has
     space-time area 1/4."""
-    _, h_area = brownian.coarsen_arrays(np.array([1.0, 0.0]), np.zeros(2))
+    _, h_area = brownian.coarsen_arrays(np.array([1.0, 0.0]), np.zeros(2), [2, 0])
     return _worst([h_area - 0.25])
 
 

@@ -214,15 +214,13 @@ def cmd_paths(cfg, out):
     _write_long(os.path.join(out, "path_coeffs.csv"), "path_id,k,I_k", np.arange(cfg["degree"]), coeffs)
 
 
-def _igbm_block(cfg, params, paths):
-    """Trajectories (paths, steps + 1) of the range `paths`: a time-major array advanced chunk by chunk, transposed."""
-    n_steps = cfg["steps"][0]
+def _igbm_block(params, scheme, n_steps, seed, paths):
+    """Trajectories (paths, n_steps + 1) of the range `paths`, advanced time-major chunk by chunk, transposed."""
     h = params.horizon / n_steps
     traj, k = np.empty((n_steps + 1, len(paths))), 0
     traj[0] = params.y0
-    draws = harness.path_increments(cfg["seed"], _DOMAIN_IGBM, n_steps, paths, n_steps, np.sqrt([h, h / 12.0]))
-    for w, h_area in draws:
-        igbm.simulate(cfg["scheme"], params, w, h_area, out=traj[k + 1 : k + 1 + len(w)], y=traj[k], h=h)
+    for w, h_area in harness.path_increments(seed, _DOMAIN_IGBM, n_steps, paths, n_steps, np.sqrt([h, h / 12.0])):
+        igbm.simulate(scheme, params, w, h_area, out=traj[k + 1 : k + 1 + len(w)], y=traj[k], h=h)
         k += len(w)
     return traj.T
 
@@ -230,10 +228,10 @@ def _igbm_block(cfg, params, paths):
 def cmd_igbm_paths(cfg, out):
     if len(cfg["steps"]) != 1:
         raise ValueError("igbm-paths expects a single --steps value")
-    params = _igbm_params(cfg)
-    rows = itertools.chain.from_iterable(harness._map_blocks(_igbm_block, (cfg, params), cfg["paths"]))
-    ts = np.linspace(0.0, params.horizon, cfg["steps"][0] + 1)
-    _write_long(os.path.join(out, "igbm_paths.csv"), "path_id,t,value", ts, rows)
+    params, (n_steps,) = _igbm_params(cfg), cfg["steps"]
+    rows = harness._map_blocks(_igbm_block, (params, cfg["scheme"], n_steps, cfg["seed"]), cfg["paths"])
+    ts = np.linspace(0.0, params.horizon, n_steps + 1)
+    _write_long(os.path.join(out, "igbm_paths.csv"), "path_id,t,value", ts, itertools.chain.from_iterable(rows))
 
 
 def _run_benchmark(cfg, out, metric):

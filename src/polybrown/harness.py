@@ -159,25 +159,24 @@ def _simulate_block(params, schemes, step_counts, n_fine, seed, paths):
     return fine, coarse
 
 
+def _mean_se(x):
+    """Sample mean of `x` and its standard error."""
+    return float(np.mean(x)), float(np.std(x, ddof=1) / np.sqrt(x.size))
+
+
 def _strong_stats(fine, approx):
     """Root-mean-square terminal gap to the coupled fine reference, with a
-    delta-method standard error."""
-    d = (approx - fine) ** 2
-    m2 = float(np.mean(d))
+    delta-method standard error; (0, 0) when every gap is 0."""
+    m2, se_m2 = _mean_se((approx - fine) ** 2)
     err = float(np.sqrt(m2))
-    if m2 == 0.0:
-        return 0.0, 0.0
-    se_m2 = float(np.std(d, ddof=1) / np.sqrt(d.size))
-    return err, se_m2 / (2.0 * err)
+    return (err, se_m2 / (2.0 * err)) if m2 else (0.0, 0.0)
 
 
 def _weak_stats(fine, approx, strike):
     """Absolute gap of mean call payoffs (strike = mean-reversion level b),
     estimated with common-random-numbers differencing."""
-    diff = np.maximum(approx - strike, 0.0) - np.maximum(fine - strike, 0.0)
-    err = float(abs(np.mean(diff)))
-    se = float(np.std(diff, ddof=1) / np.sqrt(diff.size))
-    return err, se
+    mean, se = _mean_se(np.maximum(approx - strike, 0.0) - np.maximum(fine - strike, 0.0))
+    return abs(mean), se
 
 
 def fit_slope(points):

@@ -186,8 +186,7 @@ def whole_block(params, schemes, step_counts, w, h_area):
     fine = igbm.simulate(igbm.SchemeKind.LOG_ODE, params, w, h_area)
     coarse = {}
     for n_steps in reversed(step_counts):
-        shape = (n_steps, len(w) // n_steps, w.shape[1])  # (step, piece, path), pieces then moved to axis 0
-        w, h_area = brownian.coarsen_arrays(w.reshape(shape).swapaxes(0, 1), h_area.reshape(shape).swapaxes(0, 1))
+        w, h_area = brownian.coarsen_arrays(w, h_area, [len(w) // n_steps, 0])
         coarse.update({(n_steps, scheme): igbm.simulate(scheme, params, w, h_area) for scheme in schemes})
     return fine, coarse
 

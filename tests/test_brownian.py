@@ -241,13 +241,13 @@ def test_coarsen_associativity():
 
 def test_coarsen_arrays_matches_scalar():
     g = rng(15)
-    w = g.standard_normal((3, 8)) * 0.1
-    hh = g.standard_normal((3, 8)) * 0.05
-    wv, hv = bm.coarsen_arrays(w.T, hh.T)  # the 8 pieces of each of 3 paths, time-major
-    for row in range(3):
-        out_w, out_h = oracles.coarsen(w[row], hh[row])
-        assert wv[row] == pytest.approx(out_w, abs=1e-14)
-        assert hv[row] == pytest.approx(out_h, abs=1e-14)
+    w = g.standard_normal((3, 8)).T * 0.1  # the 8 pieces of each of 3 paths, time-major
+    hh = g.standard_normal((3, 8)).T * 0.05
+    (wv,), (hv,) = bm.coarsen_arrays(w, hh, [8, 0])
+    for path in range(3):
+        out_w, out_h = oracles.coarsen(w[:, path], hh[:, path])
+        assert wv[path] == pytest.approx(out_w, abs=1e-14)
+        assert hv[path] == pytest.approx(out_h, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------

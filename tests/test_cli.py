@@ -491,11 +491,11 @@ def test_trajectory_memory_is_its_trajectories_and_one_chunk():
     # 64 paths of 20 000 steps: the trajectories take 10.2 MB, and the draws,
     # streamed one chunk at a time, add about 1 MiB, where a whole-run draw
     # added 29 MiB
-    cfg = {"seed": 1, "scheme": igbm.SchemeKind.LOG_ODE, "steps": (20_000,)}
-    cli._igbm_block(cfg, igbm.REFERENCE, range(1))  # the first block also allocates one-time caches
+    args = (igbm.REFERENCE, igbm.SchemeKind.LOG_ODE, 20_000, 1)
+    cli._igbm_block(*args, range(1))  # the first block also allocates one-time caches
     tracemalloc.start()
     try:
-        traj = cli._igbm_block(cfg, igbm.REFERENCE, range(64))
+        traj = cli._igbm_block(*args, range(64))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -140,7 +140,7 @@ def test_log_ode_one_step_self_consistency():
         z = g.standard_normal((n, substeps, 2)).T
         wf = z[0] * np.sqrt(d)  # (substeps, n), time-major
         hf = z[1] * np.sqrt(d / 12.0)
-        wc, hc = bm.coarsen_arrays(wf, hf)
+        (wc,), (hc,) = bm.coarsen_arrays(wf, hf, [substeps, 0])
         y_fine = np.full(n, 0.06)
         for k in range(substeps):
             y_fine = log_ode(y_fine, wf[k], hf[k], d, BENCH)
@@ -352,7 +352,7 @@ def test_one_step_weak_defect_ordering():
     z = g.standard_normal((n, substeps, 2)).T
     wf = z[0] * np.sqrt(d)  # (substeps, n), time-major
     hf = z[1] * np.sqrt(d / 12.0)
-    wc, hc = bm.coarsen_arrays(wf, hf)
+    (wc,), (hc,) = bm.coarsen_arrays(wf, hf, [substeps, 0])
     log_ode = igbm.kernel_fn(LOG_ODE)
     y_fine = np.full(n, BENCH.y0)
     for k in range(substeps):

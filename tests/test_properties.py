@@ -152,10 +152,9 @@ def test_coarsen_arrays_two_levels_equal_one(paths, groups, substeps, seed, leng
     n = groups * substeps
     w = g.standard_normal((paths, n)).T * np.sqrt(length / n)
     h_area = g.standard_normal((paths, n)).T * np.sqrt(length / n / 12.0)
-    shape = (groups, substeps, paths)  # (group, piece, path), pieces then moved to axis 0
-    w_mid, h_mid = bm.coarsen_arrays(w.reshape(shape).swapaxes(0, 1), h_area.reshape(shape).swapaxes(0, 1))
-    w_two, h_two = bm.coarsen_arrays(w_mid, h_mid)
-    w_one, h_one = bm.coarsen_arrays(w, h_area)
+    w_mid, h_mid = bm.coarsen_arrays(w, h_area, [substeps, 0])  # (groups, paths)
+    w_two, h_two = bm.coarsen_arrays(w_mid, h_mid, [groups, 0])
+    w_one, h_one = bm.coarsen_arrays(w, h_area, [n, 0])
     scale = np.sqrt(length) * 1e-13
     np.testing.assert_allclose(w_two, w_one, rtol=0, atol=scale)
     np.testing.assert_allclose(h_two, h_one, rtol=0, atol=scale)
@@ -167,14 +166,13 @@ def test_carried_coarsening_over_any_split_is_one_call(paths, n, steps, data, se
     # the pieces of `steps` steps of n, fed in time-major runs of any lengths,
     # some shorter than a step, give one whole call's (W, H) to the bit
     g = np.random.default_rng(seed)
-    w, h_area = g.standard_normal((2, paths, steps, n))
+    w, h_area = g.standard_normal((2, steps * n, paths))  # time-major pieces
     cuts = sorted(data.draw(st.lists(st.integers(0, steps * n), max_size=6)))
     carry, parts = [n, 0], []
     for lo, hi in zip([0, *cuts], [*cuts, steps * n]):
-        runs = (a.reshape(paths, -1).T[lo:hi] for a in (w, h_area))
-        parts.append(bm.coarsen_arrays(*runs, carry))
+        parts.append(bm.coarsen_arrays(w[lo:hi], h_area[lo:hi], carry))
     assert carry[1] == 0
-    whole = bm.coarsen_arrays(w.T, h_area.T)  # (n, steps, paths): the n pieces of each step on axis 0
+    whole = bm.coarsen_arrays(w, h_area, [n, 0])
     for carried, expected in zip(zip(*parts), whole):
         assert np.concatenate(carried).tobytes() == expected.tobytes()
 
@@ -247,6 +245,18 @@ def test_paths_block_draw_is_the_single_path_draw(seed, degree, index):
         (w1,), (coeffs,) = bm.sample_kl_batch(degree, 1, harness.path_generator(seed, 2, degree, i))
         assert row[0] == w1
         assert row[1:].tobytes() == coeffs.tobytes()
+
+
+@PROPERTY
+@given(st.integers(0, 2**64 - 1), st.integers(1, 40), st.integers(0, 2**32 - 131), st.integers(1, 130))
+def test_paths_draws_the_law_criterion_3_checks(seed, degree, start, count):
+    # criterion 3 checks the law of `sample_kl_batch`; `polybrown paths` draws
+    # any range of paths, across the groups `path_increments` fills, as the
+    # rows `sample_kl_batch` draws from each path's own stream, bit for bit
+    paths = range(start, start + count)
+    streams = (harness.path_generator(seed, harness._DOMAIN_PATHS, degree, i) for i in paths)
+    expected = np.vstack([np.column_stack(bm.sample_kl_batch(degree, 1, stream)) for stream in streams])
+    assert cli._kl_block(seed, degree, paths).tobytes() == expected.tobytes()
 
 
 @PROPERTY

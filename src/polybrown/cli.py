@@ -2,30 +2,28 @@
 
 Subcommands: basis, paths, igbm-paths, strong, weak, check.  Flag values
 override an optional plain-text `key = value` configuration file; every run
-echoes its effective configuration, the Python and NumPy versions and the
-OpenBLAS thread count into a manifest next to the CSV outputs.  All randomness
-flows from the single --seed flag.
+echoes its effective configuration, the Python and NumPy versions, the SIMD
+targets NumPy dispatches to and the OpenBLAS thread count into a manifest next
+to the CSV outputs.  All randomness flows from the single --seed flag.  This
+front end parses, answers --help and --version and refuses bad input without
+NumPy; only then does `main` import the back end, `harness`, to run the command.
 """
 
 import argparse
 import contextlib
 import dataclasses
 import errno
-import itertools
 import os
 import pathlib
 import sys
 import tempfile
 
+from . import MAX_LEVEL, MAX_PATHS, REFERENCE, IgbmParams, SchemeKind, __version__
+
 # before NumPy loads: polybrown calls no BLAS, so one OpenBLAS thread spares a core and keeps fork() safe.
 # The manifest records the count OpenBLAS reads, which is not this default if NumPy has loaded already.
 _OPENBLAS_THREADS = os.environ.get("OPENBLAS_NUM_THREADS", None if "numpy" in sys.modules else "1")
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-import numpy as np  # noqa: E402
-
-from . import __version__, brownian, checks, harness, igbm, orthopoly  # noqa: E402
-from .harness import _DOMAIN_IGBM, _DOMAIN_PATHS, _FLOAT, _fmt, _write_csv  # noqa: E402
 
 
 def _u64(text):
@@ -44,14 +42,14 @@ def _positive_int(text):
 
 def _path_count(text):
     value = _positive_int(text)
-    if value > harness.MAX_PATHS:
+    if value > MAX_PATHS:
         raise ValueError("too many paths: need paths <= 2^32")
     return value
 
 
 def _level(text):
     value = _positive_int(text)
-    if value >= harness.MAX_LEVEL:
+    if value >= MAX_LEVEL:
         raise ValueError("must be below 2^16, the number of stream levels")
     return value
 
@@ -67,12 +65,12 @@ def _steps_list(text):
 
 
 def _schemes_list(text):
-    return tuple(igbm.SchemeKind.from_name(part.strip()) for part in str(text).split(","))
+    return tuple(SchemeKind.from_name(part.strip()) for part in str(text).split(","))
 
 
 # per-subcommand defaults (as strings; converted after merging)
-_IGBM_DEFAULTS = {f.name: str(getattr(igbm.REFERENCE, f.name)) for f in dataclasses.fields(igbm.IgbmParams)}
-_SCHEMES = ",".join(kind.value for kind in igbm.SchemeKind)
+_IGBM_DEFAULTS = {f.name: str(getattr(REFERENCE, f.name)) for f in dataclasses.fields(IgbmParams)}
+_SCHEMES = ",".join(kind.value for kind in SchemeKind)
 _BENCHMARK_DEFAULTS = {"seed": "0", "out": "out", "schemes": _SCHEMES, "workers": "1", **_IGBM_DEFAULTS}
 
 _DEFAULTS = {
@@ -92,7 +90,7 @@ _OPTIONS = {
     "grid": (_positive_int, "number of grid points on [0, 1]"),
     "degree": (_level, "polynomial path degree"),
     "paths": (_path_count, "number of sample paths"),
-    "scheme": (igbm.SchemeKind.from_name, "scheme name for trajectory output"),
+    "scheme": (SchemeKind.from_name, "scheme name for trajectory output"),
     "schemes": (_schemes_list, "comma-separated scheme names"),
     "steps": (_steps_list, "comma-separated step counts"),
     "workers": (_positive_int, "worker processes, at most one per CPU (outputs are invariant to this)"),
@@ -140,15 +138,18 @@ def _effective_config(command, args):
             typed[key] = _OPTIONS[key][0](raw)
         except ValueError as exc:
             raise ValueError(f"invalid value for {key}: {exc}") from None
+    if _IGBM_DEFAULTS.keys() <= typed.keys():  # one IgbmParams checks the model before NumPy loads
+        typed["params"] = IgbmParams(**{key: typed.pop(key) for key in _IGBM_DEFAULTS})
     return merged, typed
 
 
 @contextlib.contextmanager
-def _output(strings, command):
+def _output(strings, command, harness):
     """Yield a fresh staging directory for the CSVs.  `main` enters it before
     the command works, in the deepest existing entry on the path of `--out`,
-    so a file there is refused first.  Once the command returns, the manifest
-    is written there too and every file is renamed into `--out`, manifest
+    so a file there is refused first.  Once the command returns, the loaded
+    back end `harness` writes the manifest there too, with the NumPy build the
+    outputs depend on, and every file is renamed into `--out`, manifest
     last; the staging directory is always removed.  A failed run leaves
     `--out` as it found it and makes no directory.  An OSError, here or in
     the command, is a usage error naming `--out`."""
@@ -160,9 +161,9 @@ def _output(strings, command):
             yield staging
             names = [*sorted(os.listdir(staging)), "manifest.txt"]
             lines = [f"artifact_version = {__version__}\n", f"python = {sys.version.split()[0]}\n"]
-            lines += [f"numpy = {np.__version__}\n", f"openblas_num_threads = {_OPENBLAS_THREADS}\n"]
+            lines += [*harness._numpy_lines(), f"openblas_num_threads = {_OPENBLAS_THREADS}\n"]
             lines += [f"{key} = {strings[key]}\n" for key in sorted(strings)]
-            _write_csv(os.path.join(staging, "manifest.txt"), f"command = {command}", lines)
+            harness._write_csv(os.path.join(staging, "manifest.txt"), f"command = {command}", lines)
             for name in names:  # a directory in the way is refused before the first rename
                 if os.path.isdir(dest := os.path.join(out, name)):
                     raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), staging, None, dest)
@@ -173,101 +174,8 @@ def _output(strings, command):
         raise ValueError(f"cannot write to output directory: {exc.filename2 or out}: {exc.strerror or exc}") from None
 
 
-def _write_long(path, header, labels, rows, first_id=0):
-    """Write the long table `id,label,value` of 1-D `rows`, one line per value
-    and ids from `first_id`.  The shared `labels` fill one row template with a
-    `%.17g` slot per value, so each row is one `%` call on its id's copy."""
-    template = "".join(f"\0,{_fmt(label)},{_FLOAT}\n" for label in labels.tolist())
-    lines = (template.replace("\0", str(i)) % tuple(row.tolist()) for i, row in enumerate(rows, first_id))
-    _write_csv(path, header, lines)
-
-
-def _igbm_params(cfg):
-    return igbm.IgbmParams(**{key: cfg[key] for key in _IGBM_DEFAULTS})
-
-
-# ---------------------------------------------------------------------------
-# Subcommands
-
-
-def cmd_basis(cfg, out):
-    ts = np.linspace(0.0, 1.0, cfg["grid"])
-    rows = itertools.islice(orthopoly.basis_e_rows(ts), cfg["max_k"])
-    _write_long(os.path.join(out, "basis.csv"), "k,t,e_k(t)", ts, rows, first_id=1)
-
-
-def _kl_block(seed, degree, paths):
-    """Rows (w1, I_1, ..., I_{degree-1}) of the paths in the range `paths`,
-    drawn as one interval with scale (1, sqrt(lambda_1), ...)."""
-    scale = np.sqrt(np.concatenate(([1.0], orthopoly.eigenvalue(np.arange(1, degree)))))
-    (draws,) = harness.path_increments(seed, _DOMAIN_PATHS, degree, paths, 1, scale)
-    return draws[:, 0].T
-
-
-def cmd_paths(cfg, out):
-    # each file walks the blocks anew, redrawn from their keyed streams, so no array outlives its block
-    walk = (_kl_block, (cfg["seed"], cfg["degree"]), cfg["paths"])
-    ts = np.linspace(0.0, 1.0, cfg["grid"])
-    values = (brownian.eval_polynomial_path(block[:, 0], block[:, 1:], ts) for block in harness._map_blocks(*walk))
-    _write_long(os.path.join(out, "paths.csv"), "path_id,t,kl_value", ts, itertools.chain.from_iterable(values))
-    coeffs = itertools.chain.from_iterable(harness._map_blocks(*walk))  # the k = 0 column carries the increment
-    _write_long(os.path.join(out, "path_coeffs.csv"), "path_id,k,I_k", np.arange(cfg["degree"]), coeffs)
-
-
-def _igbm_block(params, scheme, n_steps, seed, paths):
-    """Trajectories (paths, n_steps + 1) of the range `paths`, advanced time-major chunk by chunk, transposed."""
-    h = params.horizon / n_steps
-    traj, k = np.empty((n_steps + 1, len(paths))), 0
-    traj[0] = params.y0
-    for w, h_area in harness.path_increments(seed, _DOMAIN_IGBM, n_steps, paths, n_steps, np.sqrt([h, h / 12.0])):
-        igbm.simulate(scheme, params, w, h_area, out=traj[k + 1 : k + 1 + len(w)], y=traj[k], h=h)
-        k += len(w)
-    return traj.T
-
-
-def cmd_igbm_paths(cfg, out):
-    if len(cfg["steps"]) != 1:
-        raise ValueError("igbm-paths expects a single --steps value")
-    params, (n_steps,) = _igbm_params(cfg), cfg["steps"]
-    rows = harness._map_blocks(_igbm_block, (params, cfg["scheme"], n_steps, cfg["seed"]), cfg["paths"])
-    ts = np.linspace(0.0, params.horizon, n_steps + 1)
-    _write_long(os.path.join(out, "igbm_paths.csv"), "path_id,t,value", ts, itertools.chain.from_iterable(rows))
-
-
-def _run_benchmark(cfg, out, metric):
-    config = harness.ExperimentConfig(
-        params=_igbm_params(cfg),
-        schemes=cfg["schemes"],
-        step_counts=cfg["steps"],
-        num_paths=cfg["paths"],
-        seed=cfg["seed"],
-    )
-    rows, slopes = harness.run_experiment(config, metric, workers=cfg["workers"])
-    harness.write_error_csv(rows, os.path.join(out, f"{metric}.csv"))
-    harness.write_slopes_csv(slopes, os.path.join(out, "slopes.csv"))
-
-
-def cmd_check(cfg):
-    failed = False
-    for name, invariant, bound in checks.SUITES:
-        worst = invariant(np.random.default_rng(cfg["seed"]))
-        ok = worst <= bound
-        failed |= not ok
-        print(f"{'ok' if ok else 'FAIL'} {name} {worst:.2e} {'<=' if ok else '>'} {bound:g}")
-    return 1 if failed else 0
-
-
 # ---------------------------------------------------------------------------
 # Argument parsing
-
-
-_WRITERS = {
-    "basis": cmd_basis,
-    "paths": cmd_paths,
-    "igbm-paths": cmd_igbm_paths,
-    "strong": lambda cfg, out: _run_benchmark(cfg, out, "strong"),
-    "weak": lambda cfg, out: _run_benchmark(cfg, out, "weak"),
-}
 
 
 def _build_parser():
@@ -285,14 +193,14 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         strings, typed = _effective_config(args.command, args)
+        from . import harness  # the back end, and NumPy with it, loads only for a valid configuration
         if args.command == "check":
-            return cmd_check(typed)
-        with _output(strings, args.command) as out:
-            _WRITERS[args.command](typed, out)
+            return harness.cmd_check(typed)
+        with _output(strings, args.command, harness) as out:
+            harness._COMMANDS[args.command](typed, out)
         return 0
     except (ValueError, MemoryError) as exc:
         print(f"polybrown: error: {exc}", file=sys.stderr)

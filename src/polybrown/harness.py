@@ -7,16 +7,20 @@ level is the exact coarsening of the next finer one: the nested coupling of
 multilevel Monte Carlo.  `_map_blocks` is the one place where the paths of
 every command are cut into blocks and pooled.  Streams are keyed per path
 (`path_generator`, at level 0) and reductions run over arrays in path order,
-so results are bit-identical for any worker count or block size.
+so results are bit-identical for any worker count or block size.  The module
+is also the CLI's back end: `cli.main` imports it once a run's configuration is
+valid and runs the command's body (`_COMMANDS`, `cmd_check`) on it.
 """
 
+import itertools
 import os
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.introspect import opt_func_info
 
-from . import igbm
+from . import MAX_LEVEL, MAX_PATHS, brownian, checks, igbm, orthopoly
 from .brownian import coarsen_arrays
 
 __all__ = [
@@ -40,8 +44,6 @@ _GROUP = 64  # paths drawn at a time into a chunk; never affects values
 _DOMAIN_HARNESS = 1  # stream-key domains (see `path_generator`): strong and weak,
 _DOMAIN_PATHS = 2  # paths
 _DOMAIN_IGBM = 3  # and igbm-paths
-MAX_PATHS = 1 << 32  # path indices fill 32 bits of the stream key (see `path_generator`)
-MAX_LEVEL = 1 << 16  # stream levels fill 16 bits of it
 
 
 @dataclass(frozen=True)
@@ -280,3 +282,93 @@ def write_slopes_csv(rows, path):
     """Write `scheme,metric,slope,slope_stderr` rows."""
     lines = (f"{r.scheme.value},{r.metric},{_fmt(r.slope)},{_fmt(r.stderr)}\n" for r in rows)
     _write_csv(path, "scheme,metric,slope,slope_stderr", lines)
+
+
+def _write_long(path, header, labels, rows, first_id=0):
+    """Write the long table `id,label,value` of 1-D `rows`, one line per value
+    and ids from `first_id`.  The shared `labels` fill one row template with a
+    `%.17g` slot per value, so each row is one `%` call on its id's copy."""
+    template = "".join(f"\0,{_fmt(label)},{_FLOAT}\n" for label in labels.tolist())
+    lines = (template.replace("\0", str(i)) % tuple(row.tolist()) for i, row in enumerate(rows, first_id))
+    _write_csv(path, header, lines)
+
+
+def _numpy_lines():
+    """Manifest lines: the NumPy version and the SIMD targets of float64 exp, expm1 and log, which outputs depend on."""
+    targets = opt_func_info(func_name="^(exp|expm1|log)$")
+    dispatch = " ".join(f"{name}:{targets[name]['dd']['current']}" for name in sorted(targets))
+    return [f"numpy = {np.__version__}\n", f"numpy_dispatch = {dispatch}\n"]
+
+
+# ---------------------------------------------------------------------------
+# The CLI's command bodies, each on the typed configuration of `cli.main`
+
+
+def cmd_basis(cfg, out):
+    ts = np.linspace(0.0, 1.0, cfg["grid"])
+    rows = itertools.islice(orthopoly.basis_e_rows(ts), cfg["max_k"])
+    _write_long(os.path.join(out, "basis.csv"), "k,t,e_k(t)", ts, rows, first_id=1)
+
+
+def _kl_block(seed, degree, paths):
+    """Rows (w1, I_1, ..., I_{degree-1}) of the paths in the range `paths`,
+    drawn as one interval with scale (1, sqrt(lambda_1), ...)."""
+    scale = np.sqrt(np.concatenate(([1.0], orthopoly.eigenvalue(np.arange(1, degree)))))
+    (draws,) = path_increments(seed, _DOMAIN_PATHS, degree, paths, 1, scale)
+    return draws[:, 0].T
+
+
+def cmd_paths(cfg, out):
+    # each file walks the blocks anew, redrawn from their keyed streams, so no array outlives its block
+    walk = (_kl_block, (cfg["seed"], cfg["degree"]), cfg["paths"])
+    ts = np.linspace(0.0, 1.0, cfg["grid"])
+    values = (brownian.eval_polynomial_path(block[:, 0], block[:, 1:], ts) for block in _map_blocks(*walk))
+    _write_long(os.path.join(out, "paths.csv"), "path_id,t,kl_value", ts, itertools.chain.from_iterable(values))
+    coeffs = itertools.chain.from_iterable(_map_blocks(*walk))  # the k = 0 column carries the increment
+    _write_long(os.path.join(out, "path_coeffs.csv"), "path_id,k,I_k", np.arange(cfg["degree"]), coeffs)
+
+
+def _igbm_block(params, scheme, n_steps, seed, paths):
+    """Trajectories (paths, n_steps + 1) of the range `paths`, advanced time-major chunk by chunk, transposed."""
+    h = params.horizon / n_steps
+    traj, k = np.empty((n_steps + 1, len(paths))), 0
+    traj[0] = params.y0
+    for w, h_area in path_increments(seed, _DOMAIN_IGBM, n_steps, paths, n_steps, np.sqrt([h, h / 12.0])):
+        igbm.simulate(scheme, params, w, h_area, out=traj[k + 1 : k + 1 + len(w)], y=traj[k], h=h)
+        k += len(w)
+    return traj.T
+
+
+def cmd_igbm_paths(cfg, out):
+    if len(cfg["steps"]) != 1:
+        raise ValueError("igbm-paths expects a single --steps value")
+    params, (n_steps,) = cfg["params"], cfg["steps"]
+    rows = _map_blocks(_igbm_block, (params, cfg["scheme"], n_steps, cfg["seed"]), cfg["paths"])
+    ts = np.linspace(0.0, params.horizon, n_steps + 1)
+    _write_long(os.path.join(out, "igbm_paths.csv"), "path_id,t,value", ts, itertools.chain.from_iterable(rows))
+
+
+def _run_benchmark(cfg, out, metric):
+    config = ExperimentConfig(cfg["params"], cfg["schemes"], cfg["steps"], cfg["paths"], cfg["seed"])
+    rows, slopes = run_experiment(config, metric, workers=cfg["workers"])
+    write_error_csv(rows, os.path.join(out, f"{metric}.csv"))
+    write_slopes_csv(slopes, os.path.join(out, "slopes.csv"))
+
+
+def cmd_check(cfg):
+    failed = False
+    for name, invariant, bound in checks.SUITES:
+        worst = invariant(np.random.default_rng(cfg["seed"]))
+        ok = worst <= bound
+        failed |= not ok
+        print(f"{'ok' if ok else 'FAIL'} {name} {worst:.2e} {'<=' if ok else '>'} {bound:g}")
+    return 1 if failed else 0
+
+
+_COMMANDS = {  # the commands that write files: name -> body(cfg, out)
+    "basis": cmd_basis,
+    "paths": cmd_paths,
+    "igbm-paths": cmd_igbm_paths,
+    "strong": lambda cfg, out: _run_benchmark(cfg, out, "strong"),
+    "weak": lambda cfg, out: _run_benchmark(cfg, out, "weak"),
+}

@@ -12,66 +12,12 @@ constant Lie brackets of this equation admit; no generic ODE solver is
 involved.
 """
 
-import enum
-import math
-from dataclasses import dataclass, fields
-
 import numpy as np
 
-from . import levy
+from . import REFERENCE, IgbmParams, SchemeKind, levy
 from .orthopoly import gauss_legendre_01
 
 __all__ = ["REFERENCE", "IgbmParams", "SchemeKind", "kernel_fn", "phi", "simulate"]
-
-
-@dataclass(frozen=True)
-class IgbmParams:
-    """Model parameters: mean-reversion speed a >= 0, level b, volatility
-    sigma >= 0, initial value y0, and time horizon T."""
-
-    a: float
-    b: float
-    sigma: float
-    y0: float
-    horizon: float
-
-    def __post_init__(self):
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite")
-        if self.a < 0:
-            raise ValueError("a must be >= 0")
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
-        if not self.horizon > 0:
-            raise ValueError("horizon must be > 0")
-
-    @property
-    def a_strat(self):
-        """Drift speed in Stratonovich form: a + sigma^2 / 2."""
-        return self.a + 0.5 * self.sigma**2
-
-
-# The reference experiment's parameters, the defaults of the CLI and harness.
-REFERENCE = IgbmParams(a=0.1, b=0.04, sigma=0.6, y0=0.06, horizon=5.0)
-
-
-class SchemeKind(enum.Enum):
-    """The five step rules, keyed by their CLI names."""
-
-    LOG_ODE = "log-ode"
-    PARABOLA_ODE = "parabola"
-    PIECEWISE_LINEAR = "linear"
-    MILSTEIN = "milstein"
-    EULER_MARUYAMA = "euler"
-
-    @classmethod
-    def from_name(cls, name):
-        try:
-            return cls(name)
-        except ValueError:
-            valid = ", ".join(k.value for k in cls)
-            raise ValueError(f"unknown scheme '{name}' (choose from: {valid})") from None
 
 
 def phi(x):

@@ -50,7 +50,10 @@ def test_basis_csv_matches_library(tmp_path):
     assert "artifact_version" in manifest
     assert "seed" not in manifest  # the table is deterministic
     threads = cli._OPENBLAS_THREADS  # its value is tested in fresh processes below
-    versions = f"python = {sys.version.split()[0]}\nnumpy = {np.__version__}\nopenblas_num_threads = {threads}\n"
+    targets = (f"{name}:{opt_func_info(func_name=name)[name]['dd']['current']}" for name in ("exp", "expm1", "log"))
+    dispatch = " ".join(targets)
+    versions = f"python = {sys.version.split()[0]}\nnumpy = {np.__version__}\nnumpy_dispatch = {dispatch}\n"
+    versions += f"openblas_num_threads = {threads}\n"
     assert f"artifact_version = {polybrown.__version__}\n{versions}" in manifest
     with pytest.raises(SystemExit):
         run(["basis", "--seed", "5", "--out", str(out)])
@@ -105,7 +108,7 @@ def _long_tables(draw):
 def test_long_table_writes_the_per_value_lines(tmp_path_factory, table, first_id):
     labels, rows = table
     path = tmp_path_factory.mktemp("long") / "table.csv"
-    cli._write_long(path, "id,label,value", labels, (row for row in rows), first_id)
+    harness._write_long(path, "id,label,value", labels, (row for row in rows), first_id)
     assert path.read_text() == "id,label,value\n" + oracles.long_table_lines(labels, rows, first_id)
 
 
@@ -380,7 +383,7 @@ def test_file_on_the_out_path_is_refused_before_any_work(tmp_path, capsys, monke
     Path("afile").write_text("")
     for name in ("path_increments", "run_experiment"):
         monkeypatch.setattr(harness, name, _no_work)
-    monkeypatch.setattr(cli, "_write_long", _no_work)
+    monkeypatch.setattr(harness, "_write_long", _no_work)
     assert run([command, "--out", out]) == 2
     assert capsys.readouterr().err == f"polybrown: error: cannot write to output directory: {out}: Not a directory\n"
     assert os.listdir() == ["afile"]
@@ -421,7 +424,7 @@ def test_directory_in_the_way_leaves_the_earlier_run_as_found(tmp_path, capsys):
 def test_empty_out_is_a_usage_error_before_any_work(tmp_path, capsys, monkeypatch, command, source):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(harness, "path_increments", _no_work)
-    monkeypatch.setattr(cli, "_write_long", _no_work)
+    monkeypatch.setattr(harness, "_write_long", _no_work)
     Path("empty.cfg").write_text("out =\n")
     assert run([command, *(["--out", ""] if source == "flag" else ["--config", "empty.cfg"])]) == 2
     assert capsys.readouterr().err == "polybrown: error: invalid value for out: expected a directory name, got ''\n"
@@ -492,10 +495,10 @@ def test_trajectory_memory_is_its_trajectories_and_one_chunk():
     # streamed one chunk at a time, add about 1 MiB, where a whole-run draw
     # added 29 MiB
     args = (igbm.REFERENCE, igbm.SchemeKind.LOG_ODE, 20_000, 1)
-    cli._igbm_block(*args, range(1))  # the first block also allocates one-time caches
+    harness._igbm_block(*args, range(1))  # the first block also allocates one-time caches
     tracemalloc.start()
     try:
-        traj = cli._igbm_block(*args, range(64))
+        traj = harness._igbm_block(*args, range(64))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -654,15 +657,59 @@ def _run_python(*argv, **env):
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task (Linux)")
-def test_cli_process_starts_with_one_thread():
+def test_cli_process_starts_with_one_thread(tmp_path):
     """The CLI pins OpenBLAS to one thread before NumPy loads, unless the
-    user has set a count; `import polybrown` alone loads no NumPy."""
+    user has set a count.  Importing the CLI loads no NumPy, so the threads
+    are counted once `main` has loaded it with the back end to run a command."""
     code = (
-        "import os, sys; import polybrown; print('numpy' in sys.modules); import polybrown.cli; "
-        "print(os.environ.get('OPENBLAS_NUM_THREADS'), len(os.listdir('/proc/self/task')))"
+        "import os, sys; import polybrown.cli; print('numpy' in sys.modules); "
+        "polybrown.cli.main(['basis', '--max-k', '1', '--grid', '2', '--out', sys.argv[1]]); "
+        "print('numpy' in sys.modules, os.environ.get('OPENBLAS_NUM_THREADS'), len(os.listdir('/proc/self/task')))"
     )
-    assert _run_python("-c", code) == "False\n1 1\n"
-    assert _run_python("-c", code, OPENBLAS_NUM_THREADS="2").split()[:2] == ["False", "2"]
+    assert _run_python("-c", code, str(tmp_path / "a")) == "False\nTrue 1 1\n"
+    assert _run_python("-c", code, str(tmp_path / "b"), OPENBLAS_NUM_THREADS="2").split()[:3] == ["False", "True", "2"]
+
+
+# SHA-256 of the help texts at 80 columns (Python 3.11), recorded at the commit
+# before the CLI parsed its arguments without loading NumPy
+_HELP_DIGESTS = {
+    (): "b7c1d9ab8a4201993ef6a97a7ce5aadb10aac909883641baec0db43cdf3bdd69",
+    ("basis",): "c5e75c396164f17d40568b0e1563e1f60ff8c5708494a8793f1a5ec5b39dd021",
+    ("paths",): "88ddcc5aab6e48ce3632e5fcd86e08ef7c8f08b0df4bf07177c580e2883156d5",
+    ("igbm-paths",): "b3da55c531efabd33b5ca6c51ce4e919121e8d2aa15f495250af0e7c2283516b",
+    ("strong",): "1b016300bd4c88f853483e0d3a9c781c498bc1353ffe85baddca5bc059717983",
+    ("weak",): "66ed320d1ea33d0a9ae978a5668f9a2bb945e1d5ffc2b46713092545c9aaff85",
+    ("check",): "ae2363cf8f1b2b544eb6ac67c2b2d36fae0d65f2f55c2e5cdf68407c4cd4face",
+}
+
+
+@pytest.mark.parametrize(
+    "argv, code, loads_numpy",
+    [
+        *(pytest.param([*command, "--help"], 0, False, id=" ".join([*command, "help"])) for command in _HELP_DIGESTS),
+        pytest.param(["--version"], 0, False, id="version"),
+        pytest.param(["strong", "--frob"], 2, False, id="unknown-option"),
+        pytest.param(["strong", "--paths", "0"], 2, False, id="paths-0"),
+        pytest.param(["strong", "--a", "nan"], 2, False, id="a-nan"),
+        pytest.param(["basis", "--config", "missing.cfg"], 2, False, id="unreadable-config"),
+        pytest.param(["basis", "--max-k", "1", "--grid", "2"], 0, True, id="basis"),
+    ],
+)
+def test_cli_answers_and_refuses_without_numpy(tmp_path, argv, code, loads_numpy):
+    """`--help`, `--version` and the refusal of a bad option, value or
+    configuration file come from the front end, before NumPy loads; a command
+    that computes loads it.  The help texts keep their bytes, and a refused
+    run writes nothing."""
+    probe = "import sys; from polybrown import cli\ntry:\n    code = cli.main()\n"
+    probe += "except SystemExit as exc:\n    code = exc.code\nprint(code, 'numpy' in sys.modules, file=sys.stderr)"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), COLUMNS="80")
+    command = [sys.executable, "-c", probe, *argv]
+    result = subprocess.run(command, cwd=tmp_path, env=env, capture_output=True, timeout=60)
+    assert result.stderr.decode().splitlines()[-1] == f"{code} {loads_numpy}"
+    if argv[-1] == "--help":
+        digest = hashlib.sha256(result.stdout).hexdigest()
+        assert digest == _HELP_DIGESTS[tuple(argv[:-1])], result.stdout.decode()
+    assert os.listdir(tmp_path) == (["out"] if loads_numpy else [])
 
 
 @pytest.mark.parametrize(

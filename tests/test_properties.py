@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from polybrown import brownian as bm
-from polybrown import cli, harness, igbm, levy, orthopoly
+from polybrown import harness, igbm, levy, orthopoly
 
 # Derandomized, so that a run of the suite is reproducible.
 PROPERTY = settings(deadline=None, derandomize=True, max_examples=200)
@@ -240,7 +240,7 @@ def test_paths_block_draw_is_the_single_path_draw(seed, degree, index):
     # `paths` draws a block's (w1, I_1, ..., I_{n-1}) as one interval of
     # `path_increments` scaled by (1, sqrt(lambda_k)): each row is, bitwise,
     # that path's own draw from its stream at (domain 2, level = degree)
-    block = cli._kl_block(seed, degree, range(index, index + 3))
+    block = harness._kl_block(seed, degree, range(index, index + 3))
     for i, row in enumerate(block, index):
         (w1,), (coeffs,) = bm.sample_kl_batch(degree, 1, harness.path_generator(seed, 2, degree, i))
         assert row[0] == w1
@@ -256,7 +256,7 @@ def test_paths_draws_the_law_criterion_3_checks(seed, degree, start, count):
     paths = range(start, start + count)
     streams = (harness.path_generator(seed, harness._DOMAIN_PATHS, degree, i) for i in paths)
     expected = np.vstack([np.column_stack(bm.sample_kl_batch(degree, 1, stream)) for stream in streams])
-    assert cli._kl_block(seed, degree, paths).tobytes() == expected.tobytes()
+    assert harness._kl_block(seed, degree, paths).tobytes() == expected.tobytes()
 
 
 @PROPERTY

@@ -18,40 +18,13 @@ import pathlib
 import sys
 import tempfile
 
-from . import MAX_LEVEL, MAX_PATHS, REFERENCE, IgbmParams, SchemeKind, __version__
+from . import REFERENCE, ExperimentConfig, IgbmParams, SchemeKind, __version__
+from . import path_count, positive_int, stream_level, u64
 
 # before NumPy loads: polybrown calls no BLAS, so one OpenBLAS thread spares a core and keeps fork() safe.
 # The manifest records the count OpenBLAS reads, which is not this default if NumPy has loaded already.
 _OPENBLAS_THREADS = os.environ.get("OPENBLAS_NUM_THREADS", None if "numpy" in sys.modules else "1")
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-
-def _u64(text):
-    value = int(text)
-    if not 0 <= value < 1 << 64:
-        raise ValueError("seed must fit in an unsigned 64-bit integer")
-    return value
-
-
-def _positive_int(text):
-    value = int(text)
-    if value <= 0:
-        raise ValueError(f"expected a positive integer, got {text!r}")
-    return value
-
-
-def _path_count(text):
-    value = _positive_int(text)
-    if value > MAX_PATHS:
-        raise ValueError("too many paths: need paths <= 2^32")
-    return value
-
-
-def _level(text):
-    value = _positive_int(text)
-    if value >= MAX_LEVEL:
-        raise ValueError("must be below 2^16, the number of stream levels")
-    return value
 
 
 def _directory(text):
@@ -60,12 +33,8 @@ def _directory(text):
     return text
 
 
-def _steps_list(text):
-    return tuple(_level(part) for part in str(text).split(","))
-
-
-def _schemes_list(text):
-    return tuple(SchemeKind.from_name(part.strip()) for part in str(text).split(","))
+def _comma_list(convert):
+    return lambda text: tuple(convert(part.strip()) for part in text.split(","))
 
 
 # per-subcommand defaults (as strings; converted after merging)
@@ -84,16 +53,16 @@ _DEFAULTS = {
 
 # option -> (converter, help)
 _OPTIONS = {
-    "seed": (_u64, "master seed; all randomness derives from it"),
+    "seed": (u64, "master seed; all randomness derives from it"),
     "out": (_directory, "output directory for CSVs and the manifest"),
-    "max_k": (_positive_int, "largest eigenfunction index to tabulate"),
-    "grid": (_positive_int, "number of grid points on [0, 1]"),
-    "degree": (_level, "polynomial path degree"),
-    "paths": (_path_count, "number of sample paths"),
+    "max_k": (positive_int, "largest eigenfunction index to tabulate"),
+    "grid": (positive_int, "number of grid points on [0, 1]"),
+    "degree": (stream_level, "polynomial path degree"),
+    "paths": (path_count, "number of sample paths"),
     "scheme": (SchemeKind.from_name, "scheme name for trajectory output"),
-    "schemes": (_schemes_list, "comma-separated scheme names"),
-    "steps": (_steps_list, "comma-separated step counts"),
-    "workers": (_positive_int, "worker processes, at most one per CPU (outputs are invariant to this)"),
+    "schemes": (_comma_list(SchemeKind.from_name), "comma-separated scheme names"),
+    "steps": (_comma_list(stream_level), "comma-separated step counts"),
+    "workers": (positive_int, "worker processes, at most one per CPU (outputs are invariant to this)"),
     "a": (float, "mean-reversion speed"),
     "b": (float, "mean-reversion level"),
     "sigma": (float, "volatility"),
@@ -140,15 +109,19 @@ def _effective_config(command, args):
             raise ValueError(f"invalid value for {key}: {exc}") from None
     if _IGBM_DEFAULTS.keys() <= typed.keys():  # one IgbmParams checks the model before NumPy loads
         typed["params"] = IgbmParams(**{key: typed.pop(key) for key in _IGBM_DEFAULTS})
+    if "schemes" in typed:  # strong and weak: one ExperimentConfig checks the study
+        typed["config"] = ExperimentConfig(*(typed[key] for key in ("params", "schemes", "steps", "paths", "seed")))
+    if command == "igbm-paths" and len(typed["steps"]) != 1:
+        raise ValueError("igbm-paths expects a single --steps value")
     return merged, typed
 
 
 @contextlib.contextmanager
-def _output(strings, command, harness):
+def _output(strings, command):
     """Yield a fresh staging directory for the CSVs.  `main` enters it before
-    the command works, in the deepest existing entry on the path of `--out`,
-    so a file there is refused first.  Once the command returns, the loaded
-    back end `harness` writes the manifest there too, with the NumPy build the
+    the back end loads, in the deepest existing entry on the path of `--out`,
+    so a file there is refused first, without NumPy.  Once the command
+    returns, the manifest is written there too, with the NumPy build the
     outputs depend on, and every file is renamed into `--out`, manifest
     last; the staging directory is always removed.  A failed run leaves
     `--out` as it found it and makes no directory.  An OSError, here or in
@@ -159,6 +132,7 @@ def _output(strings, command, harness):
     try:
         with tempfile.TemporaryDirectory(prefix=".polybrown-", dir=base, ignore_cleanup_errors=True) as staging:
             yield staging
+            from . import harness  # loaded by the command already
             names = [*sorted(os.listdir(staging)), "manifest.txt"]
             lines = [f"artifact_version = {__version__}\n", f"python = {sys.version.split()[0]}\n"]
             lines += [*harness._numpy_lines(), f"openblas_num_threads = {_OPENBLAS_THREADS}\n"]
@@ -196,10 +170,11 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         strings, typed = _effective_config(args.command, args)
-        from . import harness  # the back end, and NumPy with it, loads only for a valid configuration
         if args.command == "check":
+            from . import harness  # the back end, and NumPy with it, loads only for accepted input
             return harness.cmd_check(typed)
-        with _output(strings, args.command, harness) as out:
+        with _output(strings, args.command) as out:
+            from . import harness  # and once `--out` is claimed
             harness._COMMANDS[args.command](typed, out)
         return 0
     except (ValueError, MemoryError) as exc:

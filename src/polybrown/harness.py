@@ -8,8 +8,8 @@ multilevel Monte Carlo.  `_map_blocks` is the one place where the paths of
 every command are cut into blocks and pooled.  Streams are keyed per path
 (`path_generator`, at level 0) and reductions run over arrays in path order,
 so results are bit-identical for any worker count or block size.  The module
-is also the CLI's back end: `cli.main` imports it once a run's configuration is
-valid and runs the command's body (`_COMMANDS`, `cmd_check`) on it.
+is also the CLI's back end: `cli.main` imports it only once the front end has
+accepted the input and claimed `--out`, then runs `_COMMANDS[command]` or `cmd_check`.
 """
 
 import itertools
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.introspect import opt_func_info
 
-from . import MAX_LEVEL, MAX_PATHS, brownian, checks, igbm, orthopoly
+from . import MAX_LEVEL, MAX_PATHS, ExperimentConfig, brownian, checks, igbm, orthopoly
 from .brownian import coarsen_arrays
 
 __all__ = [
@@ -44,39 +44,6 @@ _GROUP = 64  # paths drawn at a time into a chunk; never affects values
 _DOMAIN_HARNESS = 1  # stream-key domains (see `path_generator`): strong and weak,
 _DOMAIN_PATHS = 2  # paths
 _DOMAIN_IGBM = 3  # and igbm-paths
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Benchmark configuration, validated before any work: step counts
-    ascend, stay below 2^16 and each divides the next; schemes are distinct;
-    path indices and the seed fit the stream key (see `path_generator`)."""
-
-    params: igbm.IgbmParams
-    schemes: tuple
-    step_counts: tuple
-    num_paths: int
-    seed: int
-
-    def __post_init__(self):
-        if list(self.step_counts) != sorted(set(self.step_counts)):
-            raise ValueError("step_counts must be strictly ascending")
-        if any(not 1 <= n < MAX_LEVEL for n in self.step_counts):
-            raise ValueError("step counts must be in [1, 2^16)")
-        if any(finer % n for n, finer in zip(self.step_counts, self.step_counts[1:])):
-            raise ValueError(f"each step count must divide the next: {','.join(map(str, self.step_counts))}")
-        if self.num_paths < 100:
-            raise ValueError("too few paths: need num_paths >= 100")
-        if self.num_paths > MAX_PATHS:
-            raise ValueError("too many paths: need num_paths <= 2^32")
-        if not 0 <= self.seed < 1 << 64:
-            raise ValueError("seed must be in [0, 2^64)")
-        if not self.schemes:
-            raise ValueError("need at least one scheme")
-        if not self.step_counts:
-            raise ValueError("need at least one step count")
-        if len(set(self.schemes)) < len(self.schemes):
-            raise ValueError(f"schemes must be distinct: {','.join(scheme.value for scheme in self.schemes)}")
 
 
 def fine_steps(step_counts):
@@ -340,8 +307,6 @@ def _igbm_block(params, scheme, n_steps, seed, paths):
 
 
 def cmd_igbm_paths(cfg, out):
-    if len(cfg["steps"]) != 1:
-        raise ValueError("igbm-paths expects a single --steps value")
     params, (n_steps,) = cfg["params"], cfg["steps"]
     rows = _map_blocks(_igbm_block, (params, cfg["scheme"], n_steps, cfg["seed"]), cfg["paths"])
     ts = np.linspace(0.0, params.horizon, n_steps + 1)
@@ -349,8 +314,7 @@ def cmd_igbm_paths(cfg, out):
 
 
 def _run_benchmark(cfg, out, metric):
-    config = ExperimentConfig(cfg["params"], cfg["schemes"], cfg["steps"], cfg["paths"], cfg["seed"])
-    rows, slopes = run_experiment(config, metric, workers=cfg["workers"])
+    rows, slopes = run_experiment(cfg["config"], metric, workers=cfg["workers"])
     write_error_csv(rows, os.path.join(out, f"{metric}.csv"))
     write_slopes_csv(slopes, os.path.join(out, "slopes.csv"))
 

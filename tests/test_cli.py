@@ -176,11 +176,24 @@ def test_config_missing_file(tmp_path):
 
 
 def test_invalid_flags_give_usage_errors(tmp_path, capsys):
-    assert run(["strong", "--steps", "0", "--out", str(tmp_path / "o")]) == 2
-    assert "error" in capsys.readouterr().err
-    assert run(["strong", "--paths", "50", "--out", str(tmp_path / "o")]) == 2  # too few paths
-    assert run(["igbm-paths", "--scheme", "heun", "--out", str(tmp_path / "o")]) == 2
-    assert run(["strong", "--seed", str(1 << 64), "--out", str(tmp_path / "o")]) == 2
+    positive = "expected a positive integer, got '0'"
+    seed = "invalid value for seed: seed must fit in an unsigned 64-bit integer"
+    heun = "invalid value for scheme: unknown scheme 'heun' (choose from: log-ode, parabola, linear, milstein, euler)"
+    for argv, message in [
+        (["strong", "--steps", "0"], f"invalid value for steps: {positive}"),
+        (["strong", "--paths", "0"], f"invalid value for paths: {positive}"),
+        (["paths", "--degree", "0"], f"invalid value for degree: {positive}"),
+        (["strong", "--paths", "50"], "too few paths: need paths >= 100"),
+        (["igbm-paths", "--scheme", "heun"], heun),
+        (["strong", "--seed", "-1"], seed),
+        (["strong", "--seed", str(1 << 64)], seed),
+    ]:
+        assert run([*argv, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"polybrown: error: {message}\n", argv
+    # the run's input is checked before `--out` is claimed
+    assert run(["strong", "--steps", "10,15,30", "--out", "/dev/null/o"]) == 2
+    assert capsys.readouterr().err == "polybrown: error: each step count must divide the next: 10,15,30\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["strong", "weak", "igbm-paths"])
@@ -443,13 +456,15 @@ def test_bad_grid_refused_before_output(tmp_path):
     [
         (["--schemes", "linear,linear"], "schemes must be distinct: linear,linear"),
         (["--steps", "10,15,30"], "each step count must divide the next: 10,15,30"),
+        (["--steps", "20,10"], "step counts must be strictly ascending: 20,10"),
+        (["--paths", "50"], "too few paths: need paths >= 100"),
     ],
 )
 def test_repeated_schemes_and_non_chain_grids_refused_before_output(tmp_path, capsys, flags, message):
     out = tmp_path / "o"
     argv = ["strong", "--paths", "100", "--steps", "5,10,20", *flags, "--out", str(out)]
     assert run(argv) == 2
-    assert message in capsys.readouterr().err
+    assert capsys.readouterr().err == f"polybrown: error: {message}\n"
     assert not out.exists()
 
 
@@ -692,14 +707,20 @@ _HELP_DIGESTS = {
         pytest.param(["strong", "--paths", "0"], 2, False, id="paths-0"),
         pytest.param(["strong", "--a", "nan"], 2, False, id="a-nan"),
         pytest.param(["basis", "--config", "missing.cfg"], 2, False, id="unreadable-config"),
+        pytest.param(["strong", "--paths", "50"], 2, False, id="too-few-paths"),
+        pytest.param(["weak", "--steps", "20,10"], 2, False, id="descending-steps"),
+        pytest.param(["strong", "--steps", "10,15,30"], 2, False, id="non-chain-steps"),
+        pytest.param(["strong", "--schemes", "linear,linear"], 2, False, id="repeated-schemes"),
+        pytest.param(["igbm-paths", "--steps", "10,20"], 2, False, id="igbm-paths-two-steps"),
+        pytest.param(["basis", "--out", "/dev/null/o"], 2, False, id="unusable-out"),
         pytest.param(["basis", "--max-k", "1", "--grid", "2"], 0, True, id="basis"),
     ],
 )
 def test_cli_answers_and_refuses_without_numpy(tmp_path, argv, code, loads_numpy):
-    """`--help`, `--version` and the refusal of a bad option, value or
-    configuration file come from the front end, before NumPy loads; a command
-    that computes loads it.  The help texts keep their bytes, and a refused
-    run writes nothing."""
+    """`--help`, `--version` and the refusal of a bad option, value,
+    configuration file, step grid, scheme list or `--out` come from the front
+    end, before NumPy loads; a command that computes loads it.  The help texts
+    keep their bytes, and a refused run writes nothing."""
     probe = "import sys; from polybrown import cli\ntry:\n    code = cli.main()\n"
     probe += "except SystemExit as exc:\n    code = exc.code\nprint(code, 'numpy' in sys.modules, file=sys.stderr)"
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), COLUMNS="80")

@@ -6,22 +6,29 @@ NumPy: write `from polybrown import harness`."""
 
 import enum
 import math
-from dataclasses import dataclass, fields
+from collections import namedtuple
 
 __version__ = "0.1.0"
 MAX_PATHS = 1 << 32  # path indices fill 32 bits of the stream key (see `harness.path_generator`)
 MAX_LEVEL = 1 << 16  # stream levels fill 16 bits of it
 
 
+def _integer(value):
+    """A str from the CLI, read by `int`, or an exact integer (`__index__`) from a library caller, not a bool."""
+    if not isinstance(value, str) and (isinstance(value, bool) or not hasattr(type(value), "__index__")):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def u64(text):
-    value = int(text)
+    value = _integer(text)
     if not 0 <= value < 1 << 64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
     return value
 
 
 def positive_int(text):
-    value = int(text)
+    value = _integer(text)
     if value <= 0:
         raise ValueError(f"expected a positive integer, got {text!r}")
     return value
@@ -41,27 +48,27 @@ def stream_level(text):
     return value
 
 
-@dataclass(frozen=True)
-class IgbmParams:
+class IgbmParams(namedtuple("IgbmParams", "a b sigma y0 horizon")):
     """Model parameters: mean-reversion speed a >= 0, level b, volatility
-    sigma >= 0, initial value y0, and time horizon T."""
+    sigma >= 0, initial value y0, and time horizon T.  Checked in `__new__`,
+    which `_make`, and so `_replace`, unpickling and `copy`, run too."""
 
-    a: float
-    b: float
-    sigma: float
-    y0: float
-    horizon: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite")
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if self.a < 0:
             raise ValueError("a must be >= 0")
         if self.sigma < 0:
             raise ValueError("sigma must be >= 0")
         if not self.horizon > 0:
             raise ValueError("horizon must be > 0")
+        return self
+
+    _make = classmethod(lambda cls, values: cls(*values))
 
     @property
     def a_strat(self):
@@ -91,19 +98,15 @@ class SchemeKind(enum.Enum):
             raise ValueError(f"unknown scheme '{name}' (choose from: {valid})") from None
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(namedtuple("ExperimentConfig", "params schemes step_counts num_paths seed")):
     """Benchmark configuration, validated before any work: step counts
     ascend, stay below 2^16 and each divides the next; schemes are distinct;
     path indices and the seed fit the stream key of `harness.path_generator`."""
 
-    params: IgbmParams
-    schemes: tuple
-    step_counts: tuple
-    num_paths: int
-    seed: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         steps = ",".join(map(str, self.step_counts))
         if list(self.step_counts) != sorted(set(self.step_counts)):
             raise ValueError(f"step counts must be strictly ascending: {steps}")
@@ -121,3 +124,6 @@ class ExperimentConfig:
             raise ValueError("need at least one step count")
         if len(set(self.schemes)) < len(self.schemes):
             raise ValueError(f"schemes must be distinct: {','.join(scheme.value for scheme in self.schemes)}")
+        return self
+
+    _make = classmethod(lambda cls, values: cls(*values))

@@ -5,7 +5,7 @@ All samplers take an explicit numpy Generator and share no mutable state;
 streams are keyed per path by `harness.path_generator`.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -21,18 +21,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IncrementPair:
+class IncrementPair(namedtuple("IncrementPair", "w h_area length")):
     """Brownian data for one interval: increment w, rescaled space-time area
     h_area (~ N(0, length/12), independent of w), and the interval length."""
 
-    w: float
-    h_area: float
-    length: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.length > 0:
             raise ValueError("nonpositive length")
+        return self
+
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
 def sample_pair(length, rng):

@@ -11,7 +11,6 @@ NumPy; only then does `main` import the back end, `harness`, to run the command.
 
 import argparse
 import contextlib
-import dataclasses
 import errno
 import os
 import pathlib
@@ -38,7 +37,7 @@ def _comma_list(convert):
 
 
 # per-subcommand defaults (as strings; converted after merging)
-_IGBM_DEFAULTS = {f.name: str(getattr(REFERENCE, f.name)) for f in dataclasses.fields(IgbmParams)}
+_IGBM_DEFAULTS = {name: str(value) for name, value in zip(IgbmParams._fields, REFERENCE)}
 _SCHEMES = ",".join(kind.value for kind in SchemeKind)
 _BENCHMARK_DEFAULTS = {"seed": "0", "out": "out", "schemes": _SCHEMES, "workers": "1", **_IGBM_DEFAULTS}
 

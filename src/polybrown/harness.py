@@ -13,9 +13,10 @@ accepted the input and claimed `--out`, then runs `_COMMANDS[command]` or `cmd_c
 """
 
 import itertools
+import math
 import os
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 from numpy.lib.introspect import opt_func_info
@@ -133,19 +134,28 @@ def _mean_se(x):
     return float(np.mean(x)), float(np.std(x, ddof=1) / np.sqrt(x.size))
 
 
+def _unit(fine):
+    """The power of two at or below the reference's largest magnitude (1/2 if it is 0): in this
+    unit no statistic's squares over- or underflow, and it scales back exactly."""
+    return math.ldexp(0.5, math.frexp(max(fine.max(), -fine.min()))[1])
+
+
 def _strong_stats(fine, approx):
     """Root-mean-square terminal gap to the coupled fine reference, with a
     delta-method standard error; (0, 0) when every gap is 0."""
-    m2, se_m2 = _mean_se((approx - fine) ** 2)
+    unit = _unit(fine)
+    m2, se_m2 = _mean_se((approx / unit - fine / unit) ** 2)
     err = float(np.sqrt(m2))
-    return (err, se_m2 / (2.0 * err)) if m2 else (0.0, 0.0)
+    return (err * unit, se_m2 / (2.0 * err) * unit) if m2 else (0.0, 0.0)
 
 
 def _weak_stats(fine, approx, strike):
     """Absolute gap of mean call payoffs (strike = mean-reversion level b),
     estimated with common-random-numbers differencing."""
-    mean, se = _mean_se(np.maximum(approx - strike, 0.0) - np.maximum(fine - strike, 0.0))
-    return abs(mean), se
+    unit = _unit(fine)
+    payoff = lambda y: np.maximum(y / unit - strike / unit, 0.0)
+    mean, se = _mean_se(payoff(approx) - payoff(fine))
+    return abs(mean) * unit, se * unit
 
 
 def fit_slope(points):
@@ -172,21 +182,8 @@ def fit_slope(points):
     return slope, stderr
 
 
-@dataclass(frozen=True)
-class ErrorRow:
-    scheme: igbm.SchemeKind
-    n_steps: int
-    h: float
-    error: float
-    std_err: float
-
-
-@dataclass(frozen=True)
-class SlopeRow:
-    scheme: igbm.SchemeKind
-    metric: str
-    slope: float
-    stderr: float
+ErrorRow = namedtuple("ErrorRow", "scheme n_steps h error std_err")
+SlopeRow = namedtuple("SlopeRow", "scheme metric slope stderr")
 
 
 def run_experiment(config, metric, workers=1):
@@ -194,9 +191,10 @@ def run_experiment(config, metric, workers=1):
     fitted log-log slope rows.  One fine path and reference per sample serve
     every level and scheme, so the errors of different levels are correlated;
     each block's terminals are copied into whole-run arrays as it arrives.
-    Deterministic given the seed.  A slope needs at least 3 step counts and
-    errors above the rounding floor of M fine steps, M eps rms(reference); the
-    schemes left without one are named in one UserWarning.
+    Deterministic given the seed.  The statistics run in `_unit`s, and a row
+    that is still not finite is refused.  A slope needs at least 3 step counts
+    and errors above the rounding floor of M fine steps, M eps rms(reference);
+    the schemes left without one are named in one UserWarning.
     """
     if metric not in ("strong", "weak"):
         raise ValueError(f"metric must be strong or weak: {metric!r}")
@@ -208,13 +206,15 @@ def run_experiment(config, metric, workers=1):
         for key, terminals in coarse_block.items():
             coarse[key][lo : lo + _BLOCK] = terminals
     stats = _strong_stats if metric == "strong" else lambda fine, approx: _weak_stats(fine, approx, config.params.b)
-    floor = common[3] * np.finfo(float).eps * np.sqrt(np.mean(fine**2))
+    floor = common[3] * np.finfo(float).eps * np.sqrt(np.mean((fine / (unit := _unit(fine))) ** 2)) * unit
     rows, slopes, unfitted = [], [], {}  # unfitted: reason -> scheme names
     for scheme in config.schemes:
         grid = [
             ErrorRow(scheme, n_steps, config.params.horizon / n_steps, *stats(fine, coarse[n_steps, scheme]))
             for n_steps in config.step_counts
         ]
+        if bad := [r for r in grid if not (math.isfinite(r.error) and math.isfinite(r.std_err))]:
+            raise ValueError(f"the {metric} error of {scheme.value} at N={bad[0].n_steps} is not finite: {bad[0].error:g}")
         rows += grid
         unusable = ", ".join(f"error {r.error:g} at N={r.n_steps}" for r in grid if not r.error > floor)
         reason = "fewer than 3 step counts" if len(grid) < 3 else unusable

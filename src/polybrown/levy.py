@@ -4,7 +4,7 @@ The closed forms take W and H as scalars or broadcasting arrays and the
 interval length as a positive scalar; the log-ODE scheme of `igbm` runs
 `cond_mean_L`."""
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 __all__ = [
     "TripleIntegrals",
@@ -15,19 +15,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TripleIntegrals:
-    """Second- and third-order Stratonovich iterated integrals over one interval.
-
-    i_wwt = dW dW dt, i_wtw = dW dt dW, i_tww = dt dW dW (inner to outer),
-    i_wt = dW dt, i_tw = dt dW.
-    """
-
-    i_wwt: float
-    i_wtw: float
-    i_tww: float
-    i_wt: float
-    i_tw: float
+# Second- and third-order Stratonovich iterated integrals over one interval: i_wwt = dW dW dt,
+# i_wtw = dW dt dW, i_tww = dt dW dW (inner to outer), i_wt = dW dt, i_tw = dt dW.
+TripleIntegrals = namedtuple("TripleIntegrals", "i_wwt i_wtw i_tww i_wt i_tw")
 
 
 def _check_positive_length(length):

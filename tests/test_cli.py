@@ -221,6 +221,18 @@ def test_non_finite_results_refused_without_output(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []  # no NaN table, not even a manifest, and no staging directory
 
 
+def test_non_finite_errors_refused_without_output(tmp_path, capsys):
+    # Euler's clamped steps reach about a*b*h = 1e198 while the reference
+    # stays near b, so the squared gaps overflow even in the reference's
+    # unit; with two step counts no slope fit refuses the row either
+    out = tmp_path / "o"
+    argv = ["strong", "--a", "1e200", "--schemes", "euler", "--paths", "100", "--steps", "5,10"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run([*argv, "--out", str(out)]) == 2
+    assert "polybrown: error: the strong error of euler at N=10 is not finite: inf" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_failing_worker_ends_the_pool_and_leaves_out_as_found(tmp_path, capsys):
     # three blocks on two workers: the pool lives in the generator the run
     # walks, and a worker's error closes it with no process left behind
@@ -719,14 +731,16 @@ _HELP_DIGESTS = {
 def test_cli_answers_and_refuses_without_numpy(tmp_path, argv, code, loads_numpy):
     """`--help`, `--version` and the refusal of a bad option, value,
     configuration file, step grid, scheme list or `--out` come from the front
-    end, before NumPy loads; a command that computes loads it.  The help texts
-    keep their bytes, and a refused run writes nothing."""
+    end, before NumPy loads; a command that computes loads it.  No process
+    loads `dataclasses`.  The help texts keep their bytes, and a refused run
+    writes nothing."""
     probe = "import sys; from polybrown import cli\ntry:\n    code = cli.main()\n"
-    probe += "except SystemExit as exc:\n    code = exc.code\nprint(code, 'numpy' in sys.modules, file=sys.stderr)"
+    probe += "except SystemExit as exc:\n    code = exc.code\n"
+    probe += "print(code, 'numpy' in sys.modules, 'dataclasses' in sys.modules, file=sys.stderr)"
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), COLUMNS="80")
     command = [sys.executable, "-c", probe, *argv]
     result = subprocess.run(command, cwd=tmp_path, env=env, capture_output=True, timeout=60)
-    assert result.stderr.decode().splitlines()[-1] == f"{code} {loads_numpy}"
+    assert result.stderr.decode().splitlines()[-1] == f"{code} {loads_numpy} False"
     if argv[-1] == "--help":
         digest = hashlib.sha256(result.stdout).hexdigest()
         assert digest == _HELP_DIGESTS[tuple(argv[:-1])], result.stdout.decode()

@@ -1,8 +1,10 @@
 """Tests for the Monte Carlo error harness."""
 
+import copy
 import itertools
 import multiprocessing
 import os
+import pickle
 import tracemalloc
 from unittest import mock
 
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 import oracles
 from polybrown import harness
+from polybrown.brownian import IncrementPair
 from polybrown.igbm import REFERENCE, IgbmParams, SchemeKind
 
 
@@ -39,6 +42,26 @@ def test_config_validation():
         small_config(step_counts=(10, 15, 30))
     with pytest.raises(ValueError, match="schemes must be distinct: linear,linear"):
         small_config(schemes=(SchemeKind.PIECEWISE_LINEAR, SchemeKind.PIECEWISE_LINEAR))
+    # the integer rules take exact integers from library callers, never a truncated float or a bool
+    for bad in (dict(seed=1.5), dict(seed=True), dict(step_counts=(10.5, 21, 42)), dict(num_paths=100.7)):
+        with pytest.raises(ValueError, match="expected an integer, got"):
+            small_config(**bad)
+
+
+def test_records_are_checked_on_every_construction_path():
+    # `_replace` builds through `_make`, which a plain named tuple runs
+    # without `__new__`; unpickling, as into pool workers, and `copy` call it
+    config = small_config()
+    with pytest.raises(ValueError, match="a must be finite"):
+        REFERENCE._replace(a=float("nan"))
+    with pytest.raises(ValueError, match="each step count must divide the next: 10,15"):
+        config._replace(step_counts=(10, 15))
+    with pytest.raises(ValueError, match="nonpositive length"):
+        IncrementPair(0.1, 0.2, 1.0)._replace(length=0.0)
+    for record in (REFERENCE, config, IncrementPair(0.1, 0.2, 1.0)):
+        assert pickle.loads(pickle.dumps(record)) == record
+        assert copy.copy(record) == record
+    assert pickle.loads(pickle.dumps(config)).params.a_strat == REFERENCE.a_strat
 
 
 def test_config_rejects_stream_key_overflow():
@@ -285,6 +308,25 @@ def test_weak_coupling_identity():
     fine, coarse = harness._simulate_block(REFERENCE, (SchemeKind.LOG_ODE,), (20,), 20, 99, range(400))
     err, se = harness._weak_stats(fine, coarse[20, SchemeKind.LOG_ODE], REFERENCE.b)
     assert err == 0.0
+
+
+@pytest.mark.parametrize("metric", ["strong", "weak"])
+@pytest.mark.parametrize("k", [600, -600])
+def test_errors_scale_exactly_with_the_level(metric, k):
+    # IGBM is linear in (y0, b) jointly, so (y0, b) * 2^k scales every error
+    # by 2^k exactly; unscaled, the squares over- or underflow at 2^+-600.
+    # The slopes fit log(error) + k log 2, about +-416, whose rounding alone
+    # (an ulp of 416 is 5.7e-14) moves a 3-point slope by up to about 8e-14
+    def run(scale):
+        params = IgbmParams(REFERENCE.a, REFERENCE.b * scale, REFERENCE.sigma, REFERENCE.y0 * scale, REFERENCE.horizon)
+        return harness.run_experiment(harness.ExperimentConfig(params, tuple(SchemeKind), (5, 10, 20), 300, 99), metric)
+
+    (rows, slopes), (scaled_rows, scaled_slopes) = run(1.0), run(2.0**k)
+    assert [(r.error * 2.0**k, r.std_err * 2.0**k) for r in rows] == [(r.error, r.std_err) for r in scaled_rows]
+    assert all(0.0 < r.error < np.inf and 0.0 < r.std_err < np.inf for r in scaled_rows)
+    assert len(slopes) == len(scaled_slopes) == len(SchemeKind)
+    for slope, scaled in zip(slopes, scaled_slopes):
+        assert scaled.slope == pytest.approx(slope.slope, rel=0, abs=1e-13)
 
 
 def test_sigma_zero_is_deterministic():

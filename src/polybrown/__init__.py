@@ -72,8 +72,8 @@ class IgbmParams(namedtuple("IgbmParams", "a b sigma y0 horizon")):
 
     @property
     def a_strat(self):
-        """Drift speed in Stratonovich form: a + sigma^2 / 2."""
-        return self.a + 0.5 * self.sigma**2
+        """Drift speed in Stratonovich form: a + sigma^2 / 2; inf once sigma^2 overflows, where `**` raises."""
+        return self.a + 0.5 * (self.sigma**2 if self.sigma < 2.0**512 else math.inf)
 
 
 # The reference experiment's parameters, the defaults of the CLI and harness.

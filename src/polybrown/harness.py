@@ -134,28 +134,20 @@ def _mean_se(x):
     return float(np.mean(x)), float(np.std(x, ddof=1) / np.sqrt(x.size))
 
 
-def _unit(fine):
-    """The power of two at or below the reference's largest magnitude (1/2 if it is 0): in this
-    unit no statistic's squares over- or underflow, and it scales back exactly."""
-    return math.ldexp(0.5, math.frexp(max(fine.max(), -fine.min()))[1])
-
-
 def _strong_stats(fine, approx):
     """Root-mean-square terminal gap to the coupled fine reference, with a
     delta-method standard error; (0, 0) when every gap is 0."""
-    unit = _unit(fine)
-    m2, se_m2 = _mean_se((approx / unit - fine / unit) ** 2)
+    m2, se_m2 = _mean_se((approx - fine) ** 2)
     err = float(np.sqrt(m2))
-    return (err * unit, se_m2 / (2.0 * err) * unit) if m2 else (0.0, 0.0)
+    return (err, se_m2 / (2.0 * err)) if m2 else (0.0, 0.0)
 
 
 def _weak_stats(fine, approx, strike):
     """Absolute gap of mean call payoffs (strike = mean-reversion level b),
     estimated with common-random-numbers differencing."""
-    unit = _unit(fine)
-    payoff = lambda y: np.maximum(y / unit - strike / unit, 0.0)
+    payoff = lambda y: np.maximum(y - strike, 0.0)
     mean, se = _mean_se(payoff(approx) - payoff(fine))
-    return abs(mean) * unit, se * unit
+    return abs(mean), se
 
 
 def fit_slope(points):
@@ -191,10 +183,11 @@ def run_experiment(config, metric, workers=1):
     fitted log-log slope rows.  One fine path and reference per sample serve
     every level and scheme, so the errors of different levels are correlated;
     each block's terminals are copied into whole-run arrays as it arrives.
-    Deterministic given the seed.  The statistics run in `_unit`s, and a row
-    that is still not finite is refused.  A slope needs at least 3 step counts
-    and errors above the rounding floor of M fine steps, M eps rms(reference);
-    the schemes left without one are named in one UserWarning.
+    Deterministic given the seed.  The statistics run in the run's unit, a
+    power of two that each row scales back from, and a row that is still not
+    finite is refused.  A slope needs at least 3 step counts and errors above
+    the rounding floor of M fine steps, M eps rms(reference); the schemes left
+    without one are named in one UserWarning.
     """
     if metric not in ("strong", "weak"):
         raise ValueError(f"metric must be strong or weak: {metric!r}")
@@ -205,23 +198,28 @@ def run_experiment(config, metric, workers=1):
         fine[lo : lo + _BLOCK] = fine_block
         for key, terminals in coarse_block.items():
             coarse[key][lo : lo + _BLOCK] = terminals
-    stats = _strong_stats if metric == "strong" else lambda fine, approx: _weak_stats(fine, approx, config.params.b)
-    floor = common[3] * np.finfo(float).eps * np.sqrt(np.mean((fine / (unit := _unit(fine))) ** 2)) * unit
+    # the unit is the power of two at or below the reference's largest magnitude (1/2 if it is 0):
+    # in it no statistic's squares over- or underflow, and each row scales back exactly
+    unit = math.ldexp(0.5, math.frexp(max(fine.max(), -fine.min()))[1])
+    strike = config.params.b / unit
+    stats = _strong_stats if metric == "strong" else lambda fine, approx: _weak_stats(fine, approx, strike)
     rows, slopes, unfitted = [], [], {}  # unfitted: reason -> scheme names
-    for scheme in config.schemes:
-        grid = [
-            ErrorRow(scheme, n_steps, config.params.horizon / n_steps, *stats(fine, coarse[n_steps, scheme]))
-            for n_steps in config.step_counts
-        ]
-        if bad := [r for r in grid if not (math.isfinite(r.error) and math.isfinite(r.std_err))]:
-            raise ValueError(f"the {metric} error of {scheme.value} at N={bad[0].n_steps} is not finite: {bad[0].error:g}")
-        rows += grid
-        unusable = ", ".join(f"error {r.error:g} at N={r.n_steps}" for r in grid if not r.error > floor)
-        reason = "fewer than 3 step counts" if len(grid) < 3 else unusable
-        if reason:
-            unfitted.setdefault(reason, []).append(scheme.value)
-        else:
-            slopes.append(SlopeRow(scheme, metric, *fit_slope([(r.h, r.error) for r in grid])))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # each row is judged here
+        for terminals in (fine, *coarse.values()):
+            terminals /= unit
+        floor = common[3] * np.finfo(float).eps * np.sqrt(np.mean(fine**2)) * unit
+        for scheme in config.schemes:
+            in_units = ((n, stats(fine, coarse[n, scheme])) for n in config.step_counts)
+            grid = [ErrorRow(scheme, n, config.params.horizon / n, err * unit, se * unit) for n, (err, se) in in_units]
+            if bad := [r for r in grid if not (math.isfinite(r.error) and math.isfinite(r.std_err))]:
+                raise ValueError(f"the {metric} error of {scheme.value} at N={bad[0].n_steps} is not finite: {bad[0].error:g}")
+            rows += grid
+            unusable = ", ".join(f"error {r.error:g} at N={r.n_steps}" for r in grid if not r.error > floor)
+            reason = "fewer than 3 step counts" if len(grid) < 3 else unusable
+            if reason:
+                unfitted.setdefault(reason, []).append(scheme.value)
+            else:
+                slopes.append(SlopeRow(scheme, metric, *fit_slope([(r.h, r.error) for r in grid])))
     if unfitted:
         dropped = "; ".join(f"{', '.join(names)} ({reason})" for reason, names in unfitted.items())
         warnings.warn(f"no {metric} slope for {dropped}", stacklevel=2)

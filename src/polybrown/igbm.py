@@ -4,7 +4,8 @@
 
 over per-interval (W, H) data.  The equation is affine in y, so every scheme
 is one affine step  y <- e y + c  with e and c built from (W, H, h) alone;
-Milstein and Euler clamp the result at zero.  `simulate` folds a scheme over a
+Milstein and Euler clamp the result at zero but keep a non-finite value, so in
+every scheme a value that is not finite stays so.  `simulate` folds a scheme over a
 time-major (steps, paths) batch: `prepare` computes (e, c) a slab of steps at a
 time, and the step advances y a row at a time, so values equal `kernel_fn`'s
 one-step kernel bit for bit.  The high-order scheme uses the closed form that the
@@ -80,7 +81,7 @@ _SLAB = 16  # steps per `prepare` call in `simulate`; never affects values
 
 def _advance(y, e, c, clamped):
     y = y * e + c
-    return np.maximum(y, 0.0) if clamped else y
+    return np.maximum(y, 0.0) + 0.0 * y if clamped else y  # 0 * y is NaN at +-inf, which the clamp keeps
 
 
 def kernel_fn(kind):
@@ -97,7 +98,7 @@ def simulate(kind, p, w, h_area, out=None, y=None, h=None):
     Returns the terminal values (paths,); a (steps, paths) `out` also receives
     y after every step.  Each path depends on its own column of data only, so
     its values do not depend on the batch it is in.  Raises ValueError, naming
-    the scheme, if any returned or written value is not finite.
+    the scheme, if a terminal is not finite: a non-finite y stays so to the end.
     """
     w = np.asarray(w, dtype=float)
     h_area = np.asarray(h_area, dtype=float)
@@ -108,12 +109,13 @@ def simulate(kind, p, w, h_area, out=None, y=None, h=None):
     prepare, clamped = _SCHEMES[kind]
     h = p.horizon / len(w) if h is None else h
     y = np.full(w.shape[1], p.y0) if y is None else y
-    for k in range(0, len(w), _SLAB):
-        e, c = prepare(w[k : k + _SLAB], h_area[k : k + _SLAB], h, p)
-        for k1, (e_k, c_k) in enumerate(zip(e, c), k):
-            y = _advance(y, e_k, c_k, clamped)
-            if out is not None:
-                out[k1] = y
-    if not np.all(np.isfinite(y if out is None else out)):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # the terminals are judged below
+        for k in range(0, len(w), _SLAB):
+            e, c = prepare(w[k : k + _SLAB], h_area[k : k + _SLAB], h, p)
+            for k1, (e_k, c_k) in enumerate(zip(e, c), k):
+                y = _advance(y, e_k, c_k, clamped)
+                if out is not None:
+                    out[k1] = y
+    if not np.all(np.isfinite(y)):
         raise ValueError(f"the {kind.value} scheme gave non-finite values")
     return y

@@ -1,10 +1,13 @@
 """Tests for the command-line interface."""
 
+import contextlib
 import errno
 import functools
 import hashlib
 import importlib
+import io
 import json
+import math
 import multiprocessing
 import os
 import pkgutil
@@ -14,6 +17,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -215,22 +219,63 @@ def test_non_finite_parameters_refused_before_output(tmp_path, capsys, command, 
 )
 def test_non_finite_results_refused_without_output(tmp_path, capsys, argv):
     out = tmp_path / "o"
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert run(argv + ["--out", str(out)]) == 2
-    assert "polybrown: error: the parabola scheme gave non-finite values" in capsys.readouterr().err
+    assert run(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == "polybrown: error: the parabola scheme gave non-finite values\n"
     assert list(tmp_path.iterdir()) == []  # no NaN table, not even a manifest, and no staging directory
 
 
 def test_non_finite_errors_refused_without_output(tmp_path, capsys):
-    # Euler's clamped steps reach about a*b*h = 1e198 while the reference
-    # stays near b, so the squared gaps overflow even in the reference's
-    # unit; with two step counts no slope fit refuses the row either
+    # Euler's terminals stay finite, near 6e152, while the reference stays
+    # near b, so the squared gaps overflow even in the reference's unit; with
+    # two step counts no slope fit refuses the row either
     out = tmp_path / "o"
-    argv = ["strong", "--a", "1e200", "--schemes", "euler", "--paths", "100", "--steps", "5,10"]
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert run([*argv, "--out", str(out)]) == 2
-    assert "polybrown: error: the strong error of euler at N=10 is not finite: inf" in capsys.readouterr().err
+    argv = ["strong", "--a", "3e154", "--schemes", "euler", "--paths", "100", "--steps", "5,10"]
+    assert run([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "polybrown: error: the strong error of euler at N=10 is not finite: inf\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_steps_through_minus_inf_refused_without_output(tmp_path, capsys):
+    # Euler's steps overflow to -inf, which its clamp at zero keeps
+    argv = ["strong", "--a", "1e200", "--schemes", "euler", "--paths", "100", "--steps", "5,10"]
+    assert run([*argv, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "polybrown: error: the euler scheme gave non-finite values\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+EXTREMES = (0.0, 1e-320, 6e-200, 3.0, 1e154, 3e154, 1e200, 1e308)
+SIGNED = st.sampled_from(EXTREMES + tuple(-value for value in EXTREMES[1:]))
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(
+    st.sampled_from(["strong", "weak"]),
+    st.sampled_from(EXTREMES),
+    SIGNED,
+    st.sampled_from(EXTREMES),
+    SIGNED,
+    st.sampled_from(EXTREMES[1:]),
+)
+def test_extreme_parameters_give_finite_tables_or_one_error_line(metric, a, b, sigma, y0, horizon):
+    # every legal model at subnormal to near-overflow magnitudes: a run
+    # either writes finite tables or refuses with one line and no output,
+    # and NumPy warns of nothing; the `=` form passes negative numbers
+    values = {"a": a, "b": b, "sigma": sigma, "y0": y0, "horizon": horizon}
+    argv = [metric, "--paths", "100", "--steps", "2,4,8", *(f"--{key}={value!r}" for key, value in values.items())]
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out, stderr = Path(tmp) / "o", io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = run([*argv, "--out", str(out)])
+        assert [w for w in caught if not str(w.message).startswith(f"no {metric} slope")] == []
+        if code == 2:
+            assert re.fullmatch(r"polybrown: error: [^\n]*\n", stderr.getvalue())
+            assert list(Path(tmp).iterdir()) == []
+        else:
+            assert code == 0 and stderr.getvalue() == ""
+            for name, first in ((f"{metric}.csv", 1), ("slopes.csv", 2)):  # the columns after the names
+                rows = [line.split(",")[first:] for line in (out / name).read_text().splitlines()[1:]]
+                assert all(math.isfinite(float(value)) for row in rows for value in row), (name, rows)
 
 
 def test_failing_worker_ends_the_pool_and_leaves_out_as_found(tmp_path, capsys):
@@ -241,8 +286,7 @@ def test_failing_worker_ends_the_pool_and_leaves_out_as_found(tmp_path, capsys):
     assert run(argv) == 0
     before = {path.name: path.read_bytes() for path in out.iterdir()}
     capsys.readouterr()
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert run([*argv, "--sigma", "100"]) == 2
+    assert run([*argv, "--sigma", "100"]) == 2
     assert capsys.readouterr().err == "polybrown: error: the parabola scheme gave non-finite values\n"
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
     assert sorted(path.name for path in tmp_path.iterdir()) == ["o"]  # no staging directory left
@@ -254,11 +298,10 @@ def test_failed_run_removes_every_directory_it_made_for_out(tmp_path, capsys, mo
     # run makes none of them, and keeps a parent that was already there
     monkeypatch.chdir(tmp_path)
     argv = ["igbm-paths", "--scheme", "parabola", "--sigma", "100", "--steps", "5", "--paths", "3", "--out"]
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert run([*argv, "fx/a/b"]) == 2
-        assert list(tmp_path.iterdir()) == []
-        (tmp_path / "kept").mkdir()
-        assert run([*argv, "kept/a/b"]) == 2
+    assert run([*argv, "fx/a/b"]) == 2
+    assert list(tmp_path.iterdir()) == []
+    (tmp_path / "kept").mkdir()
+    assert run([*argv, "kept/a/b"]) == 2
     assert [path.name for path in tmp_path.iterdir()] == ["kept"]
     assert list((tmp_path / "kept").iterdir()) == []
     assert capsys.readouterr().err.count("the parabola scheme gave non-finite values") == 2

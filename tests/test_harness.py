@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from polybrown import harness
+from polybrown import harness, igbm
 from polybrown.brownian import IncrementPair
 from polybrown.igbm import REFERENCE, IgbmParams, SchemeKind
 
@@ -329,6 +329,28 @@ def test_errors_scale_exactly_with_the_level(metric, k):
         assert scaled.slope == pytest.approx(slope.slope, rel=0, abs=1e-13)
 
 
+@pytest.mark.parametrize("j", [-3, 2])
+def test_time_rescaling_keeps_every_value(j):
+    # (a, sigma, T) -> (4^j a, 2^j sigma, T / 4^j) divides h by 4^j and W, H by
+    # 2^j, all exactly, so every a h, sigma W and sigma H a step is built from,
+    # and so every value, is unchanged bit for bit.  The slopes fit
+    # log(h) - j log 4, whose rounding moves them by up to about 1e-14
+    scaled = REFERENCE._replace(a=REFERENCE.a * 4.0**j, sigma=REFERENCE.sigma * 2.0**j, horizon=REFERENCE.horizon / 4.0**j)
+    for metric in ("strong", "weak"):
+        configs = (harness.ExperimentConfig(p, tuple(SchemeKind), (5, 10, 20), 100, 7) for p in (REFERENCE, scaled))
+        (rows, slopes), (scaled_rows, scaled_slopes) = (harness.run_experiment(cfg, metric) for cfg in configs)
+        assert [(r.h / 4.0**j, r.error, r.std_err) for r in rows] == [(r.h, r.error, r.std_err) for r in scaled_rows]
+        assert len(slopes) == len(scaled_slopes) == len(SchemeKind)
+        for slope, scaled_slope in zip(slopes, scaled_slopes):
+            assert scaled_slope.slope == pytest.approx(slope.slope, rel=0, abs=1e-13)
+    z = np.random.default_rng(5).standard_normal((2, 30, 4)) * np.sqrt([[[1 / 6]], [[1 / 72]]])  # 30 steps of h = 1/6
+    for kind in SchemeKind:
+        trajectory = harness._igbm_block(REFERENCE, kind, 30, 7, range(4))
+        assert harness._igbm_block(scaled, kind, 30, 7, range(4)).tobytes() == trajectory.tobytes()
+        terminals = igbm.simulate(kind, REFERENCE, *z)
+        assert igbm.simulate(kind, scaled, *(z / 2.0**j)).tobytes() == terminals.tobytes()
+
+
 def test_sigma_zero_is_deterministic():
     params = IgbmParams(a=0.1, b=0.04, sigma=0.0, y0=0.06, horizon=5.0)
     cfg = harness.ExperimentConfig(
@@ -414,7 +436,7 @@ def test_non_finite_terminals_raise_through_the_pool(monkeypatch):
     monkeypatch.setattr(harness, "_BLOCK", 50)  # two blocks, so two pool processes
     wild = IgbmParams(a=0.1, b=0.04, sigma=100.0, y0=0.06, horizon=5.0)
     cfg = harness.ExperimentConfig(wild, (SchemeKind.PARABOLA_ODE,), (5, 10, 20), num_paths=100, seed=0)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="the parabola scheme"):
+    with pytest.raises(ValueError, match="the parabola scheme"):
         harness.run_experiment(cfg, "strong", workers=2)
 
 

@@ -318,8 +318,14 @@ def test_simulate_refuses_non_finite_values(with_out):
     w, hh = make_increments(3, 5, 5.0, rng(12))
     out = np.empty_like(w) if with_out else None
     wild = igbm.IgbmParams(a=0.1, b=0.04, sigma=100.0, y0=0.06, horizon=5.0)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="the parabola scheme"):
+    with pytest.raises(ValueError, match="the parabola scheme"):
         igbm.simulate(PARABOLA, wild, w, hh, out=out)  # exp overflows: 0 * inf
+    # e = 1 - ah = -5e199 and c = abh = 2e198: the steps go to -1e198, clamped
+    # to 0, then 2e198, then -inf, which the clamp must not turn into 0
+    wild = igbm.IgbmParams(a=1e200, b=0.04, sigma=0.0, y0=0.06, horizon=1.5)
+    for kind in (MILSTEIN, EULER):
+        with pytest.raises(ValueError, match=f"the {kind.value} scheme gave non-finite values"):
+            igbm.simulate(kind, wild, np.zeros((3, 1)), np.zeros((3, 1)), out=None if out is None else np.empty((3, 1)))
     w[2, 1] = np.nan
     for kind in igbm.SchemeKind:
         with pytest.raises(ValueError, match=f"the {kind.value} scheme gave non-finite values"):

@@ -99,9 +99,9 @@ class SchemeKind(enum.Enum):
 
 
 class ExperimentConfig(namedtuple("ExperimentConfig", "params schemes step_counts num_paths seed")):
-    """Benchmark configuration, validated before any work: step counts
-    ascend, stay below 2^16 and each divides the next; schemes are distinct;
-    path indices and the seed fit the stream key of `harness.path_generator`."""
+    """Benchmark configuration, validated before any work: an `IgbmParams`,
+    distinct `SchemeKind`s, step counts that ascend, stay below 2^16 and each
+    divide the next, and path indices and a seed within `harness.path_generator`'s key."""
 
     __slots__ = ()
 
@@ -118,6 +118,8 @@ class ExperimentConfig(namedtuple("ExperimentConfig", "params schemes step_count
             raise ValueError("too few paths: need paths >= 100")
         path_count(self.num_paths)
         u64(self.seed)
+        if not (isinstance(self.params, IgbmParams) and all(isinstance(kind, SchemeKind) for kind in self.schemes)):
+            raise ValueError(f"need IgbmParams and SchemeKinds, got {self.params!r} and {self.schemes!r}")
         if not self.schemes:
             raise ValueError("need at least one scheme")
         if not self.step_counts:

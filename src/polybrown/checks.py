@@ -124,8 +124,8 @@ def schemes(g):
     """One sigma = 0 step of the log-ODE, parabola and linear schemes against
     the exact flow, and the constant Lie brackets -ab*sigma and ab*sigma^2 of
     the reference parameters at 20 points drawn from U(-2, 2)."""
-    p = igbm.IgbmParams(a=0.1, b=0.04, sigma=0.0, y0=0.06, horizon=0.1)  # one step of h = 0.1
-    flow = 0.04 + 0.02 * np.exp(-0.01)
+    p = igbm.REFERENCE._replace(sigma=0.0, horizon=0.1)  # one step of h = 0.1
+    flow = p.b + (p.y0 - p.b) * np.exp(-p.a * p.horizon)  # the sigma = 0 flow b + (y0 - b) e^(-ah)
     kinds = (igbm.SchemeKind.LOG_ODE, igbm.SchemeKind.PARABOLA_ODE, igbm.SchemeKind.PIECEWISE_LINEAR)
     residuals = [igbm.simulate(kind, p, [[0.3]], [[-0.1]]) - flow for kind in kinds]
     r = igbm.REFERENCE

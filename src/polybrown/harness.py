@@ -110,23 +110,22 @@ def _map_blocks(fn, common, n_paths, workers=1):
 
 
 def _simulate_block(params, schemes, step_counts, n_fine, seed, paths):
-    """Terminal values for the range `paths`: the log-ODE reference on `n_fine`
-    steps, and {(step count, scheme): terminals} on the same increments,
-    coarsened exactly from the finest level down, time-major.  Time streams in
-    chunks of `_CHUNK` fine steps, and each level carries its partial step
-    across chunks, so memory does not grow with `n_fine` or the coarsest step."""
-    fine = np.full(len(paths), params.y0)
-    coarse = {(n_steps, scheme): fine for n_steps in step_counts for scheme in schemes}
-    carries = {n_steps: [finer // n_steps, 0] for n_steps, finer in zip(step_counts, (*step_counts[1:], n_fine))}
+    """The (1 + S L, len(paths)) terminals of the range `paths`: row 0 the
+    log-ODE reference on `n_fine` steps, row 1 + s L + l scheme s at step count
+    l on the same increments, coarsened exactly level by level, time-major.
+    Time streams in `_CHUNK`-step chunks, each level carrying its partial step
+    across them, so memory does not grow with `n_fine` or the coarsest step."""
+    table = np.full((1 + len(schemes) * len(step_counts), len(paths)), params.y0)
+    carries = [[finer // n_steps, 0] for n_steps, finer in zip(step_counts, (*step_counts[1:], n_fine))]
     h_fine = params.horizon / n_fine
     for w, h_area in path_increments(seed, _DOMAIN_HARNESS, 0, paths, n_fine, np.sqrt([h_fine, h_fine / 12.0])):
-        fine = igbm.simulate(igbm.SchemeKind.LOG_ODE, params, w, h_area, y=fine, h=h_fine)
-        for n_steps in reversed(step_counts):
-            w, h_area = coarsen_arrays(w, h_area, carries[n_steps])
-            h = params.horizon / n_steps
-            for scheme in schemes if len(w) else ():  # a chunk may end no step of this level
-                coarse[n_steps, scheme] = igbm.simulate(scheme, params, w, h_area, y=coarse[n_steps, scheme], h=h)
-    return fine, coarse
+        table[0] = igbm.simulate(igbm.SchemeKind.LOG_ODE, params, w, h_area, y=table[0], h=h_fine)
+        for level in reversed(range(len(step_counts))):
+            w, h_area = coarsen_arrays(w, h_area, carries[level])
+            h, level_rows = params.horizon / step_counts[level], table[1 + level :: len(step_counts)]
+            for scheme, row in zip(schemes if len(w) else (), level_rows):  # a chunk may end no step of this level
+                row[:] = igbm.simulate(scheme, params, w, h_area, y=row, h=h)
+    return table
 
 
 def _mean_se(x):
@@ -182,7 +181,7 @@ def run_experiment(config, metric, workers=1):
     """Error rows over (scheme, N) for one metric, "strong" or "weak", and the
     fitted log-log slope rows.  One fine path and reference per sample serve
     every level and scheme, so the errors of different levels are correlated;
-    each block's terminals are copied into whole-run arrays as it arrives.
+    each block fills its columns of one table, in `_simulate_block`'s rows.
     Deterministic given the seed.  The statistics run in the run's unit, a
     power of two that each row scales back from, and a row that is still not
     finite is refused.  A slope needs at least 3 step counts and errors above
@@ -192,12 +191,11 @@ def run_experiment(config, metric, workers=1):
     if metric not in ("strong", "weak"):
         raise ValueError(f"metric must be strong or weak: {metric!r}")
     common = (config.params, config.schemes, config.step_counts, fine_steps(config.step_counts), config.seed)
-    fine = np.empty(n := config.num_paths)
-    coarse = {(steps, scheme): np.empty(n) for steps in config.step_counts for scheme in config.schemes}
-    for lo, (fine_block, coarse_block) in zip(range(0, n, _BLOCK), _map_blocks(_simulate_block, common, n, workers)):
-        fine[lo : lo + _BLOCK] = fine_block
-        for key, terminals in coarse_block.items():
-            coarse[key][lo : lo + _BLOCK] = terminals
+    n_levels, n_paths = len(config.step_counts), config.num_paths
+    table = np.empty((1 + len(config.schemes) * n_levels, n_paths))
+    for lo, block in zip(range(0, n_paths, _BLOCK), _map_blocks(_simulate_block, common, n_paths, workers)):
+        table[:, lo : lo + _BLOCK] = block
+    fine = table[0]
     # the unit is the power of two at or below the reference's largest magnitude (1/2 if it is 0):
     # in it no statistic's squares over- or underflow, and each row scales back exactly
     unit = math.ldexp(0.5, math.frexp(max(fine.max(), -fine.min()))[1])
@@ -205,11 +203,10 @@ def run_experiment(config, metric, workers=1):
     stats = _strong_stats if metric == "strong" else lambda fine, approx: _weak_stats(fine, approx, strike)
     rows, slopes, unfitted = [], [], {}  # unfitted: reason -> scheme names
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # each row is judged here
-        for terminals in (fine, *coarse.values()):
-            terminals /= unit
+        table /= unit
         floor = common[3] * np.finfo(float).eps * np.sqrt(np.mean(fine**2)) * unit
-        for scheme in config.schemes:
-            in_units = ((n, stats(fine, coarse[n, scheme])) for n in config.step_counts)
+        for scheme, terminals in zip(config.schemes, table[1:].reshape(-1, n_levels, n_paths)):
+            in_units = ((n, stats(fine, approx)) for n, approx in zip(config.step_counts, terminals))
             grid = [ErrorRow(scheme, n, config.params.horizon / n, err * unit, se * unit) for n, (err, se) in in_units]
             if bad := [r for r in grid if not (math.isfinite(r.error) and math.isfinite(r.std_err))]:
                 raise ValueError(f"the {metric} error of {scheme.value} at N={bad[0].n_steps} is not finite: {bad[0].error:g}")

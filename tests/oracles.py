@@ -182,13 +182,15 @@ def whole_block(params, schemes, step_counts, w, h_area):
     """The harness's block on whole time-major (fine steps, paths) arrays W
     and H: the log-ODE reference over every fine step, then each level
     coarsened from the next finer one over the whole horizon.  Returns the
-    reference terminals and {(step count, scheme): terminals}."""
-    fine = igbm.simulate(igbm.SchemeKind.LOG_ODE, params, w, h_area)
-    coarse = {}
-    for n_steps in reversed(step_counts):
-        w, h_area = brownian.coarsen_arrays(w, h_area, [len(w) // n_steps, 0])
-        coarse.update({(n_steps, scheme): igbm.simulate(scheme, params, w, h_area) for scheme in schemes})
-    return fine, coarse
+    terminal table of `harness._simulate_block`: row 0 the reference, row
+    1 + s L + l scheme s at step count l."""
+    table = np.empty((1 + len(schemes) * len(step_counts), w.shape[1]))
+    table[0] = igbm.simulate(igbm.SchemeKind.LOG_ODE, params, w, h_area)
+    for level in reversed(range(len(step_counts))):
+        w, h_area = brownian.coarsen_arrays(w, h_area, [len(w) // step_counts[level], 0])
+        for s, scheme in enumerate(schemes):
+            table[1 + s * len(step_counts) + level] = igbm.simulate(scheme, params, w, h_area)
+    return table
 
 
 def long_table_lines(labels, rows, first_id=0):

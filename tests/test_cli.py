@@ -19,6 +19,7 @@ import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -278,6 +279,88 @@ def test_extreme_parameters_give_finite_tables_or_one_error_line(metric, a, b, s
                 assert all(math.isfinite(float(value)) for row in rows for value in row), (name, rows)
 
 
+# each integer rule's limits, and floats at the edges of float's own domain,
+# with a negative number in exponent form; `_DOMAINS` restates each rule's
+# domain apart from its converter, on the option's text
+_LIMITS = (-1, 0, 1, 99, 100, (1 << 16) - 1, 1 << 16, 1 << 32, (1 << 32) + 1, (1 << 64) - 1, 1 << 64)
+_FLOATS = ("0.0", "-0.0", "5e-324", "1e308", "-1e308", "inf", "-inf", "nan", "-1e-3")
+_POSITIVE = lambda text: int(text) >= 1
+_DOMAINS = {
+    "seed": lambda text: 0 <= int(text) < 1 << 64,
+    "max_k": _POSITIVE,
+    "grid": _POSITIVE,
+    "workers": _POSITIVE,
+    "degree": lambda text: 1 <= int(text) < 1 << 16,
+    "paths": lambda text: 1 <= int(text) <= 1 << 32,
+    "steps": lambda text: all(1 <= int(part) < 1 << 16 for part in text.split(",")),
+    **dict.fromkeys(cli._IGBM_DEFAULTS, lambda text: True),
+}
+_OUT_STATES = ("new", "exists", "file", "under-a-file")
+
+
+@st.composite
+def _invocations(draw):
+    """A command, values for some of its options, the options of them that
+    come from a config file instead of flags, and the state of `--out`."""
+    command = draw(st.sampled_from(sorted(cli._DEFAULTS)))
+    values = {}
+    for key in draw(st.lists(st.sampled_from([key for key in cli._DEFAULTS[command] if key in _DOMAINS]), unique=True)):
+        if key == "steps":
+            values[key] = ",".join(map(str, draw(st.lists(st.sampled_from(_LIMITS), min_size=1, max_size=3))))
+        else:
+            values[key] = draw(st.sampled_from(_FLOATS if key in cli._IGBM_DEFAULTS else _LIMITS))
+    in_file = draw(st.sets(st.sampled_from(sorted(values)))) if values and command != "check" else set()
+    return command, {key: str(value) for key, value in values.items()}, in_file, draw(st.sampled_from(_OUT_STATES))
+
+
+def _tree(root):
+    return {str(path.relative_to(root)): path.is_file() and path.read_bytes() for path in root.rglob("*")}
+
+
+def _small_or_stubbed(body):
+    """The command body for runs of at most 1000 paths, steps, grid points and
+    indices, and a stub that writes nothing for larger ones."""
+    sizes = lambda cfg: [cfg.get(key, 1) for key in ("max_k", "grid", "degree", "paths")] + list(cfg.get("steps", ()))
+    return lambda cfg, out: body(cfg, out) if max(sizes(cfg)) <= 1000 else None
+
+
+@settings(deadline=None, derandomize=True, max_examples=250)
+@given(_invocations())
+def test_each_option_is_refused_outside_its_converters_domain_only(invocation):
+    # a value outside its rule's domain exits 2 naming the option, before any
+    # work and with `--out` as it was; a value inside is never refused as one
+    command, values, in_file, out_state = invocation
+    bad = [key for key, text in values.items() if not _DOMAINS[key](text)]
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        root = Path(tmp)
+        out = root / "f" / "o" if out_state == "under-a-file" else root / "o"
+        if out_state == "exists":
+            out.mkdir()
+            (out / "strong.csv").write_text("an earlier run\n")
+        elif out_state != "new":
+            (root / ("f" if out_state == "under-a-file" else "o")).write_text("a file\n")
+        argv = [command, *(f"--{key.replace('_', '-')}={text}" for key, text in values.items() if key not in in_file)]
+        if command != "check":
+            (root / "run.cfg").write_text("".join(f"{key} = {values[key]}\n" for key in in_file))
+            argv += ["--config", str(root / "run.cfg"), "--out", str(out)]
+        before, stdout, stderr = _tree(root), io.StringIO(), io.StringIO()
+        bodies = {name: _small_or_stubbed(body) for name, body in harness._COMMANDS.items()}
+        with mock.patch.dict(harness._COMMANDS, bodies), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = run(argv)
+        err = stderr.getvalue()
+        assert [w for w in caught if not re.match("no (strong|weak) slope", str(w.message))] == []
+        if bad:
+            assert re.fullmatch(rf"polybrown: error: invalid value for ({'|'.join(bad)}): [^\n]*\n", err), (argv, err)
+        assert "invalid value for" not in err or bad, (argv, err)
+        if code == 2:
+            assert re.fullmatch(r"polybrown: error: [^\n]*\n", err), (argv, err)
+            assert _tree(root) == before
+        else:
+            assert (code, err) == (0, ""), (argv, err)
+            assert command == "check" or (out / "manifest.txt").is_file()
+
+
 def test_failing_worker_ends_the_pool_and_leaves_out_as_found(tmp_path, capsys):
     # three blocks on two workers: the pool lives in the generator the run
     # walks, and a worker's error closes it with no process left behind
@@ -361,11 +444,14 @@ def test_paths_beyond_the_coefficient_tables(tmp_path):
 # before every scheme became one affine step y <- e y + c, of three-block
 # `paths` CSVs written at the commit before `paths` dropped its whole-run
 # coefficient table, and of 700-step trajectories (three time chunks) written
-# at the commit before `igbm-paths` streamed its draws: rewriting an evaluation
-# route, a step or a walk over the blocks or through time must not change a
-# byte of them.  The trajectories depend on the SIMD target NumPy dispatches
-# float64 `exp` to, so the table is keyed by it (NumPy 2.4.6; X86_V3 recorded
-# under NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR").
+# at the commit before `igbm-paths` streamed its draws, and of strong, weak and
+# slopes CSVs written at the commit before a block's terminals became one
+# table (the last study on 600 paths and steps 7,49,343, whose chunks end
+# inside steps, on two workers): rewriting an evaluation route, a step or a
+# walk over the blocks or through time must not change a byte of them.  The
+# trajectories and studies depend on the SIMD target NumPy dispatches float64
+# `exp` to, so the table is keyed by it (NumPy 2.4.6; X86_V3 recorded under
+# NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR").
 _TARGET = opt_func_info(func_name="exp")["exp"]["dd"]["current"]
 _SAME_ON_BOTH_TARGETS = {
     ("basis",): {"basis.csv": "35e8a071ee8cf031c65b86728166c7df907db733eb55e89275c01b1ea5558e19"},
@@ -398,15 +484,54 @@ _TRAJECTORY_DIGESTS = {  # target -> the igbm_paths.csv digest of each of _TRAJE
         "0f14d88c552c6cee8788168ed8e60f48cbef3053e2074434373da891c7fef401",
     ),
 }
+_STUDIES = (
+    ("strong", "--paths", "300", "--steps", "5,10,20", "--seed", "3"),
+    ("weak", "--paths", "300", "--steps", "5,10,20", "--seed", "3"),
+    ("strong", "--paths", "600", "--steps", "7,49,343", "--seed", "3", "--workers", "2"),
+)
+_STUDY_DIGESTS = {  # target -> the (error table, slopes.csv) digests of each of _STUDIES
+    "X86_V4": (
+        (
+            "1dd4378b33abf83ea3027c826f3c5c32e939c07b69e4430b8ddadb220530e5ef",
+            "6f8c3c3330c2f04d38fd22b42871cc2118e3d53592b1fbc4c583ca7c7d78ba99",
+        ),
+        (
+            "66eca389a87082952e72fd20b5caff5ec41dc2ceab9132595c7c608c7a2bd689",
+            "1fa237530a725f176480afc5bcea22a9d68b8c183a6290963fb046bd884991ee",
+        ),
+        (
+            "6216ed7fb925f458fc4e41138e16c3985a983de147889389128a00599dc2800a",
+            "2bbddcc336982af730adb4b38e74b23b53eabd65c24519acc3969ae47e4212b3",
+        ),
+    ),
+    "X86_V3": (
+        (
+            "494b3f963438af3b10772797db7989519c812106604e970f3cf03ee15711275c",
+            "c2813c71060e25b10742d423fc9f9df49499e009fed62430afe2bdeacb0ef0dc",
+        ),
+        (
+            "cb71f01c316707f5bdbdb23e4e1e4c4d28eda5fa525cb8ae776189a49b22bfa9",
+            "51b004f8eb23f27deeb243a5cb60dc5c42b6cffbe083db7f961bc3eb5f6d773b",
+        ),
+        (
+            "adb368c1f69dc734816ca8613b993bcd91f3c515e68de9c0a04a11a5fe1c5c4c",
+            "d99725a2a0072840df0d6e3d63442d41bdc73e8cacd301b49b0ac67371e0af14",
+        ),
+    ),
+}
 _DIGESTS = {
-    target: {**_SAME_ON_BOTH_TARGETS, **{argv: {"igbm_paths.csv": d} for argv, d in zip(_TRAJECTORIES, digests)}}
-    for target, digests in _TRAJECTORY_DIGESTS.items()
+    target: {
+        **_SAME_ON_BOTH_TARGETS,
+        **{argv: {"igbm_paths.csv": d} for argv, d in zip(_TRAJECTORIES, _TRAJECTORY_DIGESTS[target])},
+        **{argv: {f"{argv[0]}.csv": e, "slopes.csv": s} for argv, (e, s) in zip(_STUDIES, _STUDY_DIGESTS[target])},
+    }
+    for target in _TRAJECTORY_DIGESTS
 }
 
 
 @pytest.mark.parametrize(
     "argv",
-    [*_SAME_ON_BOTH_TARGETS, *_TRAJECTORIES],
+    [*_SAME_ON_BOTH_TARGETS, *_TRAJECTORIES, *_STUDIES],
     ids=[
         "basis",
         "paths",
@@ -415,6 +540,9 @@ _DIGESTS = {
         "igbm-paths-linear",
         "igbm-paths-log-ode-three-chunks",
         "igbm-paths-parabola-three-chunks",
+        "strong",
+        "weak",
+        "strong-chunks-inside-steps-two-workers",
     ],
 )
 def test_basis_and_paths_keep_their_bytes(tmp_path, argv):

@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo error harness."""
 
 import copy
+import functools
 import itertools
 import multiprocessing
 import os
@@ -42,6 +43,17 @@ def test_config_validation():
         small_config(step_counts=(10, 15, 30))
     with pytest.raises(ValueError, match="schemes must be distinct: linear,linear"):
         small_config(schemes=(SchemeKind.PIECEWISE_LINEAR, SchemeKind.PIECEWISE_LINEAR))
+    # library callers get the model's and the schemes' checks too: a scheme's name or a plain
+    # tuple of parameters, even one that `IgbmParams` would refuse, is no config
+    for params, schemes in [
+        (REFERENCE, ("log-ode",)),
+        (REFERENCE, (SchemeKind.EULER_MARUYAMA, "linear")),
+        ((0.1, 0.04, 0.6, 0.06, 5.0), tuple(SchemeKind)),
+        ((float("nan"), 0.04, 0.6, 0.06, 5.0), tuple(SchemeKind)),
+        ((-0.1, 0.04, 0.6, 0.06, 5.0), tuple(SchemeKind)),
+    ]:
+        with pytest.raises(ValueError, match="need IgbmParams and SchemeKinds, got"):
+            harness.ExperimentConfig(params, schemes, (5, 10, 20), 100, 0)
     # the integer rules take exact integers from library callers, never a truncated float or a bool
     for bad in (dict(seed=1.5), dict(seed=True), dict(step_counts=(10.5, 21, 42)), dict(num_paths=100.7)):
         with pytest.raises(ValueError, match="expected an integer, got"):
@@ -221,9 +233,9 @@ def test_fit_slope_validation():
 
 def test_strong_coupling_identity():
     # fine resolution == coarse resolution for the reference scheme: S = 0
-    fine, coarse = harness._simulate_block(REFERENCE, (SchemeKind.LOG_ODE,), (20,), 20, 99, range(400))
-    np.testing.assert_array_equal(fine, coarse[20, SchemeKind.LOG_ODE])
-    assert harness._strong_stats(fine, coarse[20, SchemeKind.LOG_ODE]) == (0.0, 0.0)
+    fine, approx = harness._simulate_block(REFERENCE, (SchemeKind.LOG_ODE,), (20,), 20, 99, range(400))
+    np.testing.assert_array_equal(fine, approx)
+    assert harness._strong_stats(fine, approx) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("step_counts", [(100, 200, 400), (200, 400, 800)])
@@ -234,7 +246,7 @@ def test_block_memory_does_not_grow_with_the_fine_mesh(step_counts, monkeypatch)
     args = (REFERENCE, tuple(SchemeKind), step_counts, n_fine, 5, range(64))
     tracemalloc.start()
     try:
-        fine, coarse = harness._simulate_block(*args)
+        table = harness._simulate_block(*args)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -242,9 +254,7 @@ def test_block_memory_does_not_grow_with_the_fine_mesh(step_counts, monkeypatch)
     h = REFERENCE.horizon / n_fine
     monkeypatch.setattr(harness, "_CHUNK", n_fine)  # the whole mesh in one draw
     w, h_area = next(harness.path_increments(5, harness._DOMAIN_HARNESS, 0, range(64), n_fine, np.sqrt([h, h / 12.0])))
-    expected_fine, expected = oracles.whole_block(REFERENCE, tuple(SchemeKind), step_counts, w, h_area)
-    assert fine.tobytes() == expected_fine.tobytes()
-    assert all(coarse[key].tobytes() == terminals.tobytes() for key, terminals in expected.items())
+    assert table.tobytes() == oracles.whole_block(REFERENCE, tuple(SchemeKind), step_counts, w, h_area).tobytes()
 
 
 def test_chunks_keep_their_length_when_the_fine_mesh_has_no_divisor_near_it(monkeypatch):
@@ -260,15 +270,13 @@ def test_chunks_keep_their_length_when_the_fine_mesh_has_no_divisor_near_it(monk
             yield w, h_area
 
     monkeypatch.setattr(harness, "path_increments", recording_draw)
-    fine, coarse = harness._simulate_block(REFERENCE, tuple(SchemeKind), step_counts, n_fine, 5, range(64))
+    table = harness._simulate_block(REFERENCE, tuple(SchemeKind), step_counts, n_fine, 5, range(64))
     assert n_fine == 49990 and sum(widths) == n_fine
     assert set(widths[:-1]) == {harness._CHUNK}
     h = REFERENCE.horizon / n_fine
     monkeypatch.setattr(harness, "_CHUNK", n_fine)  # the whole mesh in one draw
     w, h_area = next(draw(5, harness._DOMAIN_HARNESS, 0, range(64), n_fine, np.sqrt([h, h / 12.0])))
-    expected_fine, expected = oracles.whole_block(REFERENCE, tuple(SchemeKind), step_counts, w, h_area)
-    assert fine.tobytes() == expected_fine.tobytes()
-    assert all(coarse[key].tobytes() == terminals.tobytes() for key, terminals in expected.items())
+    assert table.tobytes() == oracles.whole_block(REFERENCE, tuple(SchemeKind), step_counts, w, h_area).tobytes()
 
 
 def test_block_memory_does_not_grow_with_the_coarsest_step():
@@ -305,8 +313,8 @@ def test_weak_block_memory_stays_within_its_budget():
 
 
 def test_weak_coupling_identity():
-    fine, coarse = harness._simulate_block(REFERENCE, (SchemeKind.LOG_ODE,), (20,), 20, 99, range(400))
-    err, se = harness._weak_stats(fine, coarse[20, SchemeKind.LOG_ODE], REFERENCE.b)
+    fine, approx = harness._simulate_block(REFERENCE, (SchemeKind.LOG_ODE,), (20,), 20, 99, range(400))
+    err, se = harness._weak_stats(fine, approx, REFERENCE.b)
     assert err == 0.0
 
 
@@ -402,6 +410,26 @@ def test_run_experiment_report_shape():
     for metric in ("strongest", ("strong",), ("strong", "weak")):
         with pytest.raises(ValueError):
             harness.run_experiment(cfg, metric)
+
+
+@functools.cache
+def _run_schemes(schemes, metric):
+    return harness.run_experiment(harness.ExperimentConfig(REFERENCE, schemes, (5, 10, 20), 300, 3), metric)
+
+
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(st.permutations(list(SchemeKind)), st.integers(1, len(SchemeKind)))
+def test_a_schemes_rows_do_not_depend_on_the_other_schemes(order, count):
+    # each scheme's rows and slope, to the bit, whichever schemes run beside it
+    # and in whichever order: they index the run's table by the scheme's place
+    schemes = tuple(order[:count])
+    for metric in ("strong", "weak"):
+        (rows, slopes), (all_rows, all_slopes) = _run_schemes(schemes, metric), _run_schemes(tuple(SchemeKind), metric)
+        assert [(r.scheme, r.n_steps) for r in rows] == [(scheme, n) for scheme in schemes for n in (5, 10, 20)]
+        assert [r.scheme for r in slopes] == list(schemes)
+        for scheme in schemes:
+            own = [repr([r for r in table if r.scheme is scheme]) for table in (rows, slopes)]
+            assert own == [repr([r for r in table if r.scheme is scheme]) for table in (all_rows, all_slopes)]
 
 
 def test_run_experiment_deterministic():

@@ -193,12 +193,10 @@ def test_block_split_does_not_change_terminals(step_counts, n, data, seed):
     k = data.draw(st.integers(1, n - 1))
     schemes = tuple(igbm.SchemeKind)
     args = (igbm.REFERENCE, schemes, step_counts, harness.fine_steps(step_counts), seed)
-    fine, coarse = harness._simulate_block(*args, range(n))
+    table = harness._simulate_block(*args, range(n))
     parts = [harness._simulate_block(*args, paths) for paths in (range(k), range(k, n))]
-    assert fine.tobytes() == np.concatenate([part_fine for part_fine, _ in parts]).tobytes()
-    assert coarse.keys() == {(n_steps, scheme) for n_steps in step_counts for scheme in schemes}
-    for key, terminals in coarse.items():
-        assert terminals.tobytes() == np.concatenate([part[key] for _, part in parts]).tobytes()
+    assert table.shape == (1 + len(schemes) * len(step_counts), n)
+    assert table.tobytes() == np.concatenate(parts, axis=1).tobytes()
 
 
 @settings(deadline=None, derandomize=True, max_examples=20)
@@ -213,13 +211,11 @@ def test_streamed_block_is_the_whole_array_block(step_counts, n, seed):
     h = igbm.REFERENCE.horizon / n_fine
     draws = harness.path_increments(seed, harness._DOMAIN_HARNESS, 0, range(n), n_fine, np.sqrt([h, h / 12.0]))
     with mock.patch.object(harness, "_CHUNK", n_fine):  # the whole mesh in one draw
-        fine, coarse = oracles.whole_block(igbm.REFERENCE, schemes, step_counts, *next(draws))
+        whole = oracles.whole_block(igbm.REFERENCE, schemes, step_counts, *next(draws))
     for chunk in (1, n_fine // step_counts[0] - 1, 320, n_fine - 1, n_fine):
         with mock.patch.object(harness, "_CHUNK", chunk):
-            streamed_fine, streamed = harness._simulate_block(igbm.REFERENCE, schemes, step_counts, n_fine, seed, range(n))
-        assert streamed_fine.tobytes() == fine.tobytes()
-        assert streamed.keys() == coarse.keys()
-        assert all(streamed[key].tobytes() == terminals.tobytes() for key, terminals in coarse.items())
+            streamed = harness._simulate_block(igbm.REFERENCE, schemes, step_counts, n_fine, seed, range(n))
+        assert streamed.tobytes() == whole.tobytes()
 
 
 @PROPERTY

@@ -49,14 +49,14 @@ def stream_level(text):
 
 
 class IgbmParams(namedtuple("IgbmParams", "a b sigma y0 horizon")):
-    """Model parameters: mean-reversion speed a >= 0, level b, volatility
-    sigma >= 0, initial value y0, and time horizon T.  Checked in `__new__`,
-    which `_make`, and so `_replace`, unpickling and `copy`, run too."""
+    """Model parameters, each stored as a Python float: mean-reversion speed a >= 0,
+    level b, volatility sigma >= 0, initial value y0, and time horizon T.  Checked in
+    `__new__`, which `_make`, and so `_replace`, unpickling and `copy`, run too."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+        self = tuple.__new__(cls, map(float, super().__new__(cls, *args, **kwargs)))
         for name, value in zip(self._fields, self):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
@@ -99,25 +99,22 @@ class SchemeKind(enum.Enum):
 
 
 class ExperimentConfig(namedtuple("ExperimentConfig", "params schemes step_counts num_paths seed")):
-    """Benchmark configuration, validated before any work: an `IgbmParams`,
-    distinct `SchemeKind`s, step counts that ascend, stay below 2^16 and each
-    divide the next, and path indices and a seed within `harness.path_generator`'s key."""
+    """Benchmark configuration, checked before any work and stored as its rules return it:
+    an `IgbmParams`, a tuple of distinct `SchemeKind`s, ascending step counts below 2^16
+    that each divide the next, and path and seed ints within `harness.path_generator`'s key."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        steps = ",".join(map(str, self.step_counts))
-        if list(self.step_counts) != sorted(set(self.step_counts)):
+    def __new__(cls, params, schemes, step_counts, num_paths, seed):
+        step_counts = tuple(map(stream_level, step_counts))
+        steps = ",".join(map(str, step_counts))
+        if list(step_counts) != sorted(set(step_counts)):
             raise ValueError(f"step counts must be strictly ascending: {steps}")
-        for n in self.step_counts:
-            stream_level(n)
-        if any(finer % n for n, finer in zip(self.step_counts, self.step_counts[1:])):
+        if any(finer % n for n, finer in zip(step_counts, step_counts[1:])):
             raise ValueError(f"each step count must divide the next: {steps}")
-        if self.num_paths < 100:
+        if _integer(num_paths) < 100:
             raise ValueError("too few paths: need paths >= 100")
-        path_count(self.num_paths)
-        u64(self.seed)
+        self = super().__new__(cls, params, tuple(schemes), step_counts, path_count(num_paths), u64(seed))
         if not (isinstance(self.params, IgbmParams) and all(isinstance(kind, SchemeKind) for kind in self.schemes)):
             raise ValueError(f"need IgbmParams and SchemeKinds, got {self.params!r} and {self.schemes!r}")
         if not self.schemes:

@@ -73,7 +73,7 @@ _OPTIONS = {
 def _load_config_file(path):
     values = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:

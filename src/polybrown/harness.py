@@ -229,7 +229,7 @@ _fmt = _FLOAT.__mod__
 
 def _write_csv(path, header, lines):
     """Write a header line and then `lines`, strings of whole lines."""
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
         fh.write(header + "\n")
         fh.writelines(lines)
 

@@ -180,6 +180,23 @@ def test_config_missing_file(tmp_path):
     assert run(["strong", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_config_and_manifest_are_utf_8_in_any_locale(tmp_path):
+    """Under the C locale, without UTF-8 mode, Python opens text files as ASCII
+    and reads argv with surrogate escapes; the config file is read, and the
+    manifest written, as UTF-8 all the same, with `--out`'s bytes as given."""
+    (tmp_path / "c.txt").write_text("# température\ngrid = 2\n", encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    c_locale = dict(env, PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C")
+    for out, child_env in (("ré", c_locale), ("plain", env)):
+        command = [sys.executable, "-m", "polybrown", "basis", "--config", "c.txt", "--max-k", "1", "--out", out]
+        result = subprocess.run(command, cwd=tmp_path, env=child_env, capture_output=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+    accented, plain = tmp_path / "ré", tmp_path / "plain"
+    assert (accented / "basis.csv").read_bytes() == (plain / "basis.csv").read_bytes()
+    manifest = (plain / "manifest.txt").read_bytes().replace(b"\nout = plain\n", "\nout = ré\n".encode())
+    assert (accented / "manifest.txt").read_bytes() == manifest
+
+
 def test_invalid_flags_give_usage_errors(tmp_path, capsys):
     positive = "expected a positive integer, got '0'"
     seed = "invalid value for seed: seed must fit in an unsigned 64-bit integer"
@@ -791,13 +808,23 @@ def check_lines(capsys):
     return [m.groups() for m in parsed]
 
 
+# SHA-256 of `check --seed S`'s whole stdout; the X86_V4 and the baseline dispatch targets print the same bytes
+CHECK_DIGESTS = {
+    "0": "5074704d6602b2f6d6bb7dd5a172a7e2680630728f76dc2168c1e07a27dd3657",
+    "1": "28f674056b3d8a0e9a41004a4df82f4c91eaa47e383a06196e44b9fb1917d0ef",
+}
+
+
 def test_check_command(capsys):
-    assert run(["check"]) == 0
-    lines = check_lines(capsys)
-    assert [name for _, name, *_ in lines] == [name for name, _, _ in checks.SUITES]
-    for (status, _, worst, relation, bound), (_, _, expected_bound) in zip(lines, checks.SUITES):
-        assert (status, relation) == ("ok", "<=")
-        assert float(worst) <= float(bound) == expected_bound
+    for seed, digest in CHECK_DIGESTS.items():
+        assert run(["check", "--seed", seed]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, seed
+        lines = [CHECK_LINE.fullmatch(line).groups() for line in out.splitlines()]
+        assert [name for _, name, *_ in lines] == [name for name, _, _ in checks.SUITES]
+        for (status, _, worst, relation, bound), (_, _, expected_bound) in zip(lines, checks.SUITES):
+            assert (status, relation) == ("ok", "<=")
+            assert float(worst) <= float(bound) == expected_bound
 
 
 def test_check_fails_loudly_and_runs_every_suite(capsys, monkeypatch):

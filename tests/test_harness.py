@@ -58,6 +58,15 @@ def test_config_validation():
     for bad in (dict(seed=1.5), dict(seed=True), dict(step_counts=(10.5, 21, 42)), dict(num_paths=100.7)):
         with pytest.raises(ValueError, match="expected an integer, got"):
             small_config(**bad)
+    # what the rules accept, strings as from the CLI and NumPy integers, is stored as
+    # the plain values they return, so the run sees the all-integer config
+    plain = harness.ExperimentConfig(REFERENCE, tuple(SchemeKind), (5, 10, 20), 100, 0)
+    reports = [repr(harness.run_experiment(plain, metric)) for metric in ("strong", "weak")]
+    for steps, paths, seed in [(("5", "10", "20"), "100", "0"), (np.array([5, 10, 20]), np.int64(100), np.uint64(0))]:
+        config = harness.ExperimentConfig(REFERENCE, list(SchemeKind), steps, paths, seed)
+        assert config == plain and type(config.schemes) is tuple
+        assert all(type(n) is int for n in (*config.step_counts, config.num_paths, config.seed))
+        assert [repr(harness.run_experiment(config, metric)) for metric in ("strong", "weak")] == reports
 
 
 def test_records_are_checked_on_every_construction_path():
@@ -74,6 +83,12 @@ def test_records_are_checked_on_every_construction_path():
         assert pickle.loads(pickle.dumps(record)) == record
         assert copy.copy(record) == record
     assert pickle.loads(pickle.dumps(config)).params.a_strat == REFERENCE.a_strat
+    # the model stores Python floats, whatever it is given: a float32 sigma kept as
+    # it came would overflow in `a_strat`'s comparison with 2^512 (a warning, so an error here)
+    for scalar in (np.float32, np.float64, str):
+        params = IgbmParams(*map(scalar, REFERENCE))
+        assert params == tuple(float(scalar(value)) for value in REFERENCE)
+        assert all(type(value) is float for value in (*params, params.a_strat))
 
 
 def test_config_rejects_stream_key_overflow():

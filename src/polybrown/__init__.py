@@ -48,6 +48,14 @@ def stream_level(text):
     return value
 
 
+def _float(value):
+    """`float(value)`, but a signed inf, not an OverflowError, for an integer beyond the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 class IgbmParams(namedtuple("IgbmParams", "a b sigma y0 horizon")):
     """Model parameters, each stored as a Python float: mean-reversion speed a >= 0,
     level b, volatility sigma >= 0, initial value y0, and time horizon T.  Checked in
@@ -56,7 +64,7 @@ class IgbmParams(namedtuple("IgbmParams", "a b sigma y0 horizon")):
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
-        self = tuple.__new__(cls, map(float, super().__new__(cls, *args, **kwargs)))
+        self = tuple.__new__(cls, map(_float, super().__new__(cls, *args, **kwargs)))
         for name, value in zip(self._fields, self):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")

@@ -5,14 +5,11 @@ All samplers take an explicit numpy Generator and share no mutable state;
 streams are keyed per path by `harness.path_generator`.
 """
 
-from collections import namedtuple
-
 import numpy as np
 
 from . import orthopoly
 
 __all__ = [
-    "IncrementPair",
     "coarsen_arrays",
     "eval_polynomial_path",
     "sample_kl_batch",
@@ -21,28 +18,13 @@ __all__ = [
 ]
 
 
-class IncrementPair(namedtuple("IncrementPair", "w h_area length")):
-    """Brownian data for one interval: increment w, rescaled space-time area
-    h_area (~ N(0, length/12), independent of w), and the interval length."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if not self.length > 0:
-            raise ValueError("nonpositive length")
-        return self
-
-    _make = classmethod(lambda cls, values: cls(*values))
-
-
 def sample_pair(length, rng):
-    """Draw an IncrementPair: w ~ N(0, length), h_area ~ N(0, length/12), independent."""
+    """Draw one interval's (w, h_area), in that order: w ~ N(0, length), h_area ~ N(0, length/12), independent."""
     if not length > 0:
         raise ValueError("nonpositive length")
     w = rng.normal(0.0, np.sqrt(length))
     h_area = rng.normal(0.0, np.sqrt(length / 12.0))
-    return IncrementPair(w=w, h_area=h_area, length=length)
+    return w, h_area
 
 
 def sample_kl_batch(degree, count, rng):

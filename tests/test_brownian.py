@@ -16,23 +16,19 @@ def rng(seed=0):
 
 
 # ---------------------------------------------------------------------------
-# IncrementPair sampling
+# (w, h_area) pair sampling
 
 
 def test_sample_pair_basics():
     g = rng(5)
-    p = bm.sample_pair(4.0, g)
-    assert p.length == 4.0
-    # determinism under a fixed seed
-    p2 = bm.sample_pair(4.0, rng(5))
-    assert (p2.w, p2.h_area) == (p.w, p.h_area)
+    w, h_area = bm.sample_pair(4.0, g)
+    # determinism under a fixed seed, with w drawn before h_area
+    assert (w, h_area) == tuple(rng(5).normal(0.0, np.sqrt([4.0, 4.0 / 12.0])))
     # Var(h_area) scales like length/12: check the sampling std directly
-    draws = np.array([bm.sample_pair(4.0, g).h_area for _ in range(20000)])
+    draws = np.array([h_area for _, h_area in (bm.sample_pair(4.0, g) for _ in range(20000))])
     assert abs(np.var(draws) - 1.0 / 3.0) < 0.02
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nonpositive length"):
         bm.sample_pair(0.0, g)
-    with pytest.raises(ValueError):
-        bm.IncrementPair(0.0, 0.0, -1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 import oracles
 from polybrown import harness, igbm
-from polybrown.brownian import IncrementPair
 from polybrown.igbm import REFERENCE, IgbmParams, SchemeKind
 
 
@@ -77,9 +76,11 @@ def test_records_are_checked_on_every_construction_path():
         REFERENCE._replace(a=float("nan"))
     with pytest.raises(ValueError, match="each step count must divide the next: 10,15"):
         config._replace(step_counts=(10, 15))
-    with pytest.raises(ValueError, match="nonpositive length"):
-        IncrementPair(0.1, 0.2, 1.0)._replace(length=0.0)
-    for record in (REFERENCE, config, IncrementPair(0.1, 0.2, 1.0)):
+    # an integer beyond the float range is non-finite too, not an OverflowError from `float`
+    for name, huge in itertools.product(REFERENCE._fields, (10**400, -(10**400))):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            REFERENCE._replace(**{name: huge})
+    for record in (REFERENCE, config):
         assert pickle.loads(pickle.dumps(record)) == record
         assert copy.copy(record) == record
     assert pickle.loads(pickle.dumps(config)).params.a_strat == REFERENCE.a_strat

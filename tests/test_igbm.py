@@ -190,17 +190,17 @@ def test_parabola_quadrature_adequacy():
     worst = 0.0
     for _ in range(200):
         h = 0.05
-        q = bm.sample_pair(h, g)
+        w, h_area = bm.sample_pair(h, g)
         y = g.uniform(0.01, 0.2)
-        growth = np.exp(-BENCH.a_strat * h + BENCH.sigma * q.w)
+        growth = np.exp(-BENCH.a_strat * h + BENCH.sigma * w)
         acc = 0.0
         for j in range(panels):
             lo = j / panels
             u = lo + nodes / panels
-            parab = u * q.w + 6.0 * u * (1.0 - u) * q.h_area
+            parab = u * w + 6.0 * u * (1.0 - u) * h_area
             acc += np.sum(weights / panels * np.exp(BENCH.a_strat * u * h - BENCH.sigma * parab))
         composite = growth * (y + BENCH.a * BENCH.b * h * acc)
-        worst = max(worst, abs(step(PARABOLA, y, BENCH, q.w, q.h_area, h) - composite))
+        worst = max(worst, abs(step(PARABOLA, y, BENCH, w, h_area, h) - composite))
     assert worst < 1e-6
 
 

@@ -73,6 +73,8 @@ def coarsen_arrays(w_fine, h_fine, carry):
     `carry` = [n, seen, *sums], [n, 0] to start, carries the partial last step's
     sums to the next call, so pieces fed in runs of any length coarsen as one run."""
     (n, seen, *sums), pieces = carry, len(w_fine)
+    if n < 1:
+        raise ValueError("a step needs n >= 1 pieces")
     w, h_sum, tilt = (np.zeros((-(-(seen + pieces) // n),) + w_fine.shape[1:]) for _ in range(3))
     for acc, partial in zip((w, h_sum, tilt), sums):
         acc[: len(partial)] = partial

@@ -108,6 +108,8 @@ def simulate(kind, p, w, h_area, out=None, y=None, h=None):
         raise ValueError("need at least one step")
     prepare, clamped = _SCHEMES[kind]
     h = p.horizon / len(w) if h is None else h
+    if not h > 0:  # NaN fails too
+        raise ValueError("the step length h must be positive")
     y = np.full(w.shape[1], p.y0) if y is None else y
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # the terminals are judged below
         for k in range(0, len(w), _SLAB):

@@ -246,6 +246,12 @@ def test_coarsen_arrays_matches_scalar():
         assert hv[path] == pytest.approx(out_h, abs=1e-14)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_coarsen_arrays_refuses_fewer_than_one_piece_a_step(n):
+    with pytest.raises(ValueError, match="a step needs n >= 1 pieces"):
+        bm.coarsen_arrays(np.zeros((4, 2)), np.zeros((4, 2)), [n, 0])
+
+
 # ---------------------------------------------------------------------------
 # Expansion-level properties
 

@@ -466,11 +466,14 @@ def test_paths_beyond_the_coefficient_tables(tmp_path):
 # table (the last study on 600 paths and steps 7,49,343, whose chunks end
 # inside steps, on two workers): rewriting an evaluation route, a step or a
 # walk over the blocks or through time must not change a byte of them.  The
-# trajectories and studies depend on the SIMD target NumPy dispatches float64
-# `exp` to, so the table is keyed by it (NumPy 2.4.6; X86_V3 recorded under
-# NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR").
+# basis and `paths` bytes are the same on every target.  The trajectories and
+# studies depend on the SIMD target NumPy 2.4.6 dispatches float64 `exp` to,
+# so their digests are held once per byte set: X86_V4, and X86_V3 (recorded
+# under NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"), which
+# baseline(X86_V2) writes too.  On any other target, such as aarch64's ASIMD,
+# those cases fail naming it.
 _TARGET = opt_func_info(func_name="exp")["exp"]["dd"]["current"]
-_SAME_ON_BOTH_TARGETS = {
+_ON_EVERY_TARGET = {
     ("basis",): {"basis.csv": "35e8a071ee8cf031c65b86728166c7df907db733eb55e89275c01b1ea5558e19"},
     ("paths", "--degree", "20", "--paths", "3", "--grid", "11", "--seed", "1"): {
         "paths.csv": "486df5083adf2300e6c5a29a4f863a224af3698d1c68faafb5f9503dc82598c3",
@@ -506,49 +509,44 @@ _STUDIES = (
     ("weak", "--paths", "300", "--steps", "5,10,20", "--seed", "3"),
     ("strong", "--paths", "600", "--steps", "7,49,343", "--seed", "3", "--workers", "2"),
 )
-_STUDY_DIGESTS = {  # target -> the (error table, slopes.csv) digests of each of _STUDIES
+_STUDY_DIGESTS = {  # target -> the error table and slopes.csv digests of each of _STUDIES, in turn
     "X86_V4": (
-        (
-            "1dd4378b33abf83ea3027c826f3c5c32e939c07b69e4430b8ddadb220530e5ef",
-            "6f8c3c3330c2f04d38fd22b42871cc2118e3d53592b1fbc4c583ca7c7d78ba99",
-        ),
-        (
-            "66eca389a87082952e72fd20b5caff5ec41dc2ceab9132595c7c608c7a2bd689",
-            "1fa237530a725f176480afc5bcea22a9d68b8c183a6290963fb046bd884991ee",
-        ),
-        (
-            "6216ed7fb925f458fc4e41138e16c3985a983de147889389128a00599dc2800a",
-            "2bbddcc336982af730adb4b38e74b23b53eabd65c24519acc3969ae47e4212b3",
-        ),
+        "1dd4378b33abf83ea3027c826f3c5c32e939c07b69e4430b8ddadb220530e5ef",
+        "6f8c3c3330c2f04d38fd22b42871cc2118e3d53592b1fbc4c583ca7c7d78ba99",
+        "66eca389a87082952e72fd20b5caff5ec41dc2ceab9132595c7c608c7a2bd689",
+        "1fa237530a725f176480afc5bcea22a9d68b8c183a6290963fb046bd884991ee",
+        "6216ed7fb925f458fc4e41138e16c3985a983de147889389128a00599dc2800a",
+        "2bbddcc336982af730adb4b38e74b23b53eabd65c24519acc3969ae47e4212b3",
     ),
     "X86_V3": (
-        (
-            "494b3f963438af3b10772797db7989519c812106604e970f3cf03ee15711275c",
-            "c2813c71060e25b10742d423fc9f9df49499e009fed62430afe2bdeacb0ef0dc",
-        ),
-        (
-            "cb71f01c316707f5bdbdb23e4e1e4c4d28eda5fa525cb8ae776189a49b22bfa9",
-            "51b004f8eb23f27deeb243a5cb60dc5c42b6cffbe083db7f961bc3eb5f6d773b",
-        ),
-        (
-            "adb368c1f69dc734816ca8613b993bcd91f3c515e68de9c0a04a11a5fe1c5c4c",
-            "d99725a2a0072840df0d6e3d63442d41bdc73e8cacd301b49b0ac67371e0af14",
-        ),
+        "494b3f963438af3b10772797db7989519c812106604e970f3cf03ee15711275c",
+        "c2813c71060e25b10742d423fc9f9df49499e009fed62430afe2bdeacb0ef0dc",
+        "cb71f01c316707f5bdbdb23e4e1e4c4d28eda5fa525cb8ae776189a49b22bfa9",
+        "51b004f8eb23f27deeb243a5cb60dc5c42b6cffbe083db7f961bc3eb5f6d773b",
+        "adb368c1f69dc734816ca8613b993bcd91f3c515e68de9c0a04a11a5fe1c5c4c",
+        "d99725a2a0072840df0d6e3d63442d41bdc73e8cacd301b49b0ac67371e0af14",
     ),
 }
-_DIGESTS = {
+_DIGESTS = {  # target -> argv -> the digests of the cases whose bytes depend on the target
     target: {
-        **_SAME_ON_BOTH_TARGETS,
         **{argv: {"igbm_paths.csv": d} for argv, d in zip(_TRAJECTORIES, _TRAJECTORY_DIGESTS[target])},
-        **{argv: {f"{argv[0]}.csv": e, "slopes.csv": s} for argv, (e, s) in zip(_STUDIES, _STUDY_DIGESTS[target])},
+        **{argv: {f"{argv[0]}.csv": e, "slopes.csv": s} for argv, e, s in zip(_STUDIES, d[::2], d[1::2])},
     }
-    for target in _TRAJECTORY_DIGESTS
+    for target, d in _STUDY_DIGESTS.items()
 }
+_DIGESTS["baseline(X86_V2)"] = _DIGESTS["X86_V3"]  # the baseline writes X86_V3's bytes
+
+
+def _recorded(argv, target=_TARGET):
+    """The digests recorded for the files `argv` writes on NumPy's dispatch `target`."""
+    recorded = _ON_EVERY_TARGET.get(argv) or _DIGESTS.get(target, {}).get(argv)
+    assert recorded, f"no bytes recorded for NumPy's {target} dispatch target"
+    return recorded
 
 
 @pytest.mark.parametrize(
     "argv",
-    [*_SAME_ON_BOTH_TARGETS, *_TRAJECTORIES, *_STUDIES],
+    [*_ON_EVERY_TARGET, *_TRAJECTORIES, *_STUDIES],
     ids=[
         "basis",
         "paths",
@@ -563,11 +561,19 @@ _DIGESTS = {
     ],
 )
 def test_basis_and_paths_keep_their_bytes(tmp_path, argv):
-    assert _TARGET in _DIGESTS, f"no bytes recorded for NumPy's {_TARGET} dispatch target"
+    recorded = _recorded(argv)
     out = tmp_path / "o"
     assert run([*argv, "--out", str(out)]) == 0
-    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in _DIGESTS[_TARGET][argv]}
-    assert digests == _DIGESTS[_TARGET][argv], f"bytes differ from those recorded for NumPy's {_TARGET} dispatch target"
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in recorded}
+    assert digests == recorded, f"bytes differ from those recorded for NumPy's {_TARGET} dispatch target"
+
+
+def test_each_target_reads_the_digests_of_its_byte_set():
+    assert _recorded(("basis",), "ASIMD") == _ON_EVERY_TARGET[("basis",)]
+    for argv in (*_TRAJECTORIES, *_STUDIES):
+        assert _recorded(argv, "baseline(X86_V2)") == _recorded(argv, "X86_V3") != _recorded(argv, "X86_V4")
+        with pytest.raises(AssertionError, match=re.escape("no bytes recorded for NumPy's ASIMD dispatch target")):
+            _recorded(argv, "ASIMD")
 
 
 @pytest.mark.parametrize(
@@ -808,7 +814,7 @@ def check_lines(capsys):
     return [m.groups() for m in parsed]
 
 
-# SHA-256 of `check --seed S`'s whole stdout; the X86_V4 and the baseline dispatch targets print the same bytes
+# SHA-256 of `check --seed S`'s whole stdout, the same on the X86_V4, X86_V3 and baseline(X86_V2) dispatch targets
 CHECK_DIGESTS = {
     "0": "5074704d6602b2f6d6bb7dd5a172a7e2680630728f76dc2168c1e07a27dd3657",
     "1": "28f674056b3d8a0e9a41004a4df82f4c91eaa47e383a06196e44b9fb1917d0ef",

@@ -277,6 +277,16 @@ def test_simulate_checks_coverage():
         igbm.simulate(LOG_ODE, BENCH, np.zeros((3, 4)), np.zeros((3, 4)), out=np.empty((4, 4)))
 
 
+@pytest.mark.parametrize("kind", igbm.SchemeKind)
+@pytest.mark.parametrize("h", [0.0, -0.1, np.nan])
+def test_simulate_refuses_a_step_length_that_is_not_positive(kind, h):
+    w, hh = make_increments(2, 3, BENCH.horizon, rng(13))
+    out = np.full_like(w, 7.0)
+    with pytest.raises(ValueError, match="the step length h must be positive"):
+        igbm.simulate(kind, BENCH, w, hh, out=out, h=h)
+    assert np.all(out == 7.0)  # refused before the fold
+
+
 def test_simulate_folds_kernel_with_step_length_horizon_over_steps():
     w, hh = make_increments(4, 25, BENCH.horizon, rng(11))
     for kind in igbm.SchemeKind:

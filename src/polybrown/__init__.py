@@ -1,11 +1,13 @@
 """Polynomial Brownian paths, Levy-area conditional moments, and high-order
 discretization schemes for inhomogeneous geometric Brownian motion.  The package
-holds what needs no NumPy: the model, the study and each integer rule of a run,
-so the CLI checks a run before NumPy loads.  It imports no submodule, so not
-NumPy: write `from polybrown import harness`."""
+holds what needs no NumPy: the model, the study and every input rule, the integer
+rule `integer_in` and the length rule `positive_length` by which the CLI and every
+submodule check their arguments, so the CLI checks a run before NumPy loads.  It
+imports no submodule, so not NumPy: write `from polybrown import harness`."""
 
 import enum
 import math
+import operator
 from collections import namedtuple
 
 __version__ = "0.1.0"
@@ -13,39 +15,44 @@ MAX_PATHS = 1 << 32  # path indices fill 32 bits of the stream key (see `harness
 MAX_LEVEL = 1 << 16  # stream levels fill 16 bits of it
 
 
-def _integer(value):
-    """A str from the CLI, read by `int`, or an exact integer (`__index__`) from a library caller, not a bool."""
-    if not isinstance(value, str) and (isinstance(value, bool) or not hasattr(type(value), "__index__")):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
+def integer_in(value, name, lo, hi=math.inf, refusal=None):
+    """`value` as an int in [lo, hi], the one integer rule: a str from the CLI, read by `int`, or an exact
+    integer (`operator.index`) from a library caller, never a bool or a float.  A refusal names `name`;
+    `refusal`, if given, replaces the message for a value out of range."""
+    try:
+        number = int(value) if isinstance(value, str) else operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or isinstance(value, bool):
+        raise ValueError(f"{name}: expected an integer, got {value!r}")
+    if not lo <= number <= hi:
+        bounds = f"{name} >= {lo}" if hi == math.inf else f"{lo} <= {name} <= {hi}"
+        raise ValueError(refusal or f"{name}: expected {bounds}, got {value!r}")
+    return number
+
+
+def positive_length(value, name):
+    """`value` if it is > 0, the one length rule; NaN is not."""
+    if not value > 0:
+        raise ValueError(f"{name} must be > 0")
+    return value
 
 
 def u64(text):
-    value = _integer(text)
-    if not 0 <= value < 1 << 64:
-        raise ValueError("seed must fit in an unsigned 64-bit integer")
-    return value
+    return integer_in(text, "seed", 0, (1 << 64) - 1, "seed must fit in an unsigned 64-bit integer")
 
 
-def positive_int(text):
-    value = _integer(text)
-    if value <= 0:
-        raise ValueError(f"expected a positive integer, got {text!r}")
-    return value
+def positive_int(text, name="value"):
+    return integer_in(text, name, 1, refusal=f"expected a positive integer, got {text!r}")
 
 
 def path_count(text):
-    value = positive_int(text)
-    if value > MAX_PATHS:
-        raise ValueError("too many paths: need paths <= 2^32")
-    return value
+    return integer_in(positive_int(text, "paths"), "paths", 1, MAX_PATHS, "too many paths: need paths <= 2^32")
 
 
 def stream_level(text):
-    value = positive_int(text)
-    if value >= MAX_LEVEL:
-        raise ValueError("must be below 2^16, the number of stream levels")
-    return value
+    refusal = "must be below 2^16, the number of stream levels"
+    return integer_in(positive_int(text, "level"), "level", 1, MAX_LEVEL - 1, refusal)
 
 
 def _float(value):
@@ -72,8 +79,7 @@ class IgbmParams(namedtuple("IgbmParams", "a b sigma y0 horizon")):
             raise ValueError("a must be >= 0")
         if self.sigma < 0:
             raise ValueError("sigma must be >= 0")
-        if not self.horizon > 0:
-            raise ValueError("horizon must be > 0")
+        positive_length(self.horizon, "horizon")
         return self
 
     _make = classmethod(lambda cls, values: cls(*values))
@@ -120,8 +126,7 @@ class ExperimentConfig(namedtuple("ExperimentConfig", "params schemes step_count
             raise ValueError(f"step counts must be strictly ascending: {steps}")
         if any(finer % n for n, finer in zip(step_counts, step_counts[1:])):
             raise ValueError(f"each step count must divide the next: {steps}")
-        if _integer(num_paths) < 100:
-            raise ValueError("too few paths: need paths >= 100")
+        integer_in(num_paths, "num_paths", 100, refusal="too few paths: need paths >= 100")
         self = super().__new__(cls, params, tuple(schemes), step_counts, path_count(num_paths), u64(seed))
         if not (isinstance(self.params, IgbmParams) and all(isinstance(kind, SchemeKind) for kind in self.schemes)):
             raise ValueError(f"need IgbmParams and SchemeKinds, got {self.params!r} and {self.schemes!r}")

@@ -7,7 +7,7 @@ streams are keyed per path by `harness.path_generator`.
 
 import numpy as np
 
-from . import orthopoly
+from . import integer_in, orthopoly, positive_length
 
 __all__ = [
     "coarsen_arrays",
@@ -20,8 +20,7 @@ __all__ = [
 
 def sample_pair(length, rng):
     """Draw one interval's (w, h_area), in that order: w ~ N(0, length), h_area ~ N(0, length/12), independent."""
-    if not length > 0:
-        raise ValueError("nonpositive length")
+    positive_length(length, "length")
     w = rng.normal(0.0, np.sqrt(length))
     h_area = rng.normal(0.0, np.sqrt(length / 12.0))
     return w, h_area
@@ -33,8 +32,7 @@ def sample_kl_batch(degree, count, rng):
     w1 ~ N(0, 1); column k-1 holds I_k ~ N(0, 1/(k(k+1))), all independent.
     Each row is drawn w1-first, the order in which `polybrown paths` draws.
     """
-    if degree < 1:
-        raise ValueError("degree out of range: need degree >= 1")
+    degree, count = integer_in(degree, "degree", 1), integer_in(count, "count", 0)
     z = rng.standard_normal((count, degree))
     w1 = z[:, 0]
     ks = np.arange(1, degree)
@@ -73,8 +71,7 @@ def coarsen_arrays(w_fine, h_fine, carry):
     `carry` = [n, seen, *sums], [n, 0] to start, carries the partial last step's
     sums to the next call, so pieces fed in runs of any length coarsen as one run."""
     (n, seen, *sums), pieces = carry, len(w_fine)
-    if n < 1:
-        raise ValueError("a step needs n >= 1 pieces")
+    n = integer_in(n, "n", 1)
     w, h_sum, tilt = (np.zeros((-(-(seen + pieces) // n),) + w_fine.shape[1:]) for _ in range(3))
     for acc, partial in zip((w, h_sum, tilt), sums):
         acc[: len(partial)] = partial

@@ -16,6 +16,7 @@ import os
 import pathlib
 import sys
 import tempfile
+import warnings
 
 from . import REFERENCE, ExperimentConfig, IgbmParams, SchemeKind, __version__
 from . import path_count, positive_int, stream_level, u64
@@ -167,6 +168,8 @@ def _build_parser():
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    # a warning the run shows, such as `run_experiment`'s dropped slopes, is one line like the errors
+    formatwarning, warnings.formatwarning = warnings.formatwarning, lambda message, *_: f"polybrown: warning: {message}\n"
     try:
         strings, typed = _effective_config(args.command, args)
         if args.command == "check":
@@ -179,6 +182,8 @@ def main(argv=None):
     except (ValueError, MemoryError) as exc:
         print(f"polybrown: error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from collections import namedtuple
 import numpy as np
 from numpy.lib.introspect import opt_func_info
 
-from . import MAX_LEVEL, MAX_PATHS, ExperimentConfig, brownian, checks, igbm, orthopoly
+from . import MAX_LEVEL, MAX_PATHS, ExperimentConfig, brownian, checks, igbm, integer_in, orthopoly, u64
 from .brownian import coarsen_arrays
 
 __all__ = [
@@ -58,8 +58,8 @@ def path_generator(seed, domain, level, index):
     """Counter-based stream for one path: the 128-bit Philox key packs the
     master seed with (domain, level, path index), so streams are independent
     and reproducible for any work decomposition."""
-    if not (0 <= seed < 1 << 64 and 0 <= domain < 1 << 16 and 0 <= level < MAX_LEVEL and 0 <= index < MAX_PATHS):
-        raise ValueError("stream key component out of range")
+    seed, domain = u64(seed), integer_in(domain, "domain", 0, (1 << 16) - 1)
+    level, index = integer_in(level, "level", 0, MAX_LEVEL - 1), integer_in(index, "index", 0, MAX_PATHS - 1)
     key = np.array([seed, (domain << 48) | (level << 32) | index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -71,9 +71,7 @@ def path_increments(seed, domain, level, indices, n_intervals, scale):
     scale[j], so scale (sqrt(h), sqrt(h/12)) gives the (W, H) of steps h.  Only one
     chunk is held, filled `_GROUP` paths at a time; the first is allocated before
     the streams, which stay open: one draw in all."""
-    chunk = min(_CHUNK, n_intervals)
-    if chunk < 1:
-        raise ValueError("n_intervals must be positive")
+    chunk = min(_CHUNK, integer_in(n_intervals, "n_intervals", 1))
     buffer, generators = np.empty((min(_GROUP, len(indices)), chunk, len(scale))), None
     for start in range(0, n_intervals, chunk):
         z = buffer[:, : n_intervals - start]  # the last chunk may be shorter

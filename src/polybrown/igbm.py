@@ -15,7 +15,7 @@ involved.
 
 import numpy as np
 
-from . import REFERENCE, IgbmParams, SchemeKind, levy
+from . import REFERENCE, IgbmParams, SchemeKind, levy, positive_length
 from .orthopoly import gauss_legendre_01
 
 __all__ = ["REFERENCE", "IgbmParams", "SchemeKind", "kernel_fn", "phi", "simulate"]
@@ -102,14 +102,12 @@ def simulate(kind, p, w, h_area, out=None, y=None, h=None):
     """
     w = np.asarray(w, dtype=float)
     h_area = np.asarray(h_area, dtype=float)
-    if w.ndim != 2 or w.shape != h_area.shape or (out is not None and out.shape != w.shape):
-        raise ValueError("w, h_area and out must be (steps, paths) arrays of one shape")
+    if w.ndim != 2 or w.shape != h_area.shape or (out is not None and (out.shape, out.dtype) != (w.shape, w.dtype)):
+        raise ValueError("w, h_area and out must be (steps, paths) float64 arrays of one shape")
     if len(w) == 0:
         raise ValueError("need at least one step")
     prepare, clamped = _SCHEMES[kind]
-    h = p.horizon / len(w) if h is None else h
-    if not h > 0:  # NaN fails too
-        raise ValueError("the step length h must be positive")
+    h = positive_length(p.horizon / len(w) if h is None else h, "h")
     y = np.full(w.shape[1], p.y0) if y is None else y
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # the terminals are judged below
         for k in range(0, len(w), _SLAB):

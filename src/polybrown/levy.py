@@ -6,6 +6,8 @@ interval length as a positive scalar; the log-ODE scheme of `igbm` runs
 
 from collections import namedtuple
 
+from . import positive_length
+
 __all__ = [
     "TripleIntegrals",
     "cond_mean_L",
@@ -20,11 +22,6 @@ __all__ = [
 TripleIntegrals = namedtuple("TripleIntegrals", "i_wwt i_wtw i_tww i_wt i_tw")
 
 
-def _check_positive_length(length):
-    if not length > 0:
-        raise ValueError("nonpositive length")
-
-
 def cond_mean_sq_integral(w, h_area, length):
     """E[ integral of (W_{s,u})^2 du | W, H ] = hW^2/3 + hWH + 2 E[L | W, H]."""
     return length * w * w / 3.0 + length * w * h_area + 2.0 * cond_mean_L(w, h_area, length)
@@ -32,19 +29,19 @@ def cond_mean_sq_integral(w, h_area, length):
 
 def cond_mean_L(w, h_area, length):
     """E[ L | W, H ] = h^2/30 + 3hH^2/5; W does not enter."""
-    _check_positive_length(length)
+    positive_length(length, "length")
     return length * length / 30.0 + 0.6 * length * h_area * h_area
 
 
 def cond_var_L(w, h_area, length):
     """Var( L | W, H ) = 11 h^4 / 25200 + h^3 (W^2/720 + H^2/700)."""
-    _check_positive_length(length)
+    positive_length(length, "length")
     return 11.0 / 25200.0 * length**4 + length**3 * (w * w / 720.0 + h_area * h_area / 700.0)
 
 
 def triple_integrals_from_whl(w, h_area, l_area, length):
     """The five integral identities expressing iterated integrals via (W, H, L)."""
-    _check_positive_length(length)
+    positive_length(length, "length")
     h = length
     base = h * w * w / 6.0
     cross = 0.5 * h * w * h_area

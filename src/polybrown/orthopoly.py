@@ -6,6 +6,8 @@ import itertools
 
 import numpy as np
 
+from . import integer_in
+
 __all__ = [
     "MAX_DEGREE",
     "PolyBasis",
@@ -50,16 +52,12 @@ def _jacobi(x):
 
 def legendre_eval(k, x):
     """Evaluate the Legendre polynomial Q_k on [-1, 1] by the Bonnet recurrence."""
-    if k < 0:
-        raise ValueError("degree out of range: k must be >= 0")
-    return next(itertools.islice(_legendre(x), k, None))
+    return next(itertools.islice(_legendre(x), integer_in(k, "k", 0), None))
 
 
 def jacobi_m1m1_eval_legendre(k, x):
     """Evaluate P_k^(-1,-1)(x) as a rescaled difference of Legendre polynomials."""
-    if k < 2:
-        raise ValueError("degree out of range: k must be >= 2")
-    return next(itertools.islice(_jacobi(x), k - 2, None))
+    return next(itertools.islice(_jacobi(x), integer_in(k, "k", 2) - 2, None))
 
 
 def jacobi_m1m1_eval_recurrence(k, x):
@@ -68,8 +66,7 @@ def jacobi_m1m1_eval_recurrence(k, x):
     n(n+2) P_{n+2} = (n+1)(2n+1) x P_{n+1} - n(n+1) P_n, seeded with the
     degree-2 and degree-3 base cases.
     """
-    if k < 2:
-        raise ValueError("degree out of range: k must be >= 2")
+    k = integer_in(k, "k", 2)
     x = np.asarray(x, dtype=float)
     p_lo = 0.25 * (x - 1.0) * (x + 1.0)
     if k == 2:
@@ -103,9 +100,9 @@ def jacobi_m1m1_coeffs(k):
 
 def eigenvalue(k):
     """Variance of the k-th expansion coefficient, 1 / (k (k + 1)), for an
-    index k >= 1 or an array of them."""
-    if np.any(np.asarray(k) < 1):
-        raise ValueError("index out of range: k must be >= 1")
+    index k >= 1 or an integer array of them, checked by its least element
+    (the array's dtype; `initial` lets an empty array pass)."""
+    integer_in(np.min(k, initial=1) if np.ndim(k) else k, "k", 1)
     return 1.0 / (k * (k + 1.0))
 
 
@@ -128,9 +125,7 @@ def basis_e_rows(t):
 def basis_e_eval(k, t):
     """Evaluate the orthonormal eigenfunction e_k at t in [0, 1]: row k of
     `basis_e_rows`."""
-    if k < 1:
-        raise ValueError("index out of range: k must be >= 1")
-    return next(itertools.islice(basis_e_rows(t), k - 1, None))
+    return next(itertools.islice(basis_e_rows(t), integer_in(k, "k", 1) - 1, None))
 
 
 def gauss_legendre(n):
@@ -140,8 +135,7 @@ def gauss_legendre(n):
     Nodes are found by Newton iteration on Q_n from Chebyshev-like initial
     guesses, to a 1e-15 update tolerance, then symmetrized about zero.
     """
-    if not 1 <= n <= MAX_DEGREE:
-        raise ValueError(f"unsupported node count: need 1 <= n <= {MAX_DEGREE}")
+    n = integer_in(n, "n", 1, MAX_DEGREE)
 
     def q_and_slope(x):  # Q_n(x) and Q_n'(x) = n (x Q_n - Q_{n-1}) / (x^2 - 1)
         q_prev, q = itertools.islice(_legendre(x), n - 1, n + 1)

@@ -27,7 +27,7 @@ def test_sample_pair_basics():
     # Var(h_area) scales like length/12: check the sampling std directly
     draws = np.array([h_area for _, h_area in (bm.sample_pair(4.0, g) for _ in range(20000))])
     assert abs(np.var(draws) - 1.0 / 3.0) < 0.02
-    with pytest.raises(ValueError, match="nonpositive length"):
+    with pytest.raises(ValueError, match="^length must be > 0$"):
         bm.sample_pair(0.0, g)
 
 
@@ -248,7 +248,7 @@ def test_coarsen_arrays_matches_scalar():
 
 @pytest.mark.parametrize("n", [0, -1])
 def test_coarsen_arrays_refuses_fewer_than_one_piece_a_step(n):
-    with pytest.raises(ValueError, match="a step needs n >= 1 pieces"):
+    with pytest.raises(ValueError, match=r"^n: expected n >= 1, got -?\d$"):
         bm.coarsen_arrays(np.zeros((4, 2)), np.zeros((4, 2)), [n, 0])
 
 

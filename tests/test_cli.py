@@ -873,7 +873,7 @@ def test_dropped_slopes_are_named_on_stderr(tmp_path):
     result = subprocess.run(command, env=env, capture_output=True, text=True)
     assert result.returncode == 0
     zeros = "error 0 at N=5, error 0 at N=10, error 0 at N=20"
-    assert f"UserWarning: no weak slope for linear, euler ({zeros})\n" in result.stderr
+    assert result.stderr == f"polybrown: warning: no weak slope for linear, euler ({zeros})\n"
     assert (tmp_path / "o" / "slopes.csv").read_text() == "scheme,metric,slope,slope_stderr\n"
 
 

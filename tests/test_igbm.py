@@ -277,12 +277,22 @@ def test_simulate_checks_coverage():
         igbm.simulate(LOG_ODE, BENCH, np.zeros((3, 4)), np.zeros((3, 4)), out=np.empty((4, 4)))
 
 
+@pytest.mark.parametrize("dtype", [int, np.float32, np.complex128, object])
+def test_simulate_refuses_an_out_that_is_not_float64(dtype):
+    # an int `out` truncated every stored value to 0 without a word
+    out = np.zeros((4, 5), dtype=dtype)
+    w, hh = make_increments(4, 5, BENCH.horizon, rng(13))
+    with pytest.raises(ValueError, match=r"^w, h_area and out must be \(steps, paths\) float64 arrays of one shape$"):
+        igbm.simulate(LOG_ODE, BENCH, w, hh, out=out)
+    assert np.all(out == 0)
+
+
 @pytest.mark.parametrize("kind", igbm.SchemeKind)
 @pytest.mark.parametrize("h", [0.0, -0.1, np.nan])
 def test_simulate_refuses_a_step_length_that_is_not_positive(kind, h):
     w, hh = make_increments(2, 3, BENCH.horizon, rng(13))
     out = np.full_like(w, 7.0)
-    with pytest.raises(ValueError, match="the step length h must be positive"):
+    with pytest.raises(ValueError, match="^h must be > 0$"):
         igbm.simulate(kind, BENCH, w, hh, out=out, h=h)
     assert np.all(out == 7.0)  # refused before the fold
 

@@ -20,7 +20,7 @@ def test_cond_mean_sq_integral_values():
     assert levy.cond_mean_sq_integral(1.0, 0.0, 1.0) == pytest.approx(0.4, rel=1e-15)
     for closed_form in (levy.cond_mean_sq_integral, levy.cond_mean_L, levy.cond_var_L):
         for length in (0.0, -1.0):
-            with pytest.raises(ValueError, match="nonpositive length"):
+            with pytest.raises(ValueError, match="^length must be > 0$"):
                 closed_form(0.0, 0.0, length)
 
 

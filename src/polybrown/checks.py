@@ -9,7 +9,7 @@ their own bounds.
 
 import numpy as np
 
-from . import brownian, igbm, levy, orthopoly
+from . import REFERENCE, SchemeKind, brownian, igbm, levy, orthopoly
 
 
 def _worst(residuals):
@@ -106,8 +106,7 @@ def levy_algebra(g):
 def coarsen_associativity(g):
     """`coarsen_arrays` of four quarter intervals at once against coarsening
     the two halves first, on 100 draws."""
-    z = g.standard_normal((100, 4, 2)).T
-    w, h_area = np.sqrt(0.25) * z[0], np.sqrt(0.25 / 12.0) * z[1]
+    w, h_area = g.standard_normal((100, 4, 2)).T * brownian.pair_scale(0.25)[:, None, None]
     direct = brownian.coarsen_arrays(w, h_area, [4, 0])
     paired = brownian.coarsen_arrays(*brownian.coarsen_arrays(w, h_area, [2, 0]), [2, 0])
     return _worst(a - b for a, b in zip(direct, paired))
@@ -124,11 +123,11 @@ def schemes(g):
     """One sigma = 0 step of the log-ODE, parabola and linear schemes against
     the exact flow, and the constant Lie brackets -ab*sigma and ab*sigma^2 of
     the reference parameters at 20 points drawn from U(-2, 2)."""
-    p = igbm.REFERENCE._replace(sigma=0.0, horizon=0.1)  # one step of h = 0.1
+    p = REFERENCE._replace(sigma=0.0, horizon=0.1)  # one step of h = 0.1
     flow = p.b + (p.y0 - p.b) * np.exp(-p.a * p.horizon)  # the sigma = 0 flow b + (y0 - b) e^(-ah)
-    kinds = (igbm.SchemeKind.LOG_ODE, igbm.SchemeKind.PARABOLA_ODE, igbm.SchemeKind.PIECEWISE_LINEAR)
+    kinds = (SchemeKind.LOG_ODE, SchemeKind.PARABOLA_ODE, SchemeKind.PIECEWISE_LINEAR)
     residuals = [igbm.simulate(kind, p, [[0.3]], [[-0.1]]) - flow for kind in kinds]
-    r = igbm.REFERENCE
+    r = REFERENCE
     y = g.uniform(-2.0, 2.0, size=20)
     bracket = -r.a_strat * (r.sigma * y) - r.sigma * (r.a * r.b - r.a_strat * y)  # f0 = ab - a~y, f1 = sigma y
     return _worst(residuals + [bracket + r.a * r.b * r.sigma, -r.sigma * bracket - r.a * r.b * r.sigma**2])

@@ -74,24 +74,26 @@ _OPTIONS = {
 def _load_config_file(path):
     values = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is not part of the first key
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
                     continue
-                if "=" not in line:
+                key, equals, value = line.partition("=")
+                if not (equals and key.strip()):
                     raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-                key, value = line.split("=", 1)
                 values[key.strip().replace("-", "_")] = value.strip()
     except OSError as exc:
         raise ValueError(f"cannot read config file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot read config file: {path}: {exc}") from None
     return values
 
 
 def _effective_config(command, args):
     merged = dict(_DEFAULTS[command])
     config_path = getattr(args, "config", None)
-    if config_path:
+    if config_path is not None:  # so an empty name is refused too, as for `--out`
         file_values = _load_config_file(config_path)
         unknown = sorted(set(file_values) - set(merged))
         if unknown:

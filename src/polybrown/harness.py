@@ -21,14 +21,11 @@ from collections import namedtuple
 import numpy as np
 from numpy.lib.introspect import opt_func_info
 
-from . import MAX_LEVEL, MAX_PATHS, ExperimentConfig, brownian, checks, igbm, integer_in, orthopoly, u64
+from . import MAX_LEVEL, MAX_PATHS, SchemeKind, brownian, checks, igbm, integer_in, orthopoly, u64
 from .brownian import coarsen_arrays
 
 __all__ = [
     "ErrorRow",
-    "ExperimentConfig",
-    "MAX_LEVEL",
-    "MAX_PATHS",
     "SlopeRow",
     "fine_steps",
     "fit_slope",
@@ -55,12 +52,12 @@ def fine_steps(step_counts):
 
 
 def path_generator(seed, domain, level, index):
-    """Counter-based stream for one path: the 128-bit Philox key packs the
-    master seed with (domain, level, path index), so streams are independent
-    and reproducible for any work decomposition."""
-    seed, domain = u64(seed), integer_in(domain, "domain", 0, (1 << 16) - 1)
+    """Counter-based stream for one path: the 128-bit Philox key is the master seed and
+    (domain, level, path index) packed by the root's limits `MAX_LEVEL` and `MAX_PATHS`,
+    so streams are independent and reproducible for any work decomposition."""
+    seed, domain = u64(seed), integer_in(domain, "domain", 0, (1 << 64) // (MAX_LEVEL * MAX_PATHS) - 1)
     level, index = integer_in(level, "level", 0, MAX_LEVEL - 1), integer_in(index, "index", 0, MAX_PATHS - 1)
-    key = np.array([seed, (domain << 48) | (level << 32) | index], dtype=np.uint64)
+    key = np.array([seed, (domain * MAX_LEVEL + level) * MAX_PATHS + index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -68,10 +65,10 @@ def path_increments(seed, domain, level, indices, n_intervals, scale):
     """Yield time-major (len(scale), width, len(indices)) arrays in time order,
     n_intervals intervals in all, in chunks of min(`_CHUNK`, n_intervals) but the
     last, which may be shorter.  Entry j of an interval is a standard normal times
-    scale[j], so scale (sqrt(h), sqrt(h/12)) gives the (W, H) of steps h.  Only one
+    scale[j], so `brownian.pair_scale(h)` gives the (W, H) of steps h.  Only one
     chunk is held, filled `_GROUP` paths at a time; the first is allocated before
     the streams, which stay open: one draw in all."""
-    chunk = min(_CHUNK, integer_in(n_intervals, "n_intervals", 1))
+    chunk = min(_CHUNK, n_intervals := integer_in(n_intervals, "n_intervals", 1))
     buffer, generators = np.empty((min(_GROUP, len(indices)), chunk, len(scale))), None
     for start in range(0, n_intervals, chunk):
         z = buffer[:, : n_intervals - start]  # the last chunk may be shorter
@@ -116,8 +113,8 @@ def _simulate_block(params, schemes, step_counts, n_fine, seed, paths):
     table = np.full((1 + len(schemes) * len(step_counts), len(paths)), params.y0)
     carries = [[finer // n_steps, 0] for n_steps, finer in zip(step_counts, (*step_counts[1:], n_fine))]
     h_fine = params.horizon / n_fine
-    for w, h_area in path_increments(seed, _DOMAIN_HARNESS, 0, paths, n_fine, np.sqrt([h_fine, h_fine / 12.0])):
-        table[0] = igbm.simulate(igbm.SchemeKind.LOG_ODE, params, w, h_area, y=table[0], h=h_fine)
+    for w, h_area in path_increments(seed, _DOMAIN_HARNESS, 0, paths, n_fine, brownian.pair_scale(h_fine)):
+        table[0] = igbm.simulate(SchemeKind.LOG_ODE, params, w, h_area, y=table[0], h=h_fine)
         for level in reversed(range(len(step_counts))):
             w, h_area = coarsen_arrays(w, h_area, carries[level])
             h, level_rows = params.horizon / step_counts[level], table[1 + level :: len(step_counts)]
@@ -271,10 +268,8 @@ def cmd_basis(cfg, out):
 
 
 def _kl_block(seed, degree, paths):
-    """Rows (w1, I_1, ..., I_{degree-1}) of the paths in the range `paths`,
-    drawn as one interval with scale (1, sqrt(lambda_1), ...)."""
-    scale = np.sqrt(np.concatenate(([1.0], orthopoly.eigenvalue(np.arange(1, degree)))))
-    (draws,) = path_increments(seed, _DOMAIN_PATHS, degree, paths, 1, scale)
+    """Rows (w1, I_1, ..., I_{degree-1}) of the range `paths`, one interval each, by `brownian.kl_scale`."""
+    (draws,) = path_increments(seed, _DOMAIN_PATHS, degree, paths, 1, brownian.kl_scale(degree))
     return draws[:, 0].T
 
 
@@ -293,7 +288,7 @@ def _igbm_block(params, scheme, n_steps, seed, paths):
     h = params.horizon / n_steps
     traj, k = np.empty((n_steps + 1, len(paths))), 0
     traj[0] = params.y0
-    for w, h_area in path_increments(seed, _DOMAIN_IGBM, n_steps, paths, n_steps, np.sqrt([h, h / 12.0])):
+    for w, h_area in path_increments(seed, _DOMAIN_IGBM, n_steps, paths, n_steps, brownian.pair_scale(h)):
         igbm.simulate(scheme, params, w, h_area, out=traj[k + 1 : k + 1 + len(w)], y=traj[k], h=h)
         k += len(w)
     return traj.T

@@ -15,10 +15,10 @@ involved.
 
 import numpy as np
 
-from . import REFERENCE, IgbmParams, SchemeKind, levy, positive_length
+from . import SchemeKind, levy, positive_length
 from .orthopoly import gauss_legendre_01
 
-__all__ = ["REFERENCE", "IgbmParams", "SchemeKind", "kernel_fn", "phi", "simulate"]
+__all__ = ["kernel_fn", "phi", "simulate"]
 
 
 def phi(x):

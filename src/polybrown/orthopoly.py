@@ -100,9 +100,10 @@ def jacobi_m1m1_coeffs(k):
 
 def eigenvalue(k):
     """Variance of the k-th expansion coefficient, 1 / (k (k + 1)), for an
-    index k >= 1 or an integer array of them, checked by its least element
-    (the array's dtype; `initial` lets an empty array pass)."""
-    integer_in(np.min(k, initial=1) if np.ndim(k) else k, "k", 1)
+    index k >= 1, taken as the int the rule returns, or an integer array of them,
+    checked by its least element (its dtype; `initial` lets an empty one pass)."""
+    checked = integer_in(np.min(k, initial=1) if np.ndim(k) else k, "k", 1)
+    k = k if np.ndim(k) else checked
     return 1.0 / (k * (k + 1.0))
 
 
@@ -153,8 +154,7 @@ def gauss_legendre(n):
     _, dq = q_and_slope(x)
     w = 2.0 / ((1.0 - x * x) * dq * dq)
     w = 0.5 * (w + w[::-1])
-    order = np.argsort(x)
-    return x[order], w[order]
+    return x[::-1], w  # ascending: x descends and is odd, and w is even
 
 
 def gauss_legendre_01(n):

@@ -16,7 +16,7 @@ rescaled space-time area `h_area`.
 
 import numpy as np
 
-from polybrown import brownian, igbm, levy, orthopoly
+from polybrown import SchemeKind, brownian, igbm, levy, orthopoly
 
 
 def sample_brownian_dense(n_steps, rng, size=()):
@@ -185,7 +185,7 @@ def whole_block(params, schemes, step_counts, w, h_area):
     terminal table of `harness._simulate_block`: row 0 the reference, row
     1 + s L + l scheme s at step count l."""
     table = np.empty((1 + len(schemes) * len(step_counts), w.shape[1]))
-    table[0] = igbm.simulate(igbm.SchemeKind.LOG_ODE, params, w, h_area)
+    table[0] = igbm.simulate(SchemeKind.LOG_ODE, params, w, h_area)
     for level in reversed(range(len(step_counts))):
         w, h_area = brownian.coarsen_arrays(w, h_area, [len(w) // step_counts[level], 0])
         for s, scheme in enumerate(schemes):

@@ -11,9 +11,8 @@ import pytest
 
 import oracles
 from polybrown import brownian as bm
-from polybrown import checks, harness, levy
+from polybrown import REFERENCE, ExperimentConfig, SchemeKind, checks, harness, levy
 from polybrown import orthopoly as op
-from polybrown.igbm import REFERENCE, SchemeKind
 
 SEED = 20_240_601
 
@@ -157,7 +156,7 @@ def test_criterion_6_levy_algebra():
 
 @pytest.fixture(scope="module")
 def strong_report():
-    cfg = harness.ExperimentConfig(REFERENCE, tuple(SchemeKind), (25, 50, 100, 200, 400), 10_000, SEED)
+    cfg = ExperimentConfig(REFERENCE, tuple(SchemeKind), (25, 50, 100, 200, 400), 10_000, SEED)
     return harness.run_experiment(cfg, "strong", workers=2)
 
 
@@ -206,7 +205,7 @@ def test_criterion_8_error_ordering(strong_report):
 
 @pytest.fixture(scope="module")
 def weak_report():
-    cfg = harness.ExperimentConfig(REFERENCE, tuple(SchemeKind), (5, 10, 20, 40, 80, 160), 100_000, SEED)
+    cfg = ExperimentConfig(REFERENCE, tuple(SchemeKind), (5, 10, 20, 40, 80, 160), 100_000, SEED)
     return harness.run_experiment(cfg, "weak", workers=2)
 
 
@@ -242,7 +241,7 @@ def test_criterion_9_weak_slopes(weak_report):
 
 
 def test_criterion_10_determinism(tmp_path):
-    cfg = harness.ExperimentConfig(REFERENCE, tuple(SchemeKind), (25, 50), 612, SEED)
+    cfg = ExperimentConfig(REFERENCE, tuple(SchemeKind), (25, 50), 612, SEED)
 
     def emit(name, workers):
         written = b""

@@ -30,7 +30,7 @@ from numpy.lib.introspect import opt_func_info
 
 import oracles
 import polybrown
-from polybrown import checks, cli, harness, igbm, orthopoly
+from polybrown import checks, cli, harness, orthopoly
 
 
 def run(argv):
@@ -178,6 +178,39 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
 
 def test_config_missing_file(tmp_path):
     assert run(["strong", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"paths = 1\xff\n", "cannot read config file: run.cfg: 'utf-8' codec can't decode byte 0xff in position 9: "
+         "invalid start byte"),
+        (b"grid = 2\n= 5\n", "run.cfg:2: expected 'key = value'"),
+    ],
+    ids=["not-utf-8", "empty-key"],
+)
+def test_config_file_refusals_name_the_file(tmp_path, capsys, monkeypatch, content, message):
+    monkeypatch.chdir(tmp_path)
+    Path("run.cfg").write_bytes(content)
+    assert run(["basis", "--config", "run.cfg"]) == 2
+    assert capsys.readouterr().err == f"polybrown: error: {message}\n"
+    assert os.listdir() == ["run.cfg"]
+
+
+def test_config_file_may_start_with_a_byte_order_mark(tmp_path):
+    for name, bom in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        (tmp_path / f"{name}.cfg").write_bytes(bom + b"grid = 2\nmax_k = 1\n")
+        assert run(["basis", "--config", str(tmp_path / f"{name}.cfg"), "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "bom" / "basis.csv").read_bytes() == (tmp_path / "plain" / "basis.csv").read_bytes()
+    assert "\ngrid = 2\n" in (tmp_path / "bom" / "manifest.txt").read_text()
+
+
+def test_empty_config_name_is_a_usage_error_before_any_work(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(harness, "path_increments", _no_work)
+    assert run(["strong", "--config", ""]) == 2
+    assert capsys.readouterr().err == "polybrown: error: cannot read config file: [Errno 2] No such file or directory: ''\n"
+    assert os.listdir() == []
 
 
 def test_config_and_manifest_are_utf_8_in_any_locale(tmp_path):
@@ -407,8 +440,8 @@ def test_failed_run_removes_every_directory_it_made_for_out(tmp_path, capsys, mo
     assert capsys.readouterr().err.count("the parabola scheme gave non-finite values") == 2
 
 
-TOO_MANY = str(harness.MAX_PATHS + 1)
-TOO_HIGH = str(harness.MAX_LEVEL)
+TOO_MANY = str(polybrown.MAX_PATHS + 1)
+TOO_HIGH = str(polybrown.MAX_LEVEL)
 
 
 @pytest.mark.parametrize(
@@ -438,7 +471,7 @@ def test_out_of_memory_refused_before_output(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(harness, "path_increments", out_of_memory)
     out = tmp_path / "o"
     for command in ("igbm-paths", "paths"):
-        assert run([command, "--paths", str(harness.MAX_PATHS), "--out", str(out)]) == 2
+        assert run([command, "--paths", str(polybrown.MAX_PATHS), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"polybrown: error: {message}\n"
         assert list(tmp_path.iterdir()) == []  # neither --out nor a staging directory
 
@@ -446,7 +479,7 @@ def test_out_of_memory_refused_before_output(tmp_path, capsys, monkeypatch):
 def test_paths_beyond_the_coefficient_tables(tmp_path):
     # up to the largest degree the CLI accepts: one recurrence pass over the
     # basis keeps degree 65535 at about a second
-    for degree, paths in ((200, 3), (harness.MAX_LEVEL - 1, 1)):
+    for degree, paths in ((200, 3), (polybrown.MAX_LEVEL - 1, 1)):
         out = tmp_path / str(degree)
         assert run(["paths", "--degree", str(degree), "--paths", str(paths), "--grid", "11", "--out", str(out)]) == 0
         coeffs = (out / "path_coeffs.csv").read_text().splitlines()
@@ -715,7 +748,7 @@ def test_trajectory_memory_is_its_trajectories_and_one_chunk():
     # 64 paths of 20 000 steps: the trajectories take 10.2 MB, and the draws,
     # streamed one chunk at a time, add about 1 MiB, where a whole-run draw
     # added 29 MiB
-    args = (igbm.REFERENCE, igbm.SchemeKind.LOG_ODE, 20_000, 1)
+    args = (polybrown.REFERENCE, polybrown.SchemeKind.LOG_ODE, 20_000, 1)
     harness._igbm_block(*args, range(1))  # the first block also allocates one-time caches
     tracemalloc.start()
     try:
@@ -1016,6 +1049,15 @@ def test_every_exported_name_resolves():
             module = importlib.import_module(f"polybrown.{info.name}")
             missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
             assert not missing, (info.name, missing)
+
+
+def test_no_module_exports_a_root_name():
+    """What the package root defines is imported from `polybrown`, so no
+    submodule's `__all__` lists it again."""
+    for info in pkgutil.iter_modules(polybrown.__path__):
+        if info.name != "__main__":
+            module = importlib.import_module(f"polybrown.{info.name}")
+            assert not set(getattr(module, "__all__", ())) & set(vars(polybrown)), info.name
 
 
 def test_unknown_subcommand_exits_nonzero():

@@ -15,12 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from polybrown import harness, igbm
-from polybrown.igbm import REFERENCE, IgbmParams, SchemeKind
+from polybrown import REFERENCE, ExperimentConfig, IgbmParams, SchemeKind, harness, igbm
 
 
 def small_config(num_paths=400, step_counts=(10, 20, 40), seed=99, schemes=tuple(SchemeKind)):
-    return harness.ExperimentConfig(REFERENCE, schemes, step_counts, num_paths, seed)
+    return ExperimentConfig(REFERENCE, schemes, step_counts, num_paths, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -52,17 +51,17 @@ def test_config_validation():
         ((-0.1, 0.04, 0.6, 0.06, 5.0), tuple(SchemeKind)),
     ]:
         with pytest.raises(ValueError, match="need IgbmParams and SchemeKinds, got"):
-            harness.ExperimentConfig(params, schemes, (5, 10, 20), 100, 0)
+            ExperimentConfig(params, schemes, (5, 10, 20), 100, 0)
     # the integer rules take exact integers from library callers, never a truncated float or a bool
     for bad in (dict(seed=1.5), dict(seed=True), dict(step_counts=(10.5, 21, 42)), dict(num_paths=100.7)):
         with pytest.raises(ValueError, match="expected an integer, got"):
             small_config(**bad)
     # what the rules accept, strings as from the CLI and NumPy integers, is stored as
     # the plain values they return, so the run sees the all-integer config
-    plain = harness.ExperimentConfig(REFERENCE, tuple(SchemeKind), (5, 10, 20), 100, 0)
+    plain = ExperimentConfig(REFERENCE, tuple(SchemeKind), (5, 10, 20), 100, 0)
     reports = [repr(harness.run_experiment(plain, metric)) for metric in ("strong", "weak")]
     for steps, paths, seed in [(("5", "10", "20"), "100", "0"), (np.array([5, 10, 20]), np.int64(100), np.uint64(0))]:
-        config = harness.ExperimentConfig(REFERENCE, list(SchemeKind), steps, paths, seed)
+        config = ExperimentConfig(REFERENCE, list(SchemeKind), steps, paths, seed)
         assert config == plain and type(config.schemes) is tuple
         assert all(type(n) is int for n in (*config.step_counts, config.num_paths, config.seed))
         assert [repr(harness.run_experiment(config, metric)) for metric in ("strong", "weak")] == reports
@@ -135,6 +134,16 @@ def test_path_streams_are_reproducible_and_distinct():
     g3 = harness.path_generator(7, 1, 25, 4).standard_normal(4)
     np.testing.assert_array_equal(g1, g2)
     assert not np.array_equal(g1, g3)
+
+
+def test_path_generator_key_layout():
+    # the second key word is (domain, level, index) in 16, 16 and 32 bits: the root's MAX_LEVEL and MAX_PATHS
+    pins = {(2**64 - 1, 2**16 - 1, 2**16 - 1, 2**32 - 1): 2**64 - 1, (7, 1, 25, 3): 2**48 + 25 * 2**32 + 3}
+    pins[2**64 - 1, 1, 0, 0] = 2**48  # both words as uint64, not as a list NumPy would make float
+    for key, word in pins.items():
+        expected = np.random.Generator(np.random.Philox(key=np.array([key[0], word], dtype=np.uint64)))
+        expected = expected.standard_normal(8)
+        assert harness.path_generator(*key).standard_normal(8).tobytes() == expected.tobytes()
 
 
 def test_path_generator_rejects_out_of_range_keys():
@@ -343,7 +352,7 @@ def test_errors_scale_exactly_with_the_level(metric, k):
     # (an ulp of 416 is 5.7e-14) moves a 3-point slope by up to about 8e-14
     def run(scale):
         params = IgbmParams(REFERENCE.a, REFERENCE.b * scale, REFERENCE.sigma, REFERENCE.y0 * scale, REFERENCE.horizon)
-        return harness.run_experiment(harness.ExperimentConfig(params, tuple(SchemeKind), (5, 10, 20), 300, 99), metric)
+        return harness.run_experiment(ExperimentConfig(params, tuple(SchemeKind), (5, 10, 20), 300, 99), metric)
 
     (rows, slopes), (scaled_rows, scaled_slopes) = run(1.0), run(2.0**k)
     assert [(r.error * 2.0**k, r.std_err * 2.0**k) for r in rows] == [(r.error, r.std_err) for r in scaled_rows]
@@ -361,7 +370,7 @@ def test_time_rescaling_keeps_every_value(j):
     # log(h) - j log 4, whose rounding moves them by up to about 1e-14
     scaled = REFERENCE._replace(a=REFERENCE.a * 4.0**j, sigma=REFERENCE.sigma * 2.0**j, horizon=REFERENCE.horizon / 4.0**j)
     for metric in ("strong", "weak"):
-        configs = (harness.ExperimentConfig(p, tuple(SchemeKind), (5, 10, 20), 100, 7) for p in (REFERENCE, scaled))
+        configs = (ExperimentConfig(p, tuple(SchemeKind), (5, 10, 20), 100, 7) for p in (REFERENCE, scaled))
         (rows, slopes), (scaled_rows, scaled_slopes) = (harness.run_experiment(cfg, metric) for cfg in configs)
         assert [(r.h / 4.0**j, r.error, r.std_err) for r in rows] == [(r.h, r.error, r.std_err) for r in scaled_rows]
         assert len(slopes) == len(scaled_slopes) == len(SchemeKind)
@@ -377,7 +386,7 @@ def test_time_rescaling_keeps_every_value(j):
 
 def test_sigma_zero_is_deterministic():
     params = IgbmParams(a=0.1, b=0.04, sigma=0.0, y0=0.06, horizon=5.0)
-    cfg = harness.ExperimentConfig(
+    cfg = ExperimentConfig(
         params=params, schemes=(SchemeKind.EULER_MARUYAMA,), step_counts=(10, 20, 40), num_paths=200, seed=1
     )
     row = harness.run_experiment(cfg, "strong")[0][1]
@@ -392,7 +401,7 @@ def test_slopes_of_errors_at_the_rounding_floor_are_left_out():
     # floor M eps rms(reference) = 1.2e-14 (M = 1000) and a slope through
     # them is noise; Milstein and Euler err by O(h) and keep slopes near 1
     still = IgbmParams(a=0.1, b=0.04, sigma=0.0, y0=0.06, horizon=5.0)
-    cfg = harness.ExperimentConfig(still, tuple(SchemeKind), (5, 10, 20), num_paths=200, seed=0)
+    cfg = ExperimentConfig(still, tuple(SchemeKind), (5, 10, 20), num_paths=200, seed=0)
     errors = r"\(error \S+ at N=5, error \S+ at N=10, error \S+ at N=20\)"
     with pytest.warns(UserWarning, match=rf"^no strong slope for log-ode, linear {errors}; parabola {errors}$"):
         rows, slopes = harness.run_experiment(cfg, "strong")
@@ -430,7 +439,7 @@ def test_run_experiment_report_shape():
 
 @functools.cache
 def _run_schemes(schemes, metric):
-    return harness.run_experiment(harness.ExperimentConfig(REFERENCE, schemes, (5, 10, 20), 300, 3), metric)
+    return harness.run_experiment(ExperimentConfig(REFERENCE, schemes, (5, 10, 20), 300, 3), metric)
 
 
 @settings(deadline=None, derandomize=True, max_examples=40)
@@ -456,7 +465,7 @@ def test_run_experiment_deterministic():
 def test_slopes_left_out_are_named_in_a_warning():
     flat = IgbmParams(a=0.1, b=0.0, sigma=0.6, y0=0.0, horizon=5.0)  # y stays 0: every error is 0
     schemes = (SchemeKind.PIECEWISE_LINEAR, SchemeKind.EULER_MARUYAMA)
-    cfg = harness.ExperimentConfig(params=flat, schemes=schemes, step_counts=(5, 10, 20), num_paths=100, seed=0)
+    cfg = ExperimentConfig(params=flat, schemes=schemes, step_counts=(5, 10, 20), num_paths=100, seed=0)
     with pytest.warns(UserWarning) as record:
         _, slopes = harness.run_experiment(cfg, "weak")
     assert slopes == ()
@@ -479,7 +488,7 @@ def test_block_size_does_not_change_the_report(monkeypatch):
 def test_non_finite_terminals_raise_through_the_pool(monkeypatch):
     monkeypatch.setattr(harness, "_BLOCK", 50)  # two blocks, so two pool processes
     wild = IgbmParams(a=0.1, b=0.04, sigma=100.0, y0=0.06, horizon=5.0)
-    cfg = harness.ExperimentConfig(wild, (SchemeKind.PARABOLA_ODE,), (5, 10, 20), num_paths=100, seed=0)
+    cfg = ExperimentConfig(wild, (SchemeKind.PARABOLA_ODE,), (5, 10, 20), num_paths=100, seed=0)
     with pytest.raises(ValueError, match="the parabola scheme"):
         harness.run_experiment(cfg, "strong", workers=2)
 

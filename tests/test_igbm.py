@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from polybrown import brownian as bm
-from polybrown import igbm, levy
+from polybrown import REFERENCE, IgbmParams, SchemeKind, igbm, levy
 
-BENCH = igbm.IgbmParams(a=0.1, b=0.04, sigma=0.6, y0=0.06, horizon=5.0)
+BENCH = IgbmParams(a=0.1, b=0.04, sigma=0.6, y0=0.06, horizon=5.0)
 
 
 def rng(seed=0):
@@ -19,11 +19,11 @@ def step(kind, y, p, w, hh, h):
     return igbm.kernel_fn(kind)(y, w, hh, h, p)
 
 
-LOG_ODE = igbm.SchemeKind.LOG_ODE
-PARABOLA = igbm.SchemeKind.PARABOLA_ODE
-LINEAR = igbm.SchemeKind.PIECEWISE_LINEAR
-MILSTEIN = igbm.SchemeKind.MILSTEIN
-EULER = igbm.SchemeKind.EULER_MARUYAMA
+LOG_ODE = SchemeKind.LOG_ODE
+PARABOLA = SchemeKind.PARABOLA_ODE
+LINEAR = SchemeKind.PIECEWISE_LINEAR
+MILSTEIN = SchemeKind.MILSTEIN
+EULER = SchemeKind.EULER_MARUYAMA
 
 
 # ---------------------------------------------------------------------------
@@ -36,11 +36,11 @@ def test_adjusted_parameters():
 
 def test_param_validation():
     with pytest.raises(ValueError):
-        igbm.IgbmParams(a=-0.1, b=0.0, sigma=0.1, y0=0.0, horizon=1.0)
+        IgbmParams(a=-0.1, b=0.0, sigma=0.1, y0=0.0, horizon=1.0)
     with pytest.raises(ValueError):
-        igbm.IgbmParams(a=0.1, b=0.0, sigma=-0.1, y0=0.0, horizon=1.0)
+        IgbmParams(a=0.1, b=0.0, sigma=-0.1, y0=0.0, horizon=1.0)
     with pytest.raises(ValueError):
-        igbm.IgbmParams(a=0.1, b=0.0, sigma=0.1, y0=0.0, horizon=0.0)
+        IgbmParams(a=0.1, b=0.0, sigma=0.1, y0=0.0, horizon=0.0)
 
 
 @pytest.mark.parametrize("name", ["a", "b", "sigma", "y0", "horizon"])
@@ -49,18 +49,18 @@ def test_param_validation_rejects_non_finite(name, value):
     values = dict(a=0.1, b=0.04, sigma=0.6, y0=0.06, horizon=5.0)
     values[name] = value
     with pytest.raises(ValueError, match=f"{name} must be finite"):
-        igbm.IgbmParams(**values)
+        IgbmParams(**values)
 
 
 def test_reference_parameters():
-    assert igbm.REFERENCE == BENCH
+    assert REFERENCE == BENCH
 
 
 def test_scheme_names():
-    assert igbm.SchemeKind.from_name("log-ode") is igbm.SchemeKind.LOG_ODE
+    assert SchemeKind.from_name("log-ode") is SchemeKind.LOG_ODE
     with pytest.raises(ValueError):
-        igbm.SchemeKind.from_name("heun")
-    assert len(igbm.SchemeKind) == 5
+        SchemeKind.from_name("heun")
+    assert len(SchemeKind) == 5
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +97,7 @@ def test_phi_monotone_and_vectorized():
 
 def test_log_ode_deterministic_limit():
     # sigma = 0 reduces to the exact linear-ODE flow regardless of (W, H).
-    p = igbm.IgbmParams(a=0.1, b=0.04, sigma=0.0, y0=0.06, horizon=1.0)
+    p = IgbmParams(a=0.1, b=0.04, sigma=0.0, y0=0.06, horizon=1.0)
     got = step(LOG_ODE, 0.06, p, 0.33, -0.1, 0.1)
     analytic = 0.04 + (0.06 - 0.04) * np.exp(-0.01)
     assert got == pytest.approx(analytic, abs=1e-12)
@@ -122,7 +122,7 @@ def test_log_ode_step_runs_levy_cond_mean_L(monkeypatch):
 
 
 def test_log_ode_pure_geometric_when_ab_zero():
-    p = igbm.IgbmParams(a=0.0, b=0.04, sigma=0.6, y0=0.06, horizon=1.0)
+    p = IgbmParams(a=0.0, b=0.04, sigma=0.6, y0=0.06, horizon=1.0)
     expected = 0.06 * np.exp(-p.a_strat * 0.1 + 0.6 * 0.2)
     for kind in (LOG_ODE, PARABOLA, LINEAR):
         assert step(kind, 0.06, p, 0.2, 0.05, 0.1) == pytest.approx(expected, rel=1e-15), kind
@@ -174,7 +174,7 @@ def test_parabola_step_degenerates_to_linear_when_flat():
 
 
 def test_parabola_step_sigma_zero_matches_exact_flow():
-    p = igbm.IgbmParams(a=0.1, b=0.04, sigma=0.0, y0=0.06, horizon=1.0)
+    p = IgbmParams(a=0.1, b=0.04, sigma=0.0, y0=0.06, horizon=1.0)
     got = step(PARABOLA, 0.06, p, 0.5, 0.2, 0.1)
     analytic = 0.04 + (0.06 - 0.04) * np.exp(-0.01)
     assert got == pytest.approx(analytic, abs=1e-10)
@@ -210,7 +210,7 @@ def test_milstein_step_arithmetic():
     assert got == pytest.approx(0.05936, rel=1e-12)
     # large negative W forces the clamp
     assert step(MILSTEIN, 0.06, BENCH, -10.0, 0.0, 0.05) >= 0.0
-    p0 = igbm.IgbmParams(a=0.1, b=0.04, sigma=0.0, y0=0.06, horizon=1.0)
+    p0 = IgbmParams(a=0.1, b=0.04, sigma=0.0, y0=0.06, horizon=1.0)
     assert step(MILSTEIN, 0.06, p0, 0.7, 0.0, 0.05) == pytest.approx(
         0.06 + 0.1 * (0.04 - 0.06) * 0.05, rel=1e-14
     )
@@ -220,7 +220,7 @@ def test_milstein_clamp_hits_zero_exactly():
     # a = 0, b = 0, sigma = 1: a~ = 1/2 and ab = 0, so W = -1, h = 1 gives
     # e = 1 - 1/2 - 1 + 1/2 = 0 and c = 0, and the unclamped step lands
     # exactly on zero; Euler clamps for any larger kick.
-    p = igbm.IgbmParams(a=0.0, b=0.0, sigma=1.0, y0=1.0, horizon=1.0)
+    p = IgbmParams(a=0.0, b=0.0, sigma=1.0, y0=1.0, horizon=1.0)
     assert step(MILSTEIN, 1.0, p, -1.0, 0.0, 1.0) == 0.0
     assert step(MILSTEIN, 1.0, p, -2.0, 0.0, 1.0) >= 0.0
     assert step(EULER, 1.0, p, -2.0, 0.0, 1.0) == 0.0
@@ -229,7 +229,7 @@ def test_milstein_clamp_hits_zero_exactly():
 def test_euler_step_arithmetic():
     got = step(EULER, 0.06, BENCH, 0.0, 0.0, 0.05)
     assert got == pytest.approx(0.0599, rel=1e-14)
-    p = igbm.IgbmParams(a=0.1, b=0.06, sigma=0.0, y0=0.06, horizon=1.0)
+    p = IgbmParams(a=0.1, b=0.06, sigma=0.0, y0=0.06, horizon=1.0)
     assert step(EULER, 0.06, p, 1.0, 0.5, 0.25) == 0.06  # fixed point of the drift
 
 
@@ -287,7 +287,7 @@ def test_simulate_refuses_an_out_that_is_not_float64(dtype):
     assert np.all(out == 0)
 
 
-@pytest.mark.parametrize("kind", igbm.SchemeKind)
+@pytest.mark.parametrize("kind", SchemeKind)
 @pytest.mark.parametrize("h", [0.0, -0.1, np.nan])
 def test_simulate_refuses_a_step_length_that_is_not_positive(kind, h):
     w, hh = make_increments(2, 3, BENCH.horizon, rng(13))
@@ -299,7 +299,7 @@ def test_simulate_refuses_a_step_length_that_is_not_positive(kind, h):
 
 def test_simulate_folds_kernel_with_step_length_horizon_over_steps():
     w, hh = make_increments(4, 25, BENCH.horizon, rng(11))
-    for kind in igbm.SchemeKind:
+    for kind in SchemeKind:
         y = np.full(4, BENCH.y0)
         for k in range(25):
             y = step(kind, y, BENCH, w[k], hh[k], BENCH.horizon / 25)
@@ -307,7 +307,7 @@ def test_simulate_folds_kernel_with_step_length_horizon_over_steps():
 
 
 def test_simulate_deterministic_limit_all_schemes():
-    p = igbm.IgbmParams(a=0.3, b=0.05, sigma=0.0, y0=0.11, horizon=2.0)
+    p = IgbmParams(a=0.3, b=0.05, sigma=0.0, y0=0.11, horizon=2.0)
     w, hh = make_increments(3, 200, 2.0, rng(6))
     analytic = p.b + (p.y0 - p.b) * np.exp(-p.a * p.horizon)
     for kind in (LOG_ODE, PARABOLA, LINEAR):
@@ -337,17 +337,17 @@ def test_simulate_writes_every_step_to_out():
 def test_simulate_refuses_non_finite_values(with_out):
     w, hh = make_increments(3, 5, 5.0, rng(12))
     out = np.empty_like(w) if with_out else None
-    wild = igbm.IgbmParams(a=0.1, b=0.04, sigma=100.0, y0=0.06, horizon=5.0)
+    wild = IgbmParams(a=0.1, b=0.04, sigma=100.0, y0=0.06, horizon=5.0)
     with pytest.raises(ValueError, match="the parabola scheme"):
         igbm.simulate(PARABOLA, wild, w, hh, out=out)  # exp overflows: 0 * inf
     # e = 1 - ah = -5e199 and c = abh = 2e198: the steps go to -1e198, clamped
     # to 0, then 2e198, then -inf, which the clamp must not turn into 0
-    wild = igbm.IgbmParams(a=1e200, b=0.04, sigma=0.0, y0=0.06, horizon=1.5)
+    wild = IgbmParams(a=1e200, b=0.04, sigma=0.0, y0=0.06, horizon=1.5)
     for kind in (MILSTEIN, EULER):
         with pytest.raises(ValueError, match=f"the {kind.value} scheme gave non-finite values"):
             igbm.simulate(kind, wild, np.zeros((3, 1)), np.zeros((3, 1)), out=None if out is None else np.empty((3, 1)))
     w[2, 1] = np.nan
-    for kind in igbm.SchemeKind:
+    for kind in SchemeKind:
         with pytest.raises(ValueError, match=f"the {kind.value} scheme gave non-finite values"):
             igbm.simulate(kind, BENCH, w, hh, out=out)
 
@@ -362,7 +362,7 @@ def test_non_negativity_all_schemes():
     w = z[..., 0] * np.sqrt(h)
     hh = z[..., 1] * np.sqrt(h / 12.0)
     traj = np.empty_like(w)
-    for kind in igbm.SchemeKind:
+    for kind in SchemeKind:
         igbm.simulate(kind, BENCH, w, hh, out=traj)
         assert traj.min() >= 0.0, kind
 
@@ -384,8 +384,8 @@ def test_one_step_weak_defect_ordering():
     for k in range(substeps):
         y_fine = log_ode(y_fine, wf[k], hf[k], d, BENCH)
     defects = {}
-    for kind in igbm.SchemeKind:
+    for kind in SchemeKind:
         y1 = igbm.kernel_fn(kind)(np.full(n, BENCH.y0), wc, hc, h, BENCH)
         defects[kind] = abs(np.mean(y1 - y_fine))
-    log_defect = defects.pop(igbm.SchemeKind.LOG_ODE)
+    log_defect = defects.pop(SchemeKind.LOG_ODE)
     assert all(log_defect < v for v in defects.values()), (log_defect, defects)

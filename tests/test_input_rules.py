@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polybrown import brownian as bm
-from polybrown import harness, igbm, levy
+from polybrown import REFERENCE, SchemeKind, harness, igbm, levy
 from polybrown import orthopoly as op
 
 X = np.linspace(-1.0, 1.0, 7)
@@ -21,11 +21,12 @@ W = np.linspace(-1.0, 1.0, 8).reshape(8, 1)
 def _integer(argument, lo, hi, call):
     """A row for an integer argument in [lo, hi] (hi None: no upper bound):
     bools, floats and integers outside it are refused; an integer inside is
-    tried as a Python int and as each NumPy integer type that holds it."""
+    tried as a Python int, as its decimal string, the CLI's spelling, and as
+    each NumPy integer type that holds it."""
     refused = st.booleans() | st.floats() | st.integers(max_value=lo - 1)
     if hi is not None:
         refused |= st.integers(min_value=hi + 1)
-    spellings = lambda v: [v, *(t(v) for t in (np.uint64, np.int64, np.uint16) if v <= np.iinfo(t).max)]
+    spellings = lambda v: [v, str(v), *(t(v) for t in (np.uint64, np.int64, np.uint16) if v <= np.iinfo(t).max)]
     return argument, refused, st.integers(lo, lo + 60 if hi is None else hi).map(spellings), call
 
 
@@ -41,6 +42,7 @@ ROWS = [
     _integer("level", 0, 2**16 - 1, lambda v: harness.path_generator(7, 1, v, 3)),
     _integer("index", 0, 2**32 - 1, lambda v: harness.path_generator(7, 1, 25, v)),
     _integer("n_intervals", 1, None, lambda v: harness.path_increments(7, 1, 25, range(2), v, [1.0, 0.5])),
+    _integer("degree", 1, None, bm.kl_scale),
     _integer("degree", 1, None, lambda v: bm.sample_kl_batch(v, 3, np.random.default_rng(0))),
     _integer("count", 0, None, lambda v: bm.sample_kl_batch(3, v, np.random.default_rng(0))),
     _integer("n", 1, None, lambda v: bm.coarsen_arrays(W, W, [v, 0])),
@@ -53,8 +55,9 @@ ROWS = [
     _length("length", lambda v: levy.cond_mean_L(0.3, 0.2, v)),
     _length("length", lambda v: levy.cond_var_L(0.3, 0.2, v)),
     _length("length", lambda v: levy.triple_integrals_from_whl(0.3, 0.2, 0.1, v)),
+    _length("length", bm.pair_scale),
     _length("length", lambda v: bm.sample_pair(v, np.random.default_rng(0))),
-    _length("h", lambda v: igbm.simulate(igbm.SchemeKind.LOG_ODE, igbm.REFERENCE, W, W, h=v)),
+    _length("h", lambda v: igbm.simulate(SchemeKind.LOG_ODE, REFERENCE, W, W, h=v)),
 ]
 
 

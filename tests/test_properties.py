@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from polybrown import brownian as bm
-from polybrown import harness, igbm, levy, orthopoly
+from polybrown import REFERENCE, IgbmParams, SchemeKind, harness, igbm, levy, orthopoly
 
 # Derandomized, so that a run of the suite is reproducible.
 PROPERTY = settings(deadline=None, derandomize=True, max_examples=200)
@@ -23,7 +23,7 @@ bounded = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 @st.composite
 def params(draw):
     """Parameters with ab >= 0, so the exact flow keeps y >= 0."""
-    return igbm.IgbmParams(
+    return IgbmParams(
         a=draw(st.floats(0.0, 2.0)),
         b=draw(st.floats(0.0, 1.0)),
         sigma=draw(st.floats(0.0, 2.0)),
@@ -51,13 +51,13 @@ def test_multiplicative_schemes_preserve_non_negativity(p, data):
     # integral to a non-negative multiple of y.
     w, h_area = data
     traj = np.empty_like(w)
-    for kind in (igbm.SchemeKind.LOG_ODE, igbm.SchemeKind.PARABOLA_ODE, igbm.SchemeKind.PIECEWISE_LINEAR):
+    for kind in (SchemeKind.LOG_ODE, SchemeKind.PARABOLA_ODE, SchemeKind.PIECEWISE_LINEAR):
         igbm.simulate(kind, p, w, h_area, out=traj)
         assert np.all(traj >= 0.0), kind
 
 
 @PROPERTY
-@given(params(), increments(max_paths=6), st.sampled_from(list(igbm.SchemeKind)))
+@given(params(), increments(max_paths=6), st.sampled_from(list(SchemeKind)))
 def test_simulate_rows_do_not_depend_on_the_batch(p, data, kind):
     # each path, a column of the time-major data, is simulated alone to the bit
     w, h_area = data
@@ -69,7 +69,7 @@ def test_simulate_rows_do_not_depend_on_the_batch(p, data, kind):
 
 
 @PROPERTY
-@given(params(), increments(), st.data(), st.sampled_from(list(igbm.SchemeKind)))
+@given(params(), increments(), st.data(), st.sampled_from(list(SchemeKind)))
 def test_simulate_resumes_where_it_stopped(p, data, draw, kind):
     # two calls chained through y= and h= are one call, to the bit
     w, h_area = data
@@ -91,7 +91,7 @@ def test_simulate_resumes_where_it_stopped(p, data, draw, kind):
     st.booleans(),
     st.sampled_from(["one step", "default", "beyond the run"]),
     st.integers(0, 2**32 - 1),
-    st.sampled_from(list(igbm.SchemeKind)),
+    st.sampled_from(list(SchemeKind)),
 )
 def test_simulate_is_the_one_step_kernel_folded(p, steps, with_out, slab, seed, kind):
     # however many steps each slab prepares, `simulate` is the row-by-row
@@ -118,7 +118,7 @@ def test_affine_steps_are_their_one_step_formulas_regrouped(p, y, w, h_area, h, 
     # rounding only: by at most 8 eps times the sum of the terms' magnitudes
     oracle = {"milstein": oracles.milstein_step, "euler": oracles.euler_step, "parabola": oracles.parabola_step}[name]
     expected, terms = oracle(y, w, h_area, h, p)
-    got = igbm.kernel_fn(igbm.SchemeKind.from_name(name))(y, w, h_area, h, p)
+    got = igbm.kernel_fn(SchemeKind.from_name(name))(y, w, h_area, h, p)
     assert abs(got - expected) <= 8.0 * np.finfo(float).eps * sum(abs(term) for term in terms)
 
 
@@ -191,8 +191,8 @@ def divisor_chains(draw):
 def test_block_split_does_not_change_terminals(step_counts, n, data, seed):
     # a block's values are those of its paths alone, wherever the block starts and ends
     k = data.draw(st.integers(1, n - 1))
-    schemes = tuple(igbm.SchemeKind)
-    args = (igbm.REFERENCE, schemes, step_counts, harness.fine_steps(step_counts), seed)
+    schemes = tuple(SchemeKind)
+    args = (REFERENCE, schemes, step_counts, harness.fine_steps(step_counts), seed)
     table = harness._simulate_block(*args, range(n))
     parts = [harness._simulate_block(*args, paths) for paths in (range(k), range(k, n))]
     assert table.shape == (1 + len(schemes) * len(step_counts), n)
@@ -206,15 +206,15 @@ def test_streamed_block_is_the_whole_array_block(step_counts, n, seed):
     # default length, a length that leaves a one-step last chunk and one
     # chunk for the whole horizon all give the whole-array block's
     # terminals, to the bit
-    schemes = tuple(igbm.SchemeKind)
+    schemes = tuple(SchemeKind)
     n_fine = harness.fine_steps(step_counts)
-    h = igbm.REFERENCE.horizon / n_fine
+    h = REFERENCE.horizon / n_fine
     draws = harness.path_increments(seed, harness._DOMAIN_HARNESS, 0, range(n), n_fine, np.sqrt([h, h / 12.0]))
     with mock.patch.object(harness, "_CHUNK", n_fine):  # the whole mesh in one draw
-        whole = oracles.whole_block(igbm.REFERENCE, schemes, step_counts, *next(draws))
+        whole = oracles.whole_block(REFERENCE, schemes, step_counts, *next(draws))
     for chunk in (1, n_fine // step_counts[0] - 1, 320, n_fine - 1, n_fine):
         with mock.patch.object(harness, "_CHUNK", chunk):
-            streamed = harness._simulate_block(igbm.REFERENCE, schemes, step_counts, n_fine, seed, range(n))
+            streamed = harness._simulate_block(REFERENCE, schemes, step_counts, n_fine, seed, range(n))
         assert streamed.tobytes() == whole.tobytes()
 
 
